@@ -9,7 +9,6 @@ from .model import (
     Devolution,
     QueueState,
     SchedulerParams,
-    SlotInput,
     TopoKind,
     Topology,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Devolution",
     "QueueState",
     "SchedulerParams",
-    "SlotInput",
     "TopoKind",
     "Topology",
 ]

@@ -75,12 +75,32 @@ _RUN_FIELDS = {
 }
 
 
+def _has_type(value, want: type) -> bool:
+    # bool is an int subclass, but true/false is not a count
+    return isinstance(value, want) \
+        and not (want is int and isinstance(value, bool))
+
+
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError([f"{path}: expected a JSON object of config keys"])
+    problems = []
     unknown = set(data) - set(_RUN_FIELDS)
     if unknown:
-        raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
+        problems.append(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        want = _RUN_FIELDS.get(key)
+        if want is not None and not _has_type(value, want):
+            problems.append(f"config key {key!r} must be {want.__name__}, "
+                            f"got {value!r}")
+    hot = data.get("hot_spot_switches")
+    if isinstance(hot, list) and not all(_has_type(s, int) for s in hot):
+        problems.append(f"config key 'hot_spot_switches' must list switch "
+                        f"ids, got {hot!r}")
+    if problems:
+        raise ConfigError(problems)
     return data
 
 
@@ -128,19 +148,29 @@ def _resolve_run(args) -> tuple[RunConfig, dict]:
         process = None
     if cfg["horizon"] < 1:
         problems.append("horizon must be >= 1")
-    if problems:
+    if kind is None:
         raise ConfigError(problems)
 
+    # the switch count that bounds hot-spot ids needs the topology
     topo_seed = cfg.get("topo_seed", _default_seed())
-    topo = topology.generate(kind, cfg["k"], seed=topo_seed,
-                             hosts_min=cfg.get("hosts_min"),
-                             hosts_max=cfg.get("hosts_max"))
-    placement = topology.place_controllers(topo, seed=topo_seed)
-    cost = topology.build_cost_model(topo, placement)
-
+    try:
+        topo = topology.generate(kind, cfg["k"], seed=topo_seed,
+                                 hosts_min=cfg.get("hosts_min"),
+                                 hosts_max=cfg.get("hosts_max"))
+    except ValueError as exc:
+        raise ConfigError(problems + [str(exc)]) from None
     hot = cfg.get("hot_spot_switches")
     if hot is None:
         hot = _default_hot_spot(topo)
+    outside = sorted(s for s in hot if not 0 <= s < topo.n_switches)
+    if outside:
+        problems.append(f"hot_spot_switches {outside} outside "
+                        f"[0, {topo.n_switches})")
+    if problems:
+        raise ConfigError(problems)
+
+    placement = topology.place_controllers(topo, seed=topo_seed)
+    cost = topology.build_cost_model(topo, placement)
     hot_rate = cfg.get("hot_spot_rate", 0)
     tcfg = traffic.TrafficConfig(
         base_process=process,

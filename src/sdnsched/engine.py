@@ -28,13 +28,7 @@ from .model import (
     step_controller_queue,
     step_switch_queue,
 )
-from .scheduler import (
-    AssociationOnlyKernel,
-    GreedyKernel,
-    jsq_decide,
-    random_decide,
-    static_decide,
-)
+from .scheduler import GreedyKernel, random_decide, static_decide
 
 
 class Scheme(enum.Enum):
@@ -97,32 +91,21 @@ def apply_slot(queues: QueueState, assoc: Association, arrivals,
     return QueueState(q_s=tuple(q_s), q_c=q_c), f_slot, g_slot
 
 
-class _Decider:
-    """Binds one scheme's per-slot decision rule for a run."""
-
-    def __init__(self, cfg: RunConfig):
-        self.scheme = cfg.scheme
-        n_s = cfg.cost.n_switches
-        self.n_s = n_s
-        if cfg.scheme is Scheme.GREEDY:
-            if cfg.params.devolution is Devolution.ON:
-                self.kernel = GreedyKernel(cfg.cost, cfg.params)
-            else:
-                self.kernel = AssociationOnlyKernel(cfg.cost, cfg.params)
-        elif cfg.scheme is Scheme.STATIC:
-            self.static = static_decide(cfg.cost)
-        elif cfg.scheme is Scheme.RANDOM:
-            self.rng = random.Random(cfg.run_seed)
-            self.n_c = cfg.cost.n_controllers
-
-    def decide(self, queues: QueueState) -> Association:
-        if self.scheme is Scheme.GREEDY:
-            return self.kernel.decide(queues.q_s, queues.q_c)
-        if self.scheme is Scheme.STATIC:
-            return self.static
-        if self.scheme is Scheme.RANDOM:
-            return random_decide(self.n_s, self.n_c, self.rng)
-        return jsq_decide(queues, self.n_s)
+def decision_rule(cfg: RunConfig):
+    """The run's per-slot decision rule, chosen once: a callable from the
+    pre-slot queue snapshot to an Association."""
+    if cfg.scheme is Scheme.STATIC:
+        static = static_decide(cfg.cost)
+        return lambda queues: static
+    if cfg.scheme is Scheme.RANDOM:
+        rng = random.Random(cfg.run_seed)
+        n_s, n_c = cfg.cost.n_switches, cfg.cost.n_controllers
+        return lambda queues: random_decide(n_s, n_c, rng)
+    # JSQ is the devolution-off argmin at v = 0
+    params = cfg.params if cfg.scheme is Scheme.GREEDY \
+        else SchedulerParams(v=0, devolution=Devolution.OFF)
+    kernel = GreedyKernel(cfg.cost, params)
+    return lambda queues: kernel.decide(queues.q_s, queues.q_c)
 
 
 def init_state(cfg: RunConfig) -> RunState:
@@ -133,25 +116,26 @@ def init_state(cfg: RunConfig) -> RunState:
     )
 
 
-def step(state: RunState, cfg: RunConfig, decider: _Decider,
-         services=None) -> MetricsRecord:
+def step(state: RunState, cfg: RunConfig, decide, services,
+         keep: bool) -> MetricsRecord | None:
     """Advance one slot: arrivals, snapshot decision, costs, queue
-    updates, metrics."""
-    if services is None:
-        services = tr.sample_slot_services(cfg.traffic)
+    updates, running sums. Returns the slot's record when keep is set."""
     ctrl_service, switch_service = services
     arrivals = tr.sample_slot_arrivals(state.arrival_state)
     snapshot = state.queues
-    assoc = decider.decide(snapshot)
+    assoc = decide(snapshot)
     next_q, f_slot, g_slot = apply_slot(
         snapshot, assoc, arrivals, ctrl_service, switch_service, cfg.cost)
+    state.queues = next_q
+    state.t += 1
+    state.acc.update(f_slot, g_slot, next_q.total())
+    if not keep:
+        return None
     lyap = drift = None
     if cfg.log_lyapunov:
         lyap = lyapunov(snapshot)
         drift = lyapunov(next_q) - lyap + cfg.params.v * (f_slot + g_slot)
-    state.queues = next_q
-    state.t += 1
-    return state.acc.update(f_slot, g_slot, next_q, assoc.uploads(),
+    return state.acc.record(f_slot, g_slot, next_q, assoc.uploads(),
                             assoc.locals_(), lyap, drift)
 
 
@@ -166,15 +150,16 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute the full horizon; keep one record per stride plus the
     final slot. Deterministic given (config, seeds)."""
     state = init_state(cfg)
-    decider = _Decider(cfg)
+    decide = decision_rule(cfg)
     services = tr.sample_slot_services(cfg.traffic)
+    last = cfg.horizon_slots - 1
     records = []
-    rec = None
     for t in range(cfg.horizon_slots):
-        rec = step(state, cfg, decider, services)
-        if t % cfg.stride == 0 or t == cfg.horizon_slots - 1:
+        rec = step(state, cfg, decide, services,
+                   keep=t % cfg.stride == 0 or t == last)
+        if rec is not None:
             records.append(rec)
-    return RunResult(records=records, final=rec,
+    return RunResult(records=records, final=records[-1],
                      mean_backlog=state.acc.mean_backlog())
 
 
@@ -212,7 +197,7 @@ def sweep(cfg: RunConfig, v_values) -> list[SweepRow]:
 def capacity_check(cfg: RunConfig) -> list[str]:
     """Warn when mean arrivals meet or exceed total service capacity."""
     t = cfg.traffic
-    total_in = sum(tr.mean_arrival_rate(t, i) for i in range(t.n_switches))
+    total_in = sum(tr.mean_arrival_rates(t))
     ctrl_cap = t.controller_capacity * t.n_controllers
     switch_cap = t.switch_capacity * t.n_switches
     warnings = []

@@ -1,7 +1,8 @@
 """Per-slot statistics, exact running averages, and CSV export.
 
-Running averages are recomputed from exact running sums every slot, so
-the identity f_bar(T) * T == sum of f_slot holds with no drift.
+Running averages are computed from exact running sums, so the identity
+f_bar(T) * T == sum of f_slot holds with no drift. The sums advance
+every slot; a record is built only for the slots a run keeps.
 """
 
 from __future__ import annotations
@@ -40,20 +41,23 @@ class Accumulator:
         self.g_sum = 0
         self.backlog_sum = 0
 
-    def update(self, f_slot, g_slot, queues, uploads, locals_,
-               lyapunov=None, drift_penalty=None) -> MetricsRecord:
+    def update(self, f_slot, g_slot, total_backlog: int) -> None:
         self.f_sum += f_slot
         self.g_sum += g_slot
-        total = queues.total()
-        self.backlog_sum += total
+        self.backlog_sum += total_backlog
         self.t += 1
+
+    def record(self, f_slot, g_slot, queues, uploads, locals_,
+               lyapunov=None, drift_penalty=None) -> MetricsRecord:
+        """The record of the slot last passed to update, whose slot-end
+        queues are `queues`."""
         return MetricsRecord(
             t=self.t - 1,
             f_slot=f_slot,
             g_slot=g_slot,
             f_bar=Fraction(self.f_sum, self.t),
             g_bar=Fraction(self.g_sum) / self.t,
-            total_backlog=total,
+            total_backlog=queues.total(),
             controller_backlog_variance=controller_variance(queues.q_c),
             uploads=uploads,
             locals_=locals_,

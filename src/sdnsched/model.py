@@ -119,15 +119,6 @@ class QueueState:
 
 
 @dataclass(frozen=True)
-class SlotInput:
-    """One slot's exogenous inputs: arrivals and service amounts."""
-
-    arrivals: tuple[int, ...]
-    controller_service: tuple[int, ...]
-    switch_service: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Association:
     """Per-slot decision: each switch maps to LOCAL or one controller.
 

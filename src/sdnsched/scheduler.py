@@ -1,11 +1,14 @@
-"""Per-slot decision kernels: the greedy drift-plus-penalty rule, the
-Static/Random/JSQ baselines, the per-slot objective, and a brute-force
-oracle that certifies per-slot optimality by exhaustive enumeration.
+"""Per-slot decision rules: the greedy drift-plus-penalty rule, the
+Static/Random/JSQ baselines, the per-slot objective, a brute-force
+oracle that certifies per-slot optimality by exhaustive enumeration,
+and GreedyKernel, the one fast decider the engine runs.
 
-All arithmetic is exact (int / Fraction), so the oracle comparison is
-an equality check. Ties break toward the lowest controller index
-everywhere; with that rule JSQ coincides exactly with the
-association-only kernel at v = 0.
+The per-switch functions (greedy_decide, association_only_decide,
+jsq_decide, static_decide, brute_force_decide, slot_objective) are the
+specification; GreedyKernel is tested for equality against them. All
+arithmetic is exact (int / Fraction), so every comparison is an
+equality check. Ties break toward the lowest controller index
+everywhere; with that rule JSQ is the devolution-off argmin at v = 0.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import (
     LOCAL,
     Association,
     CostModel,
+    Devolution,
     QueueState,
     Rational,
     SchedulerParams,
 )
 
 BRUTE_FORCE_LIMIT = 10 ** 7
+_INT64_BOUND = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -162,55 +169,51 @@ def brute_force_decide(ctx: DecisionContext) -> Association:
 
 
 class GreedyKernel:
-    """Integer-scaled greedy decider for fast engine loops.
+    """Vectorised, integer-scaled greedy decider: the fast path for every
+    scheme that decides from queues.
 
     The time-invariant part of each weight, v*(W[i][j] - alpha_i), is a
-    rational constant; scaling every weight by the common denominator
-    turns the per-slot comparison into pure integer arithmetic without
-    changing any argmin or sign. Decisions equal greedy_decide exactly.
+    rational constant; scaling every weight by the common denominator d
+    gives the integer matrix K, and each slot is one argmin per row of
+    M = K + d*Qc. numpy returns the first index on a tie, which is the
+    lowest-index rule. With devolution on, switch i goes LOCAL where
+    M[i, j] > d*Qs_i, so decisions equal greedy_decide exactly. With
+    devolution off that test is skipped; alpha_i is constant along a
+    row, so the argmin equals association_only_decide, and at v = 0 it
+    equals jsq_decide.
+
+    Slots run in int64 while max|K| + d*max(Q) < 2**62, so no sum can
+    wrap; past that bound the same expressions run on Python ints.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
-        terms = [[Fraction(params.v) * (cost.w[i][j] - cost.alpha[i])
-                  for j in range(cost.n_controllers)]
-                 for i in range(cost.n_switches)]
-        self.scale = math.lcm(*(t.denominator for row in terms for t in row)) \
-            if terms and terms[0] else 1
-        self.const = [[int(t * self.scale) for t in row] for row in terms]
+        v = Fraction(params.v)
+        terms = [[v * (w - a) for w in row]
+                 for row, a in zip(cost.w, cost.alpha)]
+        self.scale = math.lcm(*(t.denominator for row in terms for t in row))
+        self.k_object = np.array(
+            [[int(t * self.scale) for t in row] for row in terms],
+            dtype=object)
+        self.devolve = params.devolution is Devolution.ON
+        self.rows = np.arange(cost.n_switches)
+        k_max = max((abs(k) for k in self.k_object.flat), default=0)
+        # largest backlog the int64 path accepts (none when d itself
+        # is too large for int64)
+        self.int64_top = (_INT64_BOUND - 1 - k_max) // self.scale \
+            if self.scale < _INT64_BOUND else -1
+        self.k_int64 = self.k_object.astype(np.int64) \
+            if self.int64_top >= 0 else None
 
-    def decide(self, q_s, q_c) -> Association:
-        d = self.scale
-        target = []
-        for i, row in enumerate(self.const):
-            qs = d * q_s[i]
-            best_j, best_w = LOCAL, 0
-            for j, k in enumerate(row):
-                w = k + d * q_c[j] - qs
-                if w <= 0 and (best_j == LOCAL or w < best_w):
-                    best_j, best_w = j, w
-            target.append(best_j)
-        return Association(target=tuple(target))
-
-
-class AssociationOnlyKernel:
-    """Integer-scaled devolution-off decider (argmin v*W + Qc)."""
-
-    def __init__(self, cost: CostModel, params: SchedulerParams):
-        terms = [[Fraction(params.v) * cost.w[i][j]
-                  for j in range(cost.n_controllers)]
-                 for i in range(cost.n_switches)]
-        self.scale = math.lcm(*(t.denominator for row in terms for t in row)) \
-            if terms and terms[0] else 1
-        self.const = [[int(t * self.scale) for t in row] for row in terms]
-
-    def decide(self, q_s, q_c) -> Association:
-        d = self.scale
-        target = []
-        for row in self.const:
-            best_j, best_w = 0, row[0] + d * q_c[0]
-            for j in range(1, len(row)):
-                w = row[j] + d * q_c[j]
-                if w < best_w:
-                    best_j, best_w = j, w
-            target.append(best_j)
-        return Association(target=tuple(target))
+    def decide(self, q_s: tuple, q_c: tuple) -> Association:
+        q = q_s + q_c
+        if max(q) <= self.int64_top:
+            k, dtype = self.k_int64, np.int64
+        else:
+            k, dtype = self.k_object, object
+        dq = np.array(q, dtype) * self.scale
+        n_s = len(q_s)
+        m = k + dq[n_s:]
+        target = m.argmin(1)
+        if self.devolve:
+            target[m[self.rows, target] > dq[:n_s]] = LOCAL
+        return Association(target=tuple(target.tolist()))

@@ -83,6 +83,11 @@ class EmpiricalCdf:
             raise ValueError("final cumulative probability must be exactly 1.0")
         if ps[0] < 0:
             raise ValueError("probabilities must lie in [0, 1]")
+        if xs[0] < 0:
+            raise ValueError("inter-arrival times must be nonnegative")
+        if xs[-1] == 0:
+            # every gap would be 0: a slot would never run out of events
+            raise ValueError("largest inter-arrival time must be positive")
         self.xs = xs
         self.ps = ps
 
@@ -141,14 +146,15 @@ class _SwitchStream:
     """One switch's arrival stream. Trace mode keeps the residual time
     to the next event across slot boundaries."""
 
-    def __init__(self, process: Process, cfg: TrafficConfig, index: int):
+    def __init__(self, process: Process, cfg: TrafficConfig, index: int,
+                 cdf: EmpiricalCdf | None):
         self.process = process
         self.cfg = cfg
         self.rng = np.random.default_rng([cfg.seed, index])
         self.buf: np.ndarray = np.empty(0)
         self.pos = 0
         if isinstance(process, TraceCdf):
-            self.cdf = load_interarrival_cdf(process.path)
+            self.cdf = cdf
             self.next_event = self.cdf.sample(self.rng.random())
 
     def _refill(self):
@@ -156,9 +162,11 @@ class _SwitchStream:
         if isinstance(p, Poisson):
             self.buf = self.rng.poisson(p.rate, _BLOCK)
         elif isinstance(p, Pareto):
-            # inverse-transform Pareto draw per slot, rounded to nearest
+            # inverse-transform Pareto draw per slot, rounded to nearest;
+            # clipped in float, since a tail draw can exceed int64
             u = self.rng.random(_BLOCK)
-            self.buf = np.rint(p.scale / u ** (1.0 / p.shape)).astype(np.int64)
+            draws = np.rint(p.scale / u ** (1.0 / p.shape))
+            self.buf = np.minimum(draws, self.cfg.a_max).astype(np.int64)
         else:
             raise AssertionError(p)
         self.pos = 0
@@ -188,11 +196,14 @@ class ArrivalState:
 
     def __init__(self, cfg: TrafficConfig):
         self.cfg = cfg
+        base = cfg.base_process
+        cdf = load_interarrival_cdf(base.path) \
+            if isinstance(base, TraceCdf) else None
         self.streams = [
             _SwitchStream(
                 Constant(cfg.hot_spot_rate) if i in cfg.hot_spot_switches
-                else cfg.base_process,
-                cfg, i,
+                else base,
+                cfg, i, cdf,
             )
             for i in range(cfg.n_switches)
         ]
@@ -208,17 +219,16 @@ def sample_slot_services(cfg: TrafficConfig) -> tuple[tuple[int, ...], tuple[int
             (cfg.switch_capacity,) * cfg.n_switches)
 
 
-def mean_arrival_rate(cfg: TrafficConfig, i: int) -> Fraction | float:
-    """Expected arrivals per slot for switch i, used by capacity checks."""
-    if i in cfg.hot_spot_switches:
-        return cfg.hot_spot_rate
+def mean_arrival_rates(cfg: TrafficConfig) -> list[Fraction | float]:
+    """Expected arrivals per slot for each switch, used by capacity
+    checks."""
     p = cfg.base_process
-    if isinstance(p, Constant):
-        return p.rate
-    if isinstance(p, Poisson):
-        return p.rate
-    if isinstance(p, Pareto):
-        if p.shape <= 1:
-            return float("inf")
-        return p.shape * p.scale / (p.shape - 1)
-    return cfg.slot_length_us / load_interarrival_cdf(p.path).mean
+    if isinstance(p, (Constant, Poisson)):
+        base = p.rate
+    elif isinstance(p, Pareto):
+        base = float("inf") if p.shape <= 1 \
+            else p.shape * p.scale / (p.shape - 1)
+    else:
+        base = cfg.slot_length_us / load_interarrival_cdf(p.path).mean
+    return [cfg.hot_spot_rate if i in cfg.hot_spot_switches else base
+            for i in range(cfg.n_switches)]

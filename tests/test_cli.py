@@ -95,6 +95,55 @@ class TestRun:
         assert code == 1
         assert "nope" in err
 
+    def run_config(self, capsys, tmp_path, **overrides):
+        cfg = {"kind": "fat-tree", "k": 4, "scheme": "greedy", "horizon": 5,
+               "arrivals": "constant:2", **overrides}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(capsys, "run", "--config", str(path),
+                       "--out-dir", str(tmp_path))
+
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, k="4")
+        assert code == 1
+        assert "'k' must be int" in err and "Traceback" not in err
+
+    def test_config_bool_for_int_rejected(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, horizon=True)
+        assert code == 1
+        assert "'horizon' must be int" in err
+
+    def test_hot_spot_ids_outside_topology_rejected(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, hot_spot_rate=50,
+                                       hot_spot_switches=[99, -1, 3])
+        assert code == 1
+        assert "[-1, 99] outside [0, 20)" in err
+        assert not list(tmp_path.glob("*.summary.json"))
+
+    def test_config_problems_reported_together(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, k="4", stride=False,
+                                       hot_spot_switches=["0"])
+        assert code == 1
+        for name in ("'k'", "'stride'", "'hot_spot_switches'"):
+            assert name in err
+        code, _, err = self.run_config(capsys, tmp_path, scheme="bogus",
+                                       hot_spot_switches=[20])
+        assert code == 1
+        assert "bogus" in err and "[20] outside" in err
+
+    @pytest.mark.parametrize("cdf, problem", [
+        ("-5 0.5\n5 1.0\n", "nonnegative"),
+        ("0 1.0\n", "positive"),
+    ])
+    def test_degenerate_trace_cdf_rejected(self, capsys, tmp_path, cdf,
+                                           problem):
+        path = tmp_path / "trace.cdf"
+        path.write_text(cdf)
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", "--arrivals", f"trace:{path}"))
+        assert code == 1
+        assert problem in err and "Traceback" not in err
+
     def test_jsq_equals_greedy_devolution_off_v0(self, capsys, tmp_path):
         common = ["--kind", "fat-tree", "--k", "4", "--horizon", "100",
                   "--arrivals", "poisson:3", "--controller-capacity", "25",

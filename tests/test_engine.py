@@ -130,12 +130,12 @@ class TestRun:
         cfg = small_cfg(horizon=100, seed=3)
         res = run(cfg)
         state = engine.init_state(cfg)
-        decider = engine._Decider(cfg)
+        decide = engine.decision_rule(cfg)
         services = tr.sample_slot_services(cfg.traffic)
         q = state.queues
         for rec in res.records:
             arrivals = tr.sample_slot_arrivals(state.arrival_state)
-            assoc = decider.decide(q)
+            assoc = decide(q)
             q, f, g = apply_slot(q, assoc, arrivals, *services, cfg.cost)
             assert (f, g, q.total()) == (rec.f_slot, rec.g_slot,
                                          rec.total_backlog)
@@ -187,8 +187,8 @@ class TestGreedyVsStatic:
         # choice while controller queues stay below V * min W gap
         cost = CostModel.uniform_alpha(((1, 3), (4, 2)), 2)
         params = SchedulerParams(v=1000, devolution=Devolution.OFF)
-        from sdnsched.scheduler import AssociationOnlyKernel, static_decide
-        kernel = AssociationOnlyKernel(cost, params)
+        from sdnsched.scheduler import GreedyKernel, static_decide
+        kernel = GreedyKernel(cost, params)
         static = static_decide(cost)
         rng = random.Random(2)
         for _ in range(100):

@@ -13,7 +13,6 @@ from sdnsched.model import (
     SchedulerParams,
 )
 from sdnsched.scheduler import (
-    AssociationOnlyKernel,
     DecisionContext,
     GreedyKernel,
     association_only_decide,
@@ -285,6 +284,26 @@ class TestBruteForce:
                 slot_objective(brute_force_decide(ctx), ctx)
 
 
+def rationals(max_value):
+    return st.one_of(st.integers(0, max_value),
+                     st.fractions(0, max_value, max_denominator=12))
+
+
+@st.composite
+def kernel_cases(draw):
+    n_s, n_c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cost = CostModel(
+        w=tuple(tuple(draw(st.integers(1, 10)) for _ in range(n_c))
+                for _ in range(n_s)),
+        alpha=tuple(draw(rationals(10)) for _ in range(n_s)))
+    v = draw(st.one_of(rationals(100), st.integers(2 ** 63, 2 ** 70)))
+    return cost, v, draw(st.sampled_from(Devolution))
+
+
+def backlogs(draw, n, low, high):
+    return tuple(draw(st.integers(low, high)) for _ in range(n))
+
+
 class TestKernels:
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=200, deadline=None)
@@ -297,10 +316,47 @@ class TestKernels:
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=200, deadline=None)
     def test_association_kernel_matches_reference(self, seed):
+        # the devolution-off kernel is GreedyKernel with Devolution.OFF
         ctx = random_ctx(random.Random(seed))
-        kernel = AssociationOnlyKernel(ctx.cost, ctx.params)
+        params = SchedulerParams(v=ctx.params.v, devolution=Devolution.OFF)
+        kernel = GreedyKernel(ctx.cost, params)
         assert kernel.decide(ctx.q.q_s, ctx.q.q_c).target == \
             association_only_decide(ctx).target
+
+    @given(kernel_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_reference_rules(self, case, data):
+        # One kernel per instance, called with small backlogs and then
+        # with switch or controller backlogs of at least 2^62, so every
+        # instance crosses the int64 bound between calls; v >= 2^63 runs
+        # the object path throughout.
+        cost, v, devolution = case
+        n_s, n_c = cost.n_switches, cost.n_controllers
+        params = SchedulerParams(v=v, devolution=devolution)
+        reference = greedy_decide if devolution is Devolution.ON \
+            else association_only_decide
+        kernel = GreedyKernel(cost, params)
+        jsq = GreedyKernel(cost, SchedulerParams(v=0,
+                                                 devolution=Devolution.OFF))
+        small, big = (0, 100), (2 ** 62, 2 ** 66)
+        for s_range, c_range in ((small, small), (big, small),
+                                 (small, big)):
+            q = QueueState(q_s=backlogs(data.draw, n_s, *s_range),
+                           q_c=backlogs(data.draw, n_c, *c_range))
+            ctx = DecisionContext(q=q, arrivals=(0,) * n_s, cost=cost,
+                                  params=params)
+            assert kernel.decide(q.q_s, q.q_c).target == \
+                reference(ctx).target
+            assert jsq.decide(q.q_s, q.q_c).target == \
+                jsq_decide(q, n_s).target
+        if v > 0:
+            # equal controller backlogs leave only v*W: the static choice
+            off = GreedyKernel(cost, SchedulerParams(
+                v=v, devolution=Devolution.OFF))
+            level = data.draw(st.one_of(st.integers(0, 100),
+                                        st.integers(2 ** 62, 2 ** 66)))
+            assert off.decide((0,) * n_s, (level,) * n_c).target == \
+                static_decide(cost).target
 
     def test_fractional_parameters(self):
         cost = CostModel.uniform_alpha(((2, 5), (3, 1)), Fraction(7, 3))

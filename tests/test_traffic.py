@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from sdnsched.traffic import (
     TraceCdf,
     TrafficConfig,
     load_interarrival_cdf,
-    mean_arrival_rate,
+    mean_arrival_rates,
     sample_slot_arrivals,
     sample_slot_services,
 )
@@ -49,6 +51,32 @@ class TestCdfLoading:
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError, match="no data"):
             load_interarrival_cdf(write_cdf(tmp_path, "# only a comment\n"))
+
+    def test_rejects_negative_interarrival(self, tmp_path):
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_interarrival_cdf(write_cdf(tmp_path, "-5 0.5\n5 1.0\n"))
+
+    def test_rejects_all_zero_gaps(self, tmp_path):
+        with pytest.raises(ValueError, match="positive"):
+            load_interarrival_cdf(write_cdf(tmp_path, "0 1.0\n"))
+
+    def test_parsed_once_per_arrival_state_and_capacity_check(
+            self, tmp_path, monkeypatch):
+        from sdnsched import engine, traffic
+        from sdnsched.model import CostModel, SchedulerParams
+        calls = []
+        real = traffic.load_interarrival_cdf
+        monkeypatch.setattr(traffic, "load_interarrival_cdf",
+                            lambda path: calls.append(path) or real(path))
+        cfg = make_cfg(TraceCdf(write_cdf(tmp_path, "1700 1.0\n")),
+                       n_switches=5)
+        ArrivalState(cfg)
+        assert len(calls) == 1
+        engine.capacity_check(engine.RunConfig(
+            cost=CostModel.uniform_alpha(((1, 2),) * 5, 2), traffic=cfg,
+            scheme=engine.Scheme.GREEDY, params=SchedulerParams(v=1),
+            horizon_slots=1))
+        assert len(calls) == 2
 
     def test_rejects_malformed_line(self, tmp_path):
         with pytest.raises(ValueError, match=":1"):
@@ -107,6 +135,16 @@ class TestArrivals:
         total = sum(sample_slot_arrivals(state)[0] for _ in range(n))
         assert abs(total / n - 5.88) / 5.88 < 0.05
 
+    def test_pareto_tail_clipped_not_zeroed(self):
+        # at seed 0, 5 of these 40000 shape-0.2 draws exceed int64; each
+        # must be capped at a_max, never wrap to 0
+        cfg = make_cfg(Pareto(shape=0.2, scale=1.0), seed=0)
+        state = ArrivalState(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = [sample_slot_arrivals(state)[0] for _ in range(40_000)]
+        assert min(draws) >= 1
+
     def test_same_seed_bit_identical(self):
         cfg = make_cfg(Poisson(5.88), n_switches=4, seed=42)
         a = [sample_slot_arrivals(ArrivalState(cfg))
@@ -154,10 +192,9 @@ class TestServices:
 class TestMeanRate:
     def test_pareto_mean_formula(self):
         cfg = make_cfg(Pareto(shape=2, scale=2.94))
-        assert mean_arrival_rate(cfg, 0) == pytest.approx(5.88)
+        assert mean_arrival_rates(cfg)[0] == pytest.approx(5.88)
 
     def test_hot_spot_override(self):
         cfg = make_cfg(Poisson(5.88), n_switches=2,
                        hot_spot_switches=frozenset({1}), hot_spot_rate=200)
-        assert mean_arrival_rate(cfg, 0) == 5.88
-        assert mean_arrival_rate(cfg, 1) == 200
+        assert mean_arrival_rates(cfg) == [5.88, 200]
