@@ -294,11 +294,11 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for scheme in schemes:
-        args.scheme = scheme
         for seed in seeds:
-            args.run_seed = seed
-            args.traffic_seed = seed
-            run_cfg, resolved = _resolve_run(args)
+            run_args = argparse.Namespace(**{
+                **vars(args), "scheme": scheme,
+                "run_seed": seed, "traffic_seed": seed})
+            run_cfg, _ = _resolve_run(run_args)
             for row in engine.sweep(run_cfg, grid):
                 rows.append((scheme, seed, row))
     path = out_dir / "sweep.csv"

@@ -9,13 +9,17 @@ numbers.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import traffic as tr
 from .metrics import Accumulator, MetricsRecord
 from .model import (
+    INT64_BOUND,
     LOCAL,
     Association,
     CostModel,
@@ -23,10 +27,6 @@ from .model import (
     QueueState,
     SchedulerParams,
     lyapunov,
-    slot_comm_cost,
-    slot_comp_cost,
-    step_controller_queue,
-    step_switch_queue,
 )
 from .scheduler import GreedyKernel, random_decide, static_decide
 
@@ -71,24 +71,45 @@ def apply_slot(queues: QueueState, assoc: Association, arrivals,
                ctrl_service, switch_service, cost: CostModel):
     """Price a forced association and advance the queues one slot.
 
-    Returns (next_queues, f_slot, g_slot). Pure; used both by the run
-    loop and by tests that force a specific association.
+    Returns (next_queues, f_slot, g_slot), equal to slot_comm_cost,
+    slot_comp_cost and step_switch_queue / step_controller_queue applied
+    switch by switch. Pure; used both by the run loop and by tests that
+    force a specific association.
+
+    The slot is priced on integer arrays: f = W[i, target_i] . A, where
+    W has a zero column for LOCAL, and g = (d*alpha) . A_local / d. It
+    runs in int64 while n * weight * max(A) + max(Q, service) < 2**62,
+    so no sum can wrap, and on object arrays of Python ints past that
+    bound.
     """
-    f_slot = slot_comm_cost(assoc, arrivals, cost)
-    g_slot = slot_comp_cost(assoc, arrivals, cost)
-    routed_in = [0] * len(queues.q_c)
-    q_s = []
-    for i, t in enumerate(assoc.target):
-        if t == LOCAL:
-            q_s.append(step_switch_queue(queues.q_s[i], arrivals[i],
-                                         switch_service[i]))
-        else:
-            routed_in[t] += arrivals[i]
-            q_s.append(step_switch_queue(queues.q_s[i], 0, switch_service[i]))
-    q_c = tuple(step_controller_queue(queues.q_c[j], routed_in[j],
-                                      ctrl_service[j])
-                for j in range(len(queues.q_c)))
-    return QueueState(q_s=tuple(q_s), q_c=q_c), f_slot, g_slot
+    tables = cost.tables
+    n_s, n_c = len(arrivals), len(queues.q_c)
+    values = (arrivals, queues.q_s, switch_service, queues.q_c, ctrl_service)
+    try:
+        v = np.fromiter(itertools.chain(*values), np.int64)
+        top = int(v[:n_s].max(initial=0)) * n_s * tables.weight \
+            + int(v[n_s:].max(initial=0))
+        fits = tables.w_int64 is not None and top < INT64_BOUND
+    except OverflowError:
+        fits = False
+    if fits:
+        w, scaled_alpha = tables.w_int64, tables.scaled_alpha_int64
+    else:
+        w, scaled_alpha = tables.w, tables.scaled_alpha
+        v = np.array(list(itertools.chain(*values)), dtype=object)
+    a, q_s, s_s = v[:n_s], v[n_s:2 * n_s], v[2 * n_s:3 * n_s]
+    q_c, s_c = v[3 * n_s:3 * n_s + n_c], v[3 * n_s + n_c:]
+    target = np.asarray(assoc.target, np.intp)
+    a_local = a * (target == LOCAL)
+    f_slot = int(np.dot(w[tables.rows, target], a))
+    g_slot = Fraction(int(np.dot(scaled_alpha, a_local)), tables.scale)
+    # the LOCAL target (-1) scatters into a spare last entry
+    routed_in = np.zeros(n_c + 1, v.dtype)
+    np.add.at(routed_in, target, a)
+    next_q = QueueState(
+        q_s=tuple(np.maximum(q_s + a_local - s_s, 0).tolist()),
+        q_c=tuple(np.maximum(q_c + routed_in[:n_c] - s_c, 0).tolist()))
+    return next_q, f_slot, g_slot
 
 
 def decision_rule(cfg: RunConfig):
@@ -175,12 +196,15 @@ class SweepRow:
 
 
 def sweep(cfg: RunConfig, v_values) -> list[SweepRow]:
-    """One run per V with identical seeds (common random numbers)."""
+    """One run per V with identical seeds (common random numbers). A row
+    reads only the final record and the mean backlog, so each run keeps
+    records for its first and last slots alone."""
     if not v_values:
         raise ValueError("empty V grid")
     rows = []
     for v in v_values:
-        vcfg = replace(cfg, params=replace(cfg.params, v=v))
+        vcfg = replace(cfg, params=replace(cfg.params, v=v),
+                       stride=cfg.horizon_slots)
         res = run(vcfg)
         rows.append(SweepRow(
             v=v,

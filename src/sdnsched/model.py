@@ -9,14 +9,21 @@ tolerance checks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 
 #: Sentinel target meaning "process locally on the switch".
 LOCAL = -1
+
+#: Integer arrays stay in int64 while every sum is below this bound.
+INT64_BOUND = 2 ** 62
 
 
 class TopoKind(enum.Enum):
@@ -93,10 +100,50 @@ class CostModel:
     def n_controllers(self) -> int:
         return len(self.w[0]) if self.w else 0
 
+    @cached_property
+    def tables(self) -> "CostTables":
+        """W and the scaled alpha as integer arrays, built once."""
+        return CostTables.build(self)
+
     @classmethod
     def uniform_alpha(cls, w, alpha: Rational) -> "CostModel":
         w = tuple(tuple(row) for row in w)
         return cls(w=w, alpha=(alpha,) * len(w))
+
+
+@dataclass(frozen=True)
+class CostTables:
+    """A CostModel's integers for vectorised pricing, built once.
+
+    `w` is W with a zero column appended, so that the LOCAL target (-1)
+    prices 0; `scaled_alpha` is d*alpha, where d is alpha's common
+    denominator `scale`. Both are object arrays of Python ints and,
+    where they fit, int64 arrays (else None). `weight` bounds every
+    entry of both; `rows` indexes the switches.
+    """
+
+    w: np.ndarray
+    scaled_alpha: np.ndarray
+    scale: int
+    w_int64: Optional[np.ndarray]
+    scaled_alpha_int64: Optional[np.ndarray]
+    weight: int
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, cost: "CostModel") -> "CostTables":
+        alpha = [Fraction(a) for a in cost.alpha]
+        scale = math.lcm(*(a.denominator for a in alpha))
+        w = np.array([[*row, 0] for row in cost.w], dtype=object) \
+            .reshape(cost.n_switches, cost.n_controllers + 1)
+        scaled = np.array([int(a * scale) for a in alpha], dtype=object)
+        weight = max([1, *w.flat, *scaled])
+        fits = weight < INT64_BOUND
+        return cls(w=w, scaled_alpha=scaled, scale=scale,
+                   w_int64=w.astype(np.int64) if fits else None,
+                   scaled_alpha_int64=scaled.astype(np.int64) if fits
+                   else None,
+                   weight=weight, rows=np.arange(cost.n_switches))
 
 
 @dataclass(frozen=True)
@@ -107,7 +154,7 @@ class QueueState:
     q_c: tuple[int, ...]
 
     def __post_init__(self):
-        if any(q < 0 for q in self.q_s) or any(q < 0 for q in self.q_c):
+        if min(self.q_s, default=0) < 0 or min(self.q_c, default=0) < 0:
             raise ValueError("queue backlogs must be nonnegative")
 
     @classmethod
@@ -129,10 +176,10 @@ class Association:
     target: tuple[int, ...]
 
     def uploads(self) -> int:
-        return sum(1 for t in self.target if t != LOCAL)
+        return len(self.target) - self.target.count(LOCAL)
 
     def locals_(self) -> int:
-        return sum(1 for t in self.target if t == LOCAL)
+        return self.target.count(LOCAL)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import (
+    INT64_BOUND,
     LOCAL,
     Association,
     CostModel,
@@ -32,7 +33,6 @@ from .model import (
 )
 
 BRUTE_FORCE_LIMIT = 10 ** 7
-_INT64_BOUND = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ class GreedyKernel:
         k_max = max((abs(k) for k in self.k_object.flat), default=0)
         # largest backlog the int64 path accepts (none when d itself
         # is too large for int64)
-        self.int64_top = (_INT64_BOUND - 1 - k_max) // self.scale \
-            if self.scale < _INT64_BOUND else -1
+        self.int64_top = (INT64_BOUND - 1 - k_max) // self.scale \
+            if self.scale < INT64_BOUND else -1
         self.k_int64 = self.k_object.astype(np.int64) \
             if self.int64_top >= 0 else None
 

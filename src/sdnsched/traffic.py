@@ -4,16 +4,26 @@ Pareto, constant), hot-spot overrides, and constant service vectors.
 Every switch owns an independent PRNG stream derived from
 (seed, switch index), so changing one switch's mode never perturbs
 the others and A/B comparisons between schemes share random numbers.
+
+ArrivalState samples all switches at once, with no per-switch Python
+work per slot: Poisson and Pareto switches draw a block of slots per
+numpy call, and trace switches draw a block of inter-arrival gaps
+through a vectorised inverse CDF and count each slot's events for all
+switches together. numpy's Generator gives the same values whatever the
+block size, and the trace arithmetic is the same float operations in
+the same order as drawing one event at a time, so the arrivals are
+bit-identical to that scalar specification (tests/test_traffic.py).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-_BLOCK = 4096  # draws buffered per switch between numpy calls
+_BLOCK = 512  # slots of draws (or trace gaps) buffered per switch
 
 
 @dataclass(frozen=True)
@@ -85,11 +95,16 @@ class EmpiricalCdf:
             raise ValueError("probabilities must lie in [0, 1]")
         if xs[0] < 0:
             raise ValueError("inter-arrival times must be nonnegative")
+        if not all(math.isfinite(v) for v in xs + ps):
+            raise ValueError("inter-arrival times and probabilities must be "
+                             "finite")
         if xs[-1] == 0:
             # every gap would be 0: a slot would never run out of events
             raise ValueError("largest inter-arrival time must be positive")
         self.xs = xs
         self.ps = ps
+        self._xs = np.array(xs, dtype=float)
+        self._ps = np.array(ps, dtype=float)
 
     @property
     def mean(self) -> float:
@@ -110,6 +125,18 @@ class EmpiricalCdf:
             if u <= p1:
                 return x0 + (x1 - x0) * (u - p0) / (p1 - p0)
         return self.xs[-1]
+
+    def sample_array(self, u: np.ndarray) -> np.ndarray:
+        """`sample` at every element of u, with the same float
+        expression, so each result has the same bits."""
+        k = np.searchsorted(self._ps, u, side="left")
+        out = np.full(u.shape, self.xs[0], dtype=float)
+        seg = k > 0
+        k, u = k[seg], u[seg]
+        x0, x1 = self._xs[k - 1], self._xs[k]
+        p0, p1 = self._ps[k - 1], self._ps[k]
+        out[seg] = x0 + (x1 - x0) * (u - p0) / (p1 - p0)
+        return out
 
 
 def load_interarrival_cdf(path: str) -> EmpiricalCdf:
@@ -142,75 +169,129 @@ def load_interarrival_cdf(path: str) -> EmpiricalCdf:
         raise ValueError(f"{path}: {exc}") from None
 
 
-class _SwitchStream:
-    """One switch's arrival stream. Trace mode keeps the residual time
-    to the next event across slot boundaries."""
-
-    def __init__(self, process: Process, cfg: TrafficConfig, index: int,
-                 cdf: EmpiricalCdf | None):
-        self.process = process
-        self.cfg = cfg
-        self.rng = np.random.default_rng([cfg.seed, index])
-        self.buf: np.ndarray = np.empty(0)
-        self.pos = 0
-        if isinstance(process, TraceCdf):
-            self.cdf = cdf
-            self.next_event = self.cdf.sample(self.rng.random())
-
-    def _refill(self):
-        p = self.process
-        if isinstance(p, Poisson):
-            self.buf = self.rng.poisson(p.rate, _BLOCK)
-        elif isinstance(p, Pareto):
-            # inverse-transform Pareto draw per slot, rounded to nearest;
-            # clipped in float, since a tail draw can exceed int64
-            u = self.rng.random(_BLOCK)
-            draws = np.rint(p.scale / u ** (1.0 / p.shape))
-            self.buf = np.minimum(draws, self.cfg.a_max).astype(np.int64)
-        else:
-            raise AssertionError(p)
-        self.pos = 0
-
-    def next_slot(self) -> int:
-        p = self.process
-        if isinstance(p, Constant):
-            count = p.rate
-        elif isinstance(p, TraceCdf):
-            count = 0
-            budget = float(self.cfg.slot_length_us)
-            while self.next_event <= budget:
-                count += 1
-                budget -= self.next_event
-                self.next_event = self.cdf.sample(self.rng.random())
-            self.next_event -= budget
-        else:
-            if self.pos >= len(self.buf):
-                self._refill()
-            count = int(self.buf[self.pos])
-            self.pos += 1
-        return min(max(count, 0), self.cfg.a_max)
-
-
 class ArrivalState:
-    """Per-switch generator state for one simulation run."""
+    """Arrival generator state for one simulation run.
+
+    Constant and hot-spot switches are fixed columns of a row template.
+    Poisson and Pareto switches fill one column each of a
+    (block x n_switches) int64 matrix every block slots, and a slot reads
+    one row. Trace switches each buffer a row of `block` inter-arrival
+    gaps; the gap at a switch's read position `at` is the time left to
+    its next event, which carries the residual across slot boundaries.
+    Nothing is drawn until the first slot.
+    """
 
     def __init__(self, cfg: TrafficConfig):
         self.cfg = cfg
         base = cfg.base_process
-        cdf = load_interarrival_cdf(base.path) \
-            if isinstance(base, TraceCdf) else None
-        self.streams = [
-            _SwitchStream(
-                Constant(cfg.hot_spot_rate) if i in cfg.hot_spot_switches
-                else base,
-                cfg, i, cdf,
-            )
-            for i in range(cfg.n_switches)
-        ]
+        hot = cfg.hot_spot_switches
+        fixed = [cfg.hot_spot_rate if i in hot
+                 else base.rate if isinstance(base, Constant) else 0
+                 for i in range(cfg.n_switches)]
+        fixed = [min(max(r, 0), cfg.a_max) for r in fixed]
+        self.row = np.array(fixed, np.int64 if max(fixed, default=0) < 2 ** 63
+                            else object)
+        cols = [] if isinstance(base, Constant) \
+            else [i for i in range(cfg.n_switches) if i not in hot]
+        self.cols = np.array(cols, np.intp)
+        # seeded from Python ints: a numpy int seed is slower to hash
+        self.rngs = [np.random.default_rng([cfg.seed, i]) for i in cols]
+        self.cap = min(cfg.a_max, 2 ** 63 - 1)  # int64 draws never exceed it
+        self.block_len = _BLOCK
+        self.block = None  # (block_len x n_switches) counts, Poisson/Pareto
+        self.pos = self.block_len
+        if isinstance(base, TraceCdf):
+            self.cdf = load_interarrival_cdf(base.path)
+            # events inspected per switch and pass: about twice a slot's
+            # mean, so one pass usually covers the slot
+            per_slot = cfg.slot_length_us / self.cdf.mean
+            self.window = int(min(16 + 2 * per_slot, self.block_len // 2))
+            self.gaps = None  # (n_trace x block_len) gaps, next event first
+            self.at = np.zeros(len(self.cols), np.intp)
+
+    def _draw_block(self) -> None:
+        p, n = self.cfg.base_process, self.block_len
+        if self.block is None:
+            self.block = np.tile(self.row, (n, 1))
+        for col, rng in zip(self.cols.tolist(), self.rngs):
+            if isinstance(p, Poisson):
+                self.block[:, col] = rng.poisson(p.rate, n)
+            elif isinstance(p, Pareto):
+                # inverse-transform Pareto draw per slot, rounded to
+                # nearest; clipped in float, since a tail draw can exceed
+                # int64
+                draws = np.rint(p.scale / rng.random(n) ** (1.0 / p.shape))
+                self.block[:, col] = np.minimum(draws, self.cfg.a_max) \
+                    .astype(np.int64)
+            else:
+                raise AssertionError(p)
+        np.clip(self.block, 0, self.cap, out=self.block)
+        self.pos = 0
+
+    def _top_up_gaps(self, live: np.ndarray) -> None:
+        """Leave a window of unread gaps for every switch in `live`: a
+        switch that runs short moves its unread gaps to the front and
+        draws as many as it has read."""
+        n = self.block_len
+        if self.gaps is None:
+            self.gaps = np.array([self.cdf.sample_array(rng.random(n))
+                                  for rng in self.rngs])
+        for r in live[self.at[live] > n - self.window].tolist():
+            k = self.at[r]
+            self.gaps[r] = np.concatenate((
+                self.gaps[r, k:], self.cdf.sample_array(self.rngs[r].random(k))))
+            self.at[r] = 0
+
+    def _trace_counts(self) -> np.ndarray:
+        """Events per trace switch in one slot.
+
+        For each switch still inside the slot, one pass subtracts its
+        next `window` gaps from the time left, in order
+        (np.subtract.accumulate): the same float operations as
+        subtracting them one event at a time. An event fits while the
+        time left after it is >= 0, which for finite floats is exactly
+        `gap <= time left`; the time left never grows, so the events that
+        fit are a prefix. The first gap that does not fit becomes the
+        residual `gap - time left`.
+        """
+        w = self.window
+        count = np.zeros(len(self.cols), np.int64)
+        left = np.full(len(self.cols), float(self.cfg.slot_length_us))
+        live = np.arange(len(self.cols))
+        offsets = np.arange(w)
+        while live.size:
+            self._top_up_gaps(live)
+            at = self.at[live]
+            gaps = self.gaps[live[:, None], at[:, None] + offsets]
+            # after[:, j]: time left in the slot after j more events
+            after = np.subtract.accumulate(
+                np.concatenate((left[live, None], gaps), axis=1), axis=1)
+            fits = (after[:, 1:] >= 0).sum(1)
+            count[live] += fits
+            self.at[live] = at + fits
+            done = fits < w
+            ended = live[done]
+            self.gaps[ended, self.at[ended]] -= after[done, fits[done]]
+            left[live] = after[:, -1]
+            live = live[~done]
+        return count
+
+    def next_row(self) -> np.ndarray:
+        """The arrival counts of the next slot, one per switch."""
+        if not self.rngs:
+            return self.row
+        if isinstance(self.cfg.base_process, TraceCdf):
+            row = self.row.copy()
+            row[self.cols] = np.minimum(self._trace_counts(), self.cap)
+            return row
+        if self.pos == self.block_len:
+            self._draw_block()
+        self.pos += 1
+        return self.block[self.pos - 1]
 
 
 def sample_slot_arrivals(state: ArrivalState) -> tuple[int, ...]:
-    return tuple(s.next_slot() for s in state.streams)
+    return tuple(state.next_row().tolist())
 
 
 def sample_slot_services(cfg: TrafficConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:

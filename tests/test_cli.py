@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdnsched.cli import main
+from sdnsched.cli import build_parser, cmd_sweep, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,7 @@ class TestRun:
     @pytest.mark.parametrize("cdf, problem", [
         ("-5 0.5\n5 1.0\n", "nonnegative"),
         ("0 1.0\n", "positive"),
+        ("5 0.5\nnan 1.0\n", "finite"),
     ])
     def test_degenerate_trace_cdf_rejected(self, capsys, tmp_path, cdf,
                                            problem):
@@ -169,6 +170,18 @@ class TestSweep:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 3 * 2 * 2  # header + |V| * schemes * seeds
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_args_unchanged(self, capsys, tmp_path, command):
+        args = build_parser().parse_args([
+            command, "--kind", "fat-tree", "--k", "4", "--horizon", "5",
+            "--arrivals", "constant:2", "--v-grid", "0,10",
+            "--seeds", "1,2", "--out-dir", str(tmp_path)])
+        before = dict(vars(args))
+        fixed = ["greedy", "jsq"] if command == "compare" else None
+        assert cmd_sweep(args, fixed_schemes=fixed) == 0
+        capsys.readouterr()
+        assert vars(args) == before
 
     def test_duplicate_v_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(

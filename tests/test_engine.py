@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnsched import engine
+from sdnsched import traffic as tr
 from sdnsched.engine import (
     RunConfig,
     Scheme,
@@ -12,13 +15,18 @@ from sdnsched.engine import (
     sweep,
 )
 from sdnsched.model import (
+    LOCAL,
     Association,
     CostModel,
     Devolution,
     QueueState,
     SchedulerParams,
+    slot_comm_cost,
+    slot_comp_cost,
+    step_controller_queue,
+    step_switch_queue,
 )
-from sdnsched.traffic import Constant, Poisson, TrafficConfig
+from sdnsched.traffic import Constant, Pareto, Poisson, TrafficConfig
 
 from conftest import (
     FIG1_ARRIVALS,
@@ -44,7 +52,53 @@ def small_cfg(scheme=Scheme.GREEDY, v=1, horizon=50, seed=0,
                      horizon_slots=horizon, run_seed=seed)
 
 
+def spec_apply_slot(queues, assoc, arrivals, ctrl_service, switch_service,
+                    cost):
+    """apply_slot's specification: the model's functions, switch by
+    switch."""
+    routed_in = [0] * len(queues.q_c)
+    q_s = []
+    for i, t in enumerate(assoc.target):
+        local = arrivals[i] if t == LOCAL else 0
+        if t != LOCAL:
+            routed_in[t] += arrivals[i]
+        q_s.append(step_switch_queue(queues.q_s[i], local, switch_service[i]))
+    q_c = tuple(step_controller_queue(q, r, s)
+                for q, r, s in zip(queues.q_c, routed_in, ctrl_service))
+    return (QueueState(q_s=tuple(q_s), q_c=q_c),
+            slot_comm_cost(assoc, arrivals, cost),
+            slot_comp_cost(assoc, arrivals, cost))
+
+
+@st.composite
+def slot_cases(draw):
+    """A forced slot whose values may cross the int64 bound, priced with
+    Fraction alpha whose denominators may be large."""
+    n_s, n_c = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    top = draw(st.sampled_from([10, 10 ** 6, 2 ** 62, 2 ** 80]))
+    w_top = draw(st.sampled_from([10, 2 ** 40, 2 ** 70]))
+    den_top = draw(st.sampled_from([1, 10, 10 ** 12, 2 ** 70]))
+    ints = lambda hi, n: tuple(draw(st.lists(st.integers(0, hi),
+                                             min_size=n, max_size=n)))
+    cost = CostModel(
+        w=tuple(tuple(draw(st.lists(st.integers(1, w_top), min_size=n_c,
+                                    max_size=n_c))) for _ in range(n_s)),
+        alpha=tuple(Fraction(draw(st.integers(0, 10 ** 6)),
+                             draw(st.integers(1, den_top)))
+                    for _ in range(n_s)))
+    assoc = Association(target=tuple(draw(st.lists(
+        st.integers(LOCAL, n_c - 1), min_size=n_s, max_size=n_s))))
+    queues = QueueState(q_s=ints(top, n_s), q_c=ints(top, n_c))
+    return (queues, assoc, ints(top, n_s), ints(top, n_c), ints(top, n_s),
+            cost)
+
+
 class TestApplySlot:
+    @given(slot_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_model_functions(self, case):
+        assert apply_slot(*case) == spec_apply_slot(*case)
+
     def test_forced_x2(self, fig1_queues):
         nq, f, g = apply_slot(fig1_queues, FIG1_X2, FIG1_ARRIVALS,
                               FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
@@ -161,6 +215,74 @@ class TestRun:
         cfg = engine.replace(cfg, stride=10)
         res = run(cfg)
         assert [r.t for r in res.records] == list(range(0, 100, 10)) + [99]
+
+
+@st.composite
+def run_cases(draw):
+    """Small random runs of every scheme."""
+    n_s, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cost = CostModel(
+        w=tuple(tuple(draw(st.lists(st.integers(1, 6), min_size=n_c,
+                                    max_size=n_c))) for _ in range(n_s)),
+        alpha=tuple(Fraction(draw(st.integers(0, 20)), draw(st.integers(1, 7)))
+                    for _ in range(n_s)))
+    process = draw(st.sampled_from(
+        [Poisson(2.5), Poisson(7), Pareto(1.5, 2), Constant(4)]))
+    tcfg = TrafficConfig(
+        base_process=process, n_switches=n_s, n_controllers=n_c,
+        hot_spot_switches=frozenset(draw(st.sets(st.integers(0, n_s - 1)))),
+        hot_spot_rate=draw(st.integers(0, 12)),
+        controller_capacity=draw(st.integers(0, 8)),
+        switch_capacity=draw(st.integers(0, 4)),
+        a_max=draw(st.sampled_from([3, 9, 10 ** 6])),
+        seed=draw(st.integers(0, 2 ** 32)))
+    return RunConfig(
+        cost=cost, traffic=tcfg, scheme=draw(st.sampled_from(Scheme)),
+        params=SchedulerParams(
+            v=draw(st.sampled_from([0, 1, Fraction(7, 3), 50])),
+            devolution=draw(st.sampled_from(Devolution))),
+        horizon_slots=draw(st.integers(1, 40)),
+        run_seed=draw(st.integers(0, 2 ** 32)))
+
+
+class TestInvariants:
+    @given(run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_slot_by_slot(self, cfg):
+        # every slot: 0 <= A_i <= a_max, and each queue follows
+        # q' = max(q + in - service, 0), where a switch's inflow is its
+        # arrivals when it goes LOCAL and a controller's is the arrivals
+        # uploaded to it
+        state = engine.init_state(cfg)
+        decide = engine.decision_rule(cfg)
+        services = tr.sample_slot_services(cfg.traffic)
+        replay = tr.ArrivalState(cfg.traffic)
+        replay_decide = engine.decision_rule(cfg)
+        ctrl_service, switch_service = services
+        for _ in range(cfg.horizon_slots):
+            q = state.queues
+            engine.step(state, cfg, decide, services, keep=False)
+            arrivals = tr.sample_slot_arrivals(replay)
+            assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
+            target = replay_decide(q).target
+            q_s = tuple(max(q.q_s[i] + (a if t == LOCAL else 0)
+                            - switch_service[i], 0)
+                        for i, (a, t) in enumerate(zip(arrivals, target)))
+            q_c = tuple(max(q.q_c[j] + sum(a for a, t in zip(arrivals, target)
+                                           if t == j) - ctrl_service[j], 0)
+                        for j in range(cfg.cost.n_controllers))
+            assert state.queues == QueueState(q_s=q_s, q_c=q_c)
+
+    @given(run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_time_averages_exact(self, cfg):
+        res = run(cfg)
+        horizon = cfg.horizon_slots
+        assert len(res.records) == horizon
+        assert res.final.f_bar * horizon == sum(r.f_slot for r in res.records)
+        assert res.final.g_bar * horizon == sum(r.g_slot for r in res.records)
+        assert res.mean_backlog * horizon == \
+            sum(r.total_backlog for r in res.records)
 
 
 class TestSweep:

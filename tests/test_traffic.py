@@ -1,8 +1,13 @@
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sdnsched import traffic
 from sdnsched.traffic import (
     ArrivalState,
     Constant,
@@ -26,6 +31,110 @@ def write_cdf(tmp_path, text, name="cdf.txt"):
 def make_cfg(process, n_switches=1, **kw):
     return TrafficConfig(base_process=process, n_switches=n_switches,
                          n_controllers=2, **kw)
+
+
+class ReferenceStream:
+    """One switch's arrivals, one slot per call: the scalar specification
+    of ArrivalState. Poisson and Pareto draw their own 4096-slot blocks;
+    trace mode draws one gap per event, the first in the constructor."""
+
+    def __init__(self, process, cfg, index, cdf):
+        self.process = process
+        self.cfg = cfg
+        self.rng = np.random.default_rng([cfg.seed, index])
+        self.buf = np.empty(0, np.int64)
+        self.pos = 0
+        if isinstance(process, TraceCdf):
+            self.cdf = cdf
+            self.next_event = cdf.sample(self.rng.random())
+
+    def _refill(self):
+        p = self.process
+        if isinstance(p, Poisson):
+            self.buf = self.rng.poisson(p.rate, 4096)
+        else:
+            u = self.rng.random(4096)
+            draws = np.rint(p.scale / u ** (1.0 / p.shape))
+            self.buf = np.minimum(draws, self.cfg.a_max).astype(np.int64)
+        self.pos = 0
+
+    def next_slot(self) -> int:
+        p = self.process
+        if isinstance(p, Constant):
+            count = p.rate
+        elif isinstance(p, TraceCdf):
+            count = 0
+            budget = float(self.cfg.slot_length_us)
+            while self.next_event <= budget:
+                count += 1
+                budget -= self.next_event
+                self.next_event = self.cdf.sample(self.rng.random())
+            self.next_event -= budget
+        else:
+            if self.pos >= len(self.buf):
+                self._refill()
+            count = int(self.buf[self.pos])
+            self.pos += 1
+        return min(max(count, 0), self.cfg.a_max)
+
+
+def reference_rows(cfg, n_slots):
+    base = cfg.base_process
+    cdf = load_interarrival_cdf(base.path) \
+        if isinstance(base, TraceCdf) else None
+    streams = [ReferenceStream(
+        Constant(cfg.hot_spot_rate) if i in cfg.hot_spot_switches else base,
+        cfg, i, cdf) for i in range(cfg.n_switches)]
+    return [tuple(s.next_slot() for s in streams) for _ in range(n_slots)]
+
+
+def sampled_rows(cfg, n_slots, block=None):
+    with mock.patch.object(traffic, "_BLOCK", block or traffic._BLOCK):
+        state = ArrivalState(cfg)
+    rows = [sample_slot_arrivals(state) for _ in range(n_slots)]
+    for row in rows:
+        assert type(row) is tuple
+        assert all(type(x) is int for x in row)
+    return rows
+
+
+@st.composite
+def cdf_texts(draw):
+    """CDF files of 1-5 points, some with a first gap of 0. Gaps of 0
+    have probability at most 1/2, so a slot holds at most a few hundred
+    events."""
+    n = draw(st.integers(1, 5))
+    xs = sorted(draw(st.sets(st.integers(50, 3000), min_size=n, max_size=n)))
+    ps = sorted(draw(st.sets(st.integers(1, 15), min_size=n - 1,
+                             max_size=n - 1)))
+    if n > 1 and ps[0] <= 8 and draw(st.booleans()):
+        xs[0] = 0
+    ps = [p / 16 for p in ps] + [1.0]
+    return "".join(f"{x} {p!r}\n" for x, p in zip(xs, ps))
+
+
+@st.composite
+def traffic_cases(draw, tmp_dir):
+    kind = draw(st.sampled_from(["poisson", "pareto", "constant", "trace"]))
+    if kind == "poisson":
+        process = Poisson(draw(st.floats(0, 30)))
+    elif kind == "pareto":
+        process = Pareto(draw(st.floats(0.2, 3)), draw(st.floats(0.5, 5)))
+    elif kind == "constant":
+        process = Constant(draw(st.integers(-3, 40)))
+    else:
+        path = Path(tmp_dir) / f"cdf{draw(st.integers(0, 10 ** 9))}.txt"
+        path.write_text(draw(cdf_texts()))
+        process = TraceCdf(str(path))
+    n = draw(st.integers(1, 5))
+    cfg = make_cfg(
+        process, n_switches=n,
+        hot_spot_switches=frozenset(draw(st.sets(st.integers(0, n - 1)))),
+        hot_spot_rate=draw(st.integers(0, 30)),
+        a_max=draw(st.sampled_from([1, 7, 25, 10 ** 6])),
+        slot_length_us=draw(st.integers(100, 3000)),
+        seed=draw(st.integers(0, 2 ** 32)))
+    return cfg, draw(st.sampled_from([2, 3, 8, 64]))
 
 
 class TestCdfLoading:
@@ -55,6 +164,11 @@ class TestCdfLoading:
     def test_rejects_negative_interarrival(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative"):
             load_interarrival_cdf(write_cdf(tmp_path, "-5 0.5\n5 1.0\n"))
+
+    @pytest.mark.parametrize("text", ["nan 1.0\n", "5 0.5\ninf 1.0\n"])
+    def test_rejects_non_finite(self, tmp_path, text):
+        with pytest.raises(ValueError, match="finite"):
+            load_interarrival_cdf(write_cdf(tmp_path, text))
 
     def test_rejects_all_zero_gaps(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
@@ -113,12 +227,13 @@ class TestArrivals:
         state = ArrivalState(cfg)
         n_slots = 500
         total = sum(sample_slot_arrivals(state)[0] for _ in range(n_slots))
-        stream = ArrivalState(cfg).streams[0]
-        t, events = stream.next_event, 0
+        cdf = load_interarrival_cdf(path)
+        rng = np.random.default_rng([cfg.seed, 0])
+        t, events = cdf.sample(rng.random()), 0
         horizon = n_slots * cfg.slot_length_us
         while t <= horizon:
             events += 1
-            t += stream.cdf.sample(stream.rng.random())
+            t += cdf.sample(rng.random())
         assert total == events
 
     def test_poisson_mean(self):
@@ -166,6 +281,52 @@ class TestArrivals:
         for _ in range(200):
             a, b = sample_slot_arrivals(s_base), sample_slot_arrivals(s_hot)
             assert a[1:] == b[1:]
+
+
+class TestBlockSampler:
+    """ArrivalState's rows equal the scalar reference, draw for draw."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_reference(self, data):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            cfg, block = data.draw(traffic_cases(tmp_dir))
+            n_slots = 3 * block + 5  # several block and gap refills
+            assert sampled_rows(cfg, n_slots, block) == \
+                reference_rows(cfg, n_slots)
+
+    @pytest.mark.parametrize("process", [
+        Poisson(5.88), Poisson(40), Pareto(0.2, 1.0), Pareto(2, 2.94)])
+    def test_full_blocks_equal_reference(self, process):
+        cfg = make_cfg(process, n_switches=4, seed=3,
+                       hot_spot_switches=frozenset({1}), hot_spot_rate=9)
+        n_slots = 2 * traffic._BLOCK + 77
+        assert sampled_rows(cfg, n_slots) == reference_rows(cfg, n_slots)
+
+    @pytest.mark.parametrize("text", [
+        "700 1.0\n",                      # one point: every gap is 700
+        "0 0.25\n900 1.0\n",              # a quarter of the gaps are 0
+        "0 0.9\n50 1.0\n",                # ~400 events per slot: many passes
+        "120 0.0\n300 0.2\n800 0.6\n2500 1.0\n",
+    ])
+    def test_trace_equals_reference(self, tmp_path, text):
+        cfg = make_cfg(TraceCdf(write_cdf(tmp_path, text)), n_switches=3,
+                       slot_length_us=1000, seed=5,
+                       hot_spot_switches=frozenset({2}), hot_spot_rate=4)
+        assert sampled_rows(cfg, 300) == reference_rows(cfg, 300)
+
+    def test_nothing_drawn_in_constructor(self, tmp_path):
+        for process in (Poisson(3), TraceCdf(write_cdf(tmp_path, "9 1.0\n"))):
+            state = ArrivalState(make_cfg(process, n_switches=2, seed=4))
+            fresh = np.random.default_rng([4, 0])
+            assert state.rngs[0].random() == fresh.random()
+
+    def test_sample_array_matches_sample(self, tmp_path):
+        cdf = load_interarrival_cdf(write_cdf(
+            tmp_path, "0 0.1\n10 0.35\n250.5 0.6\n251 0.9\n9000 1.0\n"))
+        u = np.concatenate([np.random.default_rng(0).random(5000),
+                            [0.0, 0.1, 0.35, 0.6, 0.9, 0.1000001]])
+        assert cdf.sample_array(u).tolist() == [cdf.sample(x) for x in u]
 
 
 class TestServices:
