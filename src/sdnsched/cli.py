@@ -45,24 +45,33 @@ def _parse_v(text: str) -> Fraction:
     return v
 
 
+# kind -> (process class, type of each comma-separated parameter)
+_PROCESSES = {
+    "poisson": (traffic.Poisson, float),
+    "pareto": (traffic.Pareto, float, float),
+    "constant": (traffic.Constant, int),
+    "trace": (traffic.TraceCdf, str),
+}
+
+
 def _parse_process(text: str):
     kind, _, rest = text.partition(":")
+    make, *types = _PROCESSES.get(kind, (None,))
     try:
-        if kind == "poisson":
-            return traffic.Poisson(rate=float(rest))
-        if kind == "pareto":
-            shape, scale = rest.split(",")
-            return traffic.Pareto(shape=float(shape), scale=float(scale))
-        if kind == "constant":
-            return traffic.Constant(rate=int(rest))
-        if kind == "trace":
-            return traffic.TraceCdf(path=rest)
+        # a trace path is one parameter, commas included
+        fields = rest.split(",") if len(types) > 1 else [rest]
+        values = [want(field) for want, field in zip(types, fields,
+                                                      strict=True)]
     except ValueError:
-        pass
-    raise ValueError(
-        f"bad arrival process {text!r}; expected poisson:RATE, "
-        "pareto:SHAPE,SCALE, constant:RATE, or trace:PATH"
-    )
+        make = None
+    if make is None:
+        raise ValueError(
+            f"bad arrival process {text!r}; expected poisson:RATE, "
+            "pareto:SHAPE,SCALE, constant:RATE, or trace:PATH")
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise ValueError(f"bad arrival process {text!r}: {exc}") from None
 
 
 _RUN_FIELDS = {
@@ -104,9 +113,14 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_run(args) -> tuple[RunConfig, dict]:
+def _resolve_run(args, fabrics=None) -> tuple[RunConfig, dict]:
     """Merge config file and flags into a RunConfig, collecting all
-    validation problems before failing."""
+    validation problems before failing.
+
+    `fabrics` is an optional dict that a command resolving several runs
+    keeps for its own lifetime: it maps each topology's inputs to the
+    (topology, placement, cost model) built for them, so every run on
+    the same fabric reuses one build."""
     cfg = {}
     if args.config:
         cfg.update(_load_config_file(args.config))
@@ -153,12 +167,20 @@ def _resolve_run(args) -> tuple[RunConfig, dict]:
 
     # the switch count that bounds hot-spot ids needs the topology
     topo_seed = cfg.get("topo_seed", _default_seed())
-    try:
-        topo = topology.generate(kind, cfg["k"], seed=topo_seed,
-                                 hosts_min=cfg.get("hosts_min"),
-                                 hosts_max=cfg.get("hosts_max"))
-    except ValueError as exc:
-        raise ConfigError(problems + [str(exc)]) from None
+    fabrics = {} if fabrics is None else fabrics
+    key = (kind, cfg["k"], topo_seed, cfg.get("hosts_min"),
+           cfg.get("hosts_max"))
+    if key not in fabrics:
+        try:
+            topo = topology.generate(kind, cfg["k"], seed=topo_seed,
+                                     hosts_min=cfg.get("hosts_min"),
+                                     hosts_max=cfg.get("hosts_max"))
+        except ValueError as exc:
+            raise ConfigError(problems + [str(exc)]) from None
+        placement = topology.place_controllers(topo, seed=topo_seed)
+        fabrics[key] = (topo, placement,
+                        topology.build_cost_model(topo, placement))
+    topo, placement, cost = fabrics[key]
     hot = cfg.get("hot_spot_switches")
     if hot is None:
         hot = _default_hot_spot(topo)
@@ -169,8 +191,6 @@ def _resolve_run(args) -> tuple[RunConfig, dict]:
     if problems:
         raise ConfigError(problems)
 
-    placement = topology.place_controllers(topo, seed=topo_seed)
-    cost = topology.build_cost_model(topo, placement)
     hot_rate = cfg.get("hot_spot_rate", 0)
     tcfg = traffic.TrafficConfig(
         base_process=process,
@@ -293,12 +313,13 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    fabrics = {}
     for scheme in schemes:
         for seed in seeds:
             run_args = argparse.Namespace(**{
                 **vars(args), "scheme": scheme,
                 "run_seed": seed, "traffic_seed": seed})
-            run_cfg, _ = _resolve_run(run_args)
+            run_cfg, _ = _resolve_run(run_args, fabrics)
             for row in engine.sweep(run_cfg, grid):
                 rows.append((scheme, seed, row))
     path = out_dir / "sweep.csv"

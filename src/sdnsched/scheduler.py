@@ -5,7 +5,9 @@ and GreedyKernel, the one fast decider the engine runs.
 
 The per-switch functions (greedy_decide, association_only_decide,
 jsq_decide, static_decide, brute_force_decide, slot_objective) are the
-specification; GreedyKernel is tested for equality against them. All
+specification; GreedyKernel is tested for equality against them. The
+engine calls GreedyKernel.decide and random_decide with numpy arrays
+and gets a target array back, one intp per switch. All
 arithmetic is exact (int / Fraction), so every comparison is an
 equality check. Ties break toward the lowest controller index
 everywhere; with that rule JSQ is the devolution-off argmin at v = 0.
@@ -101,13 +103,29 @@ def static_decide(cost: CostModel) -> Association:
 
 
 def random_decide(n_switches: int, n_controllers: int,
-                  rng: random.Random) -> Association:
-    """Uniform random controller per switch, redrawn every slot."""
-    if n_controllers < 1:
-        raise ValueError("need at least one controller")
-    return Association(
-        target=tuple(rng.randrange(n_controllers) for _ in range(n_switches))
-    )
+                  rng: random.Random) -> np.ndarray:
+    """Uniform random controller per switch, redrawn every slot: the
+    target array.
+
+    The values, and the state rng is left in, equal those of
+    `[rng.randrange(n_controllers) for _ in range(n_switches)]`.
+    randrange(n) takes the top k = n.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws again while the value is >= n;
+    getrandbits(32 * m) returns the next m words, the first in the lowest
+    bits. So one call draws a whole slot's words, and each redraw draws
+    only the shortfall.
+    """
+    if not 1 <= n_controllers < 2 ** 32:
+        raise ValueError("need between 1 and 2**32 - 1 controllers")
+    shift = 32 - n_controllers.bit_length()
+    parts, need = [], n_switches
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need)
+                              .to_bytes(4 * need, "little"), "<u4") >> shift
+        parts.append(words[words < n_controllers])
+        need -= len(parts[-1])
+    return np.concatenate(parts, dtype=np.intp) if parts \
+        else np.zeros(0, np.intp)
 
 
 def jsq_decide(q: QueueState, n_switches: int) -> Association:
@@ -173,8 +191,9 @@ class GreedyKernel:
     scheme that decides from queues.
 
     The time-invariant part of each weight, v*(W[i][j] - alpha_i), is a
-    rational constant; scaling every weight by the common denominator d
-    gives the integer matrix K, and each slot is one argmin per row of
+    rational constant, computed once per distinct (hop count, alpha)
+    pair; scaling every weight by the common denominator d gives the
+    integer matrix K, and each slot is one argmin per row of
     M = K + d*Qc. numpy returns the first index on a tie, which is the
     lowest-index rule. With devolution on, switch i goes LOCAL where
     M[i, j] > d*Qs_i, so decisions equal greedy_decide exactly. With
@@ -182,21 +201,31 @@ class GreedyKernel:
     row, so the argmin equals association_only_decide, and at v = 0 it
     equals jsq_decide.
 
-    Slots run in int64 while max|K| + d*max(Q) < 2**62, so no sum can
-    wrap; past that bound the same expressions run on Python ints.
+    `decide` runs on int64 arrays while no backlog exceeds `int64_top`,
+    which keeps max|K| + d*max(Q) < 2**62, so no sum can wrap; on object
+    arrays of Python ints the same expressions are exact at any size.
+    The caller picks the dtype (engine.run does it once per run).
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
         v = Fraction(params.v)
-        terms = [[v * (w - a) for w in row]
-                 for row, a in zip(cost.w, cost.alpha)]
-        self.scale = math.lcm(*(t.denominator for row in terms for t in row))
+        hops_by_alpha = {}
+        for row, a in zip(cost.w, cost.alpha):
+            hops_by_alpha.setdefault(a, set()).update(row)
+        terms = {a: {w: v * (w - a) for w in hops}
+                 for a, hops in hops_by_alpha.items()}
+        self.scale = math.lcm(*(t.denominator for row in terms.values()
+                                for t in row.values()))
+        scaled = {a: {w: int(t * self.scale) for w, t in row.items()}
+                  for a, row in terms.items()}
         self.k_object = np.array(
-            [[int(t * self.scale) for t in row] for row in terms],
+            [list(map(scaled[a].__getitem__, row))
+             for row, a in zip(cost.w, cost.alpha)],
             dtype=object)
         self.devolve = params.devolution is Devolution.ON
         self.rows = np.arange(cost.n_switches)
-        k_max = max((abs(k) for k in self.k_object.flat), default=0)
+        k_max = max((abs(k) for row in scaled.values() for k in row.values()),
+                    default=0)
         # largest backlog the int64 path accepts (none when d itself
         # is too large for int64)
         self.int64_top = (INT64_BOUND - 1 - k_max) // self.scale \
@@ -204,16 +233,13 @@ class GreedyKernel:
         self.k_int64 = self.k_object.astype(np.int64) \
             if self.int64_top >= 0 else None
 
-    def decide(self, q_s: tuple, q_c: tuple) -> Association:
-        q = q_s + q_c
-        if max(q) <= self.int64_top:
-            k, dtype = self.k_int64, np.int64
-        else:
-            k, dtype = self.k_object, object
-        dq = np.array(q, dtype) * self.scale
-        n_s = len(q_s)
-        m = k + dq[n_s:]
+    def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
+        """The target array (an intp controller index or LOCAL per
+        switch) for pre-slot backlogs q_s, q_c: both int64 arrays with no
+        entry above int64_top, or both object arrays."""
+        k = self.k_object if q_s.dtype == object else self.k_int64
+        m = k + q_c * self.scale
         target = m.argmin(1)
         if self.devolve:
-            target[m[self.rows, target] > dq[:n_s]] = LOCAL
-        return Association(target=tuple(target.tolist()))
+            target[m[self.rows, target] > q_s * self.scale] = LOCAL
+        return target

@@ -35,16 +35,32 @@ class TraceCdf:
 class Poisson:
     rate: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"Poisson rate must be finite and >= 0, "
+                             f"got {self.rate}")
+
 
 @dataclass(frozen=True)
 class Pareto:
     shape: float
     scale: float
 
+    def __post_init__(self):
+        for name in ("shape", "scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"Pareto {name} must be finite and > 0, "
+                                 f"got {value}")
+
 
 @dataclass(frozen=True)
 class Constant:
     rate: int
+
+    def __post_init__(self):
+        if self.rate < 0:
+            raise ValueError(f"constant rate must be >= 0, got {self.rate}")
 
 
 Process = TraceCdf | Poisson | Pareto | Constant
@@ -213,18 +229,23 @@ class ArrivalState:
         p, n = self.cfg.base_process, self.block_len
         if self.block is None:
             self.block = np.tile(self.row, (n, 1))
-        for col, rng in zip(self.cols.tolist(), self.rngs):
-            if isinstance(p, Poisson):
-                self.block[:, col] = rng.poisson(p.rate, n)
-            elif isinstance(p, Pareto):
-                # inverse-transform Pareto draw per slot, rounded to
-                # nearest; clipped in float, since a tail draw can exceed
-                # int64
-                draws = np.rint(p.scale / rng.random(n) ** (1.0 / p.shape))
-                self.block[:, col] = np.minimum(draws, self.cfg.a_max) \
-                    .astype(np.int64)
-            else:
-                raise AssertionError(p)
+        # a Pareto tail draw may overflow to inf; it is capped below
+        with np.errstate(divide="ignore", over="ignore"):
+            for col, rng in zip(self.cols.tolist(), self.rngs):
+                if isinstance(p, Poisson):
+                    self.block[:, col] = rng.poisson(p.rate, n)
+                elif isinstance(p, Pareto):
+                    # inverse-transform Pareto draw per slot, rounded to
+                    # nearest; a draw can exceed int64, so draws at or
+                    # above the cap are set to it after the cast
+                    draws = np.rint(p.scale
+                                    / rng.random(n) ** (1.0 / p.shape))
+                    tail = draws >= self.cap
+                    counts = np.where(tail, 0, draws).astype(np.int64)
+                    counts[tail] = self.cap
+                    self.block[:, col] = counts
+                else:
+                    raise AssertionError(p)
         np.clip(self.block, 0, self.cap, out=self.block)
         self.pos = 0
 

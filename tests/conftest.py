@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
-from sdnsched.model import LOCAL, Association, CostModel, QueueState
+from sdnsched.engine import apply_slot, int64_queue_limit
+from sdnsched.model import (
+    INT64_BOUND,
+    LOCAL,
+    Association,
+    CostModel,
+    QueueState,
+)
 
 # Worked three-switch / two-controller example: controllers serve 2,
 # switches serve 1, alpha = 2, arrivals (3, 2, 2). Hop counts not pinned
@@ -16,3 +24,31 @@ FIG1_X2 = Association(target=(0, LOCAL, 1))
 @pytest.fixture
 def fig1_queues():
     return QueueState.zeros(3, 2)
+
+
+def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
+                      cost):
+    """engine.apply_slot called on the model's tuples as the engine calls
+    it: on int64 arrays when no backlog exceeds the engine's int64 queue
+    limit for these arrivals and services, else on object arrays of
+    Python ints. Returns (QueueState, f_slot, g_slot)."""
+    limit = int64_queue_limit(cost, max(arrivals, default=0),
+                              max((*ctrl_service, *switch_service), default=0),
+                              INT64_BOUND)
+    dtype = np.int64 if max(queues.q_s + queues.q_c) <= limit else object
+    q_s, q_c, f, g = apply_slot(
+        *(np.array(x, dtype) for x in (queues.q_s, queues.q_c)),
+        np.array(assoc.target, np.intp),
+        *(np.array(x, dtype) for x in (arrivals, ctrl_service,
+                                        switch_service)),
+        cost)
+    return QueueState(q_s=tuple(q_s.tolist()), q_c=tuple(q_c.tolist())), f, g
+
+
+def kernel_target(kernel, q_s, q_c):
+    """GreedyKernel.decide called on backlog tuples as the engine calls
+    it: on int64 arrays when no backlog exceeds kernel.int64_top, else on
+    object arrays of Python ints. Returns the target tuple."""
+    dtype = np.int64 if max(q_s + q_c) <= kernel.int64_top else object
+    return tuple(kernel.decide(np.array(q_s, dtype),
+                               np.array(q_c, dtype)).tolist())

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sdnsched import engine, traffic
-from sdnsched.engine import RunConfig, Scheme, apply_slot, run
+from sdnsched.engine import RunConfig, Scheme, run
 from sdnsched.model import (
     CostModel,
     Devolution,
@@ -41,6 +41,7 @@ from conftest import (
     FIG1_SWITCH_SERVICE,
     FIG1_X1,
     FIG1_X2,
+    apply_slot_tuples,
 )
 
 DESK_SEEDS = [0, 1, 2, 3, 4]
@@ -118,12 +119,12 @@ def test_criterion_1_per_slot_optimality():
 
 
 def test_criterion_2_worked_example_fixture(fig1_queues):
-    nq2, f2, g2 = apply_slot(fig1_queues, FIG1_X2, FIG1_ARRIVALS,
-                             FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
-                             FIG1_COST)
-    nq1, f1, g1 = apply_slot(fig1_queues, FIG1_X1, FIG1_ARRIVALS,
-                             FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
-                             FIG1_COST)
+    nq2, f2, g2 = apply_slot_tuples(fig1_queues, FIG1_X2, FIG1_ARRIVALS,
+                                    FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
+                                    FIG1_COST)
+    nq1, f1, g1 = apply_slot_tuples(fig1_queues, FIG1_X1, FIG1_ARRIVALS,
+                                    FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
+                                    FIG1_COST)
     ok = (f2 + g2 == 13 and nq2.total() == 2 and nq1.total() == 4)
     report("criterion 2: worked-example fixture", ok,
            f"X2 cost {f2 + g2}, X2 unfinished {nq2.total()}, "

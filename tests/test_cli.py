@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sdnsched import topology
 from sdnsched.cli import build_parser, cmd_sweep, main
 
 
@@ -145,6 +146,22 @@ class TestRun:
         assert code == 1
         assert problem in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("pareto:0,1", "shape must be finite and > 0"),
+        ("pareto:1,-1", "scale must be finite and > 0"),
+        ("pareto:nan,1", "shape must be finite and > 0"),
+        ("constant:-3", "rate must be >= 0"),
+        ("poisson:-1", "rate must be finite and >= 0"),
+    ])
+    def test_degenerate_arrival_parameters_rejected(self, capsys, tmp_path,
+                                                    spec, problem):
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", "--arrivals", spec))
+        assert code == 1
+        assert repr(spec) in err and problem in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_jsq_equals_greedy_devolution_off_v0(self, capsys, tmp_path):
         common = ["--kind", "fat-tree", "--k", "4", "--horizon", "100",
                   "--arrivals", "poisson:3", "--controller-capacity", "25",
@@ -182,6 +199,20 @@ class TestSweep:
         assert cmd_sweep(args, fixed_schemes=fixed) == 0
         capsys.readouterr()
         assert vars(args) == before
+
+    def test_fabric_built_once_per_command(self, capsys, tmp_path,
+                                           monkeypatch):
+        calls = []
+        generate = topology.generate
+        monkeypatch.setattr(topology, "generate",
+                            lambda *a, **kw: calls.append(a) or
+                            generate(*a, **kw))
+        code, _, _ = run_cli(
+            capsys, "compare", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--arrivals", "constant:2",
+            "--v-grid", "0,10", "--seeds", "1,2", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_duplicate_v_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsched import engine
 from sdnsched import traffic as tr
+from sdnsched.cli import main
 from sdnsched.engine import (
     RunConfig,
     Scheme,
-    apply_slot,
     capacity_check,
     run,
     sweep,
@@ -35,6 +37,8 @@ from conftest import (
     FIG1_SWITCH_SERVICE,
     FIG1_X1,
     FIG1_X2,
+    apply_slot_tuples,
+    kernel_target,
 )
 
 
@@ -70,6 +74,13 @@ def spec_apply_slot(queues, assoc, arrivals, ctrl_service, switch_service,
             slot_comp_cost(assoc, arrivals, cost))
 
 
+def decide_tuples(decide, q):
+    """A rule from engine.decision_rule called on a QueueState of small
+    backlogs, as int64 arrays; returns the Association."""
+    return Association(target=tuple(decide(
+        np.array(q.q_s, np.int64), np.array(q.q_c, np.int64)).tolist()))
+
+
 @st.composite
 def slot_cases(draw):
     """A forced slot whose values may cross the int64 bound, priced with
@@ -97,28 +108,29 @@ class TestApplySlot:
     @given(slot_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_model_functions(self, case):
-        assert apply_slot(*case) == spec_apply_slot(*case)
+        assert apply_slot_tuples(*case) == spec_apply_slot(*case)
 
     def test_forced_x2(self, fig1_queues):
-        nq, f, g = apply_slot(fig1_queues, FIG1_X2, FIG1_ARRIVALS,
-                              FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
-                              FIG1_COST)
+        nq, f, g = apply_slot_tuples(fig1_queues, FIG1_X2, FIG1_ARRIVALS,
+                                     FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
+                                     FIG1_COST)
         assert f + g == 13
         assert nq.q_c == (1, 0)
         assert nq.q_s == (0, 1, 0)
         assert nq.total() == 2
 
     def test_forced_x1(self, fig1_queues):
-        nq, f, g = apply_slot(fig1_queues, FIG1_X1, FIG1_ARRIVALS,
-                              FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
-                              FIG1_COST)
+        nq, f, g = apply_slot_tuples(fig1_queues, FIG1_X1, FIG1_ARRIVALS,
+                                     FIG1_CTRL_SERVICE, FIG1_SWITCH_SERVICE,
+                                     FIG1_COST)
         assert f + g == 9
         assert nq.total() == 4
 
     def test_zero_slot(self):
         q = QueueState.zeros(2, 1)
-        nq, f, g = apply_slot(q, Association(target=(0, 0)), (0, 0), (3,),
-                              (1, 1), CostModel.uniform_alpha(((1,), (2,)), 1))
+        nq, f, g = apply_slot_tuples(
+            q, Association(target=(0, 0)), (0, 0), (3,), (1, 1),
+            CostModel.uniform_alpha(((1,), (2,)), 1))
         assert (f, g, nq.total()) == (0, 0, 0)
 
     def test_conservation(self):
@@ -135,7 +147,7 @@ class TestApplySlot:
             sw = tuple(rng.randint(0, 4) for _ in range(4))
             assoc = Association(
                 target=tuple(rng.randint(-1, 2) for _ in range(4)))
-            nq, _, _ = apply_slot(q, assoc, arrivals, ctrl, sw, cost)
+            nq, _, _ = apply_slot_tuples(q, assoc, arrivals, ctrl, sw, cost)
             served_cap = sum(ctrl) + sum(sw)
             added = sum(arrivals)
             assert q.total() + added - served_cap <= nq.total() \
@@ -151,17 +163,18 @@ class TestApplySlot:
         q = QueueState(q_s=(3, 1, 4, 1), q_c=(5, 9))
         arrivals = (2, 6, 5, 3)
         assoc = Association(target=(0, -1, 1, 0))
-        base, _, _ = apply_slot(q, assoc, arrivals, (4, 4), (2, 2, 2, 2), cost)
+        base, _, _ = apply_slot_tuples(q, assoc, arrivals, (4, 4),
+                                       (2, 2, 2, 2), cost)
         for _ in range(10):
             perm = list(range(4))
             rng.shuffle(perm)
             pq = QueueState(q_s=tuple(q.q_s[p] for p in perm), q_c=q.q_c)
             passoc = Association(target=tuple(assoc.target[p] for p in perm))
             parr = tuple(arrivals[p] for p in perm)
-            nq, _, _ = apply_slot(pq, passoc, parr, (4, 4), (2, 2, 2, 2),
-                                  CostModel(
-                                      w=tuple(cost.w[p] for p in perm),
-                                      alpha=tuple(cost.alpha[p] for p in perm)))
+            nq, _, _ = apply_slot_tuples(
+                pq, passoc, parr, (4, 4), (2, 2, 2, 2),
+                CostModel(w=tuple(cost.w[p] for p in perm),
+                          alpha=tuple(cost.alpha[p] for p in perm)))
             assert nq.q_c == base.q_c
             assert nq.q_s == tuple(base.q_s[p] for p in perm)
 
@@ -183,14 +196,15 @@ class TestRun:
         from sdnsched import traffic as tr
         cfg = small_cfg(horizon=100, seed=3)
         res = run(cfg)
-        state = engine.init_state(cfg)
-        decide = engine.decision_rule(cfg)
+        decide, top = engine.decision_rule(cfg)
+        state = engine.init_state(cfg, top)
         services = tr.sample_slot_services(cfg.traffic)
         q = state.queues
         for rec in res.records:
             arrivals = tr.sample_slot_arrivals(state.arrival_state)
-            assoc = decide(q)
-            q, f, g = apply_slot(q, assoc, arrivals, *services, cfg.cost)
+            assoc = decide_tuples(decide, q)
+            q, f, g = apply_slot_tuples(q, assoc, arrivals, *services,
+                                        cfg.cost)
             assert (f, g, q.total()) == (rec.f_slot, rec.g_slot,
                                          rec.total_backlog)
 
@@ -253,18 +267,18 @@ class TestInvariants:
         # q' = max(q + in - service, 0), where a switch's inflow is its
         # arrivals when it goes LOCAL and a controller's is the arrivals
         # uploaded to it
-        state = engine.init_state(cfg)
-        decide = engine.decision_rule(cfg)
+        decide, top = engine.decision_rule(cfg)
+        state = engine.init_state(cfg, top)
         services = tr.sample_slot_services(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
-        replay_decide = engine.decision_rule(cfg)
+        replay_decide, _ = engine.decision_rule(cfg)
         ctrl_service, switch_service = services
         for _ in range(cfg.horizon_slots):
             q = state.queues
-            engine.step(state, cfg, decide, services, keep=False)
+            engine.step(state, cfg, decide, keep=False)
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
-            target = replay_decide(q).target
+            target = decide_tuples(replay_decide, q).target
             q_s = tuple(max(q.q_s[i] + (a if t == LOCAL else 0)
                             - switch_service[i], 0)
                         for i, (a, t) in enumerate(zip(arrivals, target)))
@@ -272,6 +286,36 @@ class TestInvariants:
                                            if t == j) - ctrl_service[j], 0)
                         for j in range(cfg.cost.n_controllers))
             assert state.queues == QueueState(q_s=q_s, q_c=q_c)
+
+    @given(run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_drift_plus_penalty_bound(self, cfg):
+        # each slot's logged L(Q') - L(Q) + V*(f + g) is at most
+        # 1/2 sum_j x_j^2 + sum_j Q_j x_j + V*(f + g) over every switch
+        # and controller queue j, where x_j = in_j - service_j: Q'_j =
+        # max(Q_j + x_j, 0) and max(y, 0)^2 <= y^2
+        cfg = engine.replace(cfg, log_lyapunov=True)
+        decide, top = engine.decision_rule(cfg)
+        state = engine.init_state(cfg, top)
+        replay = tr.ArrivalState(cfg.traffic)
+        replay_decide, _ = engine.decision_rule(cfg)
+        ctrl_service, switch_service = tr.sample_slot_services(cfg.traffic)
+        for _ in range(cfg.horizon_slots):
+            q = state.queues
+            rec = engine.step(state, cfg, decide, keep=True)
+            arrivals = tr.sample_slot_arrivals(replay)
+            assoc = decide_tuples(replay_decide, q)
+            inflow = [a if t == LOCAL else 0
+                      for a, t in zip(arrivals, assoc.target)]
+            inflow += [sum(a for a, t in zip(arrivals, assoc.target) if t == j)
+                       for j in range(cfg.cost.n_controllers)]
+            x = [i - s for i, s in zip(inflow, switch_service + ctrl_service)]
+            penalty = cfg.params.v * (slot_comm_cost(assoc, arrivals, cfg.cost)
+                                      + slot_comp_cost(assoc, arrivals,
+                                                       cfg.cost))
+            bound = Fraction(sum(d * d for d in x), 2) \
+                + sum(b * d for b, d in zip(q.q_s + q.q_c, x)) + penalty
+            assert rec.drift_penalty_sample <= bound
 
     @given(run_cases())
     @settings(max_examples=100, deadline=None)
@@ -283,6 +327,46 @@ class TestInvariants:
         assert res.final.g_bar * horizon == sum(r.g_slot for r in res.records)
         assert res.mean_backlog * horizon == \
             sum(r.total_backlog for r in res.records)
+
+
+class TestInt64Limit:
+    """A run moves from int64 to object arrays once a backlog could pass
+    its int64 queue limit, with output identical to a run on object
+    arrays throughout."""
+
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_switch_mid_run_keeps_output(self, tmp_path, monkeypatch,
+                                         scheme):
+        # 10^15 requests per switch per slot on fat-tree k=4: a backlog
+        # passes the limit (about 1.9e17 here) within 200 slots
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "kind": "fat-tree", "k": 4, "scheme": scheme, "v": "10",
+            "horizon": 200, "arrivals": f"constant:{10 ** 15}",
+            "a_max": 10 ** 15, "log_lyapunov": True, "name": "run"}))
+        widened = []
+        widen = engine.RunState.widen
+        monkeypatch.setattr(engine.RunState, "widen",
+                            lambda state: widened.append(state.t) or
+                            widen(state))
+
+        def output(out_dir):
+            assert main(["run", "--config", str(config),
+                         "--out-dir", str(out_dir)]) == 0
+            return [(out_dir / f"run{ext}").read_bytes()
+                    for ext in (".csv", ".summary.json")]
+
+        switched = output(tmp_path / "switched")
+        assert len(widened) == 1 and 0 < widened[0] < 200
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: -1)
+        assert output(tmp_path / "object") == switched
+        assert len(widened) == 1  # the second run started on object arrays
+
+    def test_limit_covers_a_max_and_services(self):
+        cost = CostModel.uniform_alpha(((1, 3), (2, 2)), 2)
+        assert engine.int64_queue_limit(cost, 2 ** 63 - 1, 10, 10 ** 18) < 0
+        assert engine.int64_queue_limit(cost, 10, 2 ** 62, 10 ** 18) < 0
+        assert engine.int64_queue_limit(cost, 10, 10, 7) == 7
 
 
 class TestSweep:
@@ -315,7 +399,7 @@ class TestGreedyVsStatic:
         rng = random.Random(2)
         for _ in range(100):
             qc = tuple(rng.randint(0, 1999) for _ in range(2))  # < V * gap
-            assert kernel.decide((0, 0), qc).target == static.target
+            assert kernel_target(kernel, (0, 0), qc) == static.target
 
 
 class TestCapacityCheck:

@@ -121,7 +121,7 @@ def traffic_cases(draw, tmp_dir):
     elif kind == "pareto":
         process = Pareto(draw(st.floats(0.2, 3)), draw(st.floats(0.5, 5)))
     elif kind == "constant":
-        process = Constant(draw(st.integers(-3, 40)))
+        process = Constant(draw(st.integers(0, 40)))
     else:
         path = Path(tmp_dir) / f"cdf{draw(st.integers(0, 10 ** 9))}.txt"
         path.write_text(draw(cdf_texts()))
@@ -259,6 +259,29 @@ class TestArrivals:
             warnings.simplefilter("error", RuntimeWarning)
             draws = [sample_slot_arrivals(state)[0] for _ in range(40_000)]
         assert min(draws) >= 1
+
+    def test_pareto_tail_capped_past_int64(self):
+        # with a_max >= 2^63, a tail draw is capped at 2^63 - 1, the
+        # largest count an int64 row holds; at seed 0, 5 of these 40000
+        # shape-0.2 draws reach it
+        cfg = make_cfg(Pareto(shape=0.2, scale=1.0), seed=0, a_max=10 ** 20)
+        state = ArrivalState(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = [sample_slot_arrivals(state)[0] for _ in range(40_000)]
+        assert min(draws) >= 1
+        assert draws.count(2 ** 63 - 1) == 5
+        assert max(draws) == 2 ** 63 - 1
+
+    def test_pareto_overflowing_draws_capped_quietly(self):
+        # with shape 1e-300 every u**(1/shape) underflows to 0, so every
+        # draw is inf: each is capped at a_max, with no numpy warning
+        cfg = make_cfg(Pareto(shape=1e-300, scale=1.0), seed=0)
+        state = ArrivalState(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = [sample_slot_arrivals(state)[0] for _ in range(600)]
+        assert set(draws) == {cfg.a_max}
 
     def test_same_seed_bit_identical(self):
         cfg = make_cfg(Poisson(5.88), n_switches=4, seed=42)
