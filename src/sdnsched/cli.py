@@ -192,18 +192,22 @@ def _resolve_run(args, fabrics=None) -> tuple[RunConfig, dict]:
         raise ConfigError(problems)
 
     hot_rate = cfg.get("hot_spot_rate", 0)
-    tcfg = traffic.TrafficConfig(
-        base_process=process,
-        n_switches=topo.n_switches,
-        n_controllers=placement.controller_count,
-        slot_length_us=cfg.get("slot_length_us", 10_000),
-        hot_spot_switches=frozenset(hot) if hot_rate > 0 else frozenset(),
-        hot_spot_rate=hot_rate,
-        controller_capacity=cfg.get("controller_capacity", 600),
-        switch_capacity=cfg.get("switch_capacity", 10),
-        a_max=cfg.get("a_max", 10 ** 6),
-        seed=cfg.get("traffic_seed", _default_seed()),
-    )
+    try:
+        tcfg = traffic.TrafficConfig(
+            base_process=process,
+            n_switches=topo.n_switches,
+            n_controllers=placement.controller_count,
+            slot_length_us=cfg.get("slot_length_us", 10_000),
+            hot_spot_switches=frozenset(hot) if hot_rate > 0
+            else frozenset(),
+            hot_spot_rate=hot_rate,
+            controller_capacity=cfg.get("controller_capacity", 600),
+            switch_capacity=cfg.get("switch_capacity", 10),
+            a_max=cfg.get("a_max", 10 ** 6),
+            seed=cfg.get("traffic_seed", _default_seed()),
+        )
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     run_cfg = RunConfig(
         cost=cost,
         traffic=tcfg,
@@ -312,22 +316,24 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
     fabrics = {}
+    cfgs = []
     for scheme in schemes:
         for seed in seeds:
             run_args = argparse.Namespace(**{
                 **vars(args), "scheme": scheme,
                 "run_seed": seed, "traffic_seed": seed})
-            run_cfg, _ = _resolve_run(run_args, fabrics)
-            for row in engine.sweep(run_cfg, grid):
-                rows.append((scheme, seed, row))
+            cfgs.append(_resolve_run(run_args, fabrics)[0])
+    warnings = {w: None for cfg in cfgs for w in engine.capacity_check(cfg)}
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    rows = engine.sweep(cfgs, grid)
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("scheme,seed,v,f_bar,g_bar,total_cost,mean_backlog\n")
-        for scheme, seed, row in rows:
+        for row in rows:
             fh.write(",".join([
-                scheme, str(seed), str(row.v),
+                row.scheme.value, str(row.run_seed), str(row.v),
                 format_rational(row.f_bar),
                 format_rational(row.g_bar),
                 format_rational(row.total_cost),

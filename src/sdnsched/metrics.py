@@ -3,6 +3,8 @@
 Running averages are computed from exact running sums, so the identity
 f_bar(T) * T == sum of f_slot holds with no drift. The sums advance
 every slot; a record is built only for the slots a run keeps.
+Accumulator holds the sums of one run; the engine keeps the same sums
+per lane, with g summed as the integer d*g.
 """
 
 from __future__ import annotations

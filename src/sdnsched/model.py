@@ -115,11 +115,18 @@ class CostModel:
 class CostTables:
     """A CostModel's integers for vectorised pricing, built once.
 
-    `w` is W with a zero column appended, so that the LOCAL target (-1)
-    prices 0; `scaled_alpha` is d*alpha, where d is alpha's common
-    denominator `scale`. Both are object arrays of Python ints and,
-    where they fit, int64 arrays (else None). `weight` bounds every
-    entry of both; `rows` indexes the switches.
+    Switch i under target t (a controller index, or LOCAL = -1) is cell
+    `cells[i] + t` of the flat per-cell tables, which hold n_c + 1 cells
+    per switch, LOCAL first. `w` holds W[i][t], and 0 for LOCAL.
+    `joins` holds the queue that switch i's arrivals join, where the
+    engine keeps each lane's queues in one row, the n_s switch queues
+    then the n_c controller queues: controller t's queue n_s + t, or
+    the switch's own queue i for LOCAL.
+
+    `scaled_alpha` is d*alpha, where d is alpha's common denominator
+    `scale`. `w` and `scaled_alpha` are object arrays of Python ints
+    and, where they fit, int64 arrays (else None); `weight` bounds every
+    entry of both.
     """
 
     w: np.ndarray
@@ -128,22 +135,28 @@ class CostTables:
     w_int64: Optional[np.ndarray]
     scaled_alpha_int64: Optional[np.ndarray]
     weight: int
-    rows: np.ndarray
+    cells: np.ndarray
+    joins: np.ndarray
 
     @classmethod
     def build(cls, cost: "CostModel") -> "CostTables":
+        n_s, n_c = cost.n_switches, cost.n_controllers
         alpha = [Fraction(a) for a in cost.alpha]
         scale = math.lcm(*(a.denominator for a in alpha))
-        w = np.array([[*row, 0] for row in cost.w], dtype=object) \
-            .reshape(cost.n_switches, cost.n_controllers + 1)
+        w = np.array([[0, *row] for row in cost.w], dtype=object) \
+            .reshape(n_s * (n_c + 1))
         scaled = np.array([int(a * scale) for a in alpha], dtype=object)
-        weight = max([1, *w.flat, *scaled])
+        weight = max([1, *w, *scaled])
         fits = weight < INT64_BOUND
+        joins = np.empty((n_s, n_c + 1), np.intp)
+        joins[:, 0] = np.arange(n_s)
+        joins[:, 1:] = np.arange(n_s, n_s + n_c)
         return cls(w=w, scaled_alpha=scaled, scale=scale,
                    w_int64=w.astype(np.int64) if fits else None,
                    scaled_alpha_int64=scaled.astype(np.int64) if fits
                    else None,
-                   weight=weight, rows=np.arange(cost.n_switches))
+                   weight=weight, cells=np.arange(n_s) * (n_c + 1) + 1,
+                   joins=joins.ravel())
 
 
 @dataclass(frozen=True)

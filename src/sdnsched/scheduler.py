@@ -6,8 +6,9 @@ and GreedyKernel, the one fast decider the engine runs.
 The per-switch functions (greedy_decide, association_only_decide,
 jsq_decide, static_decide, brute_force_decide, slot_objective) are the
 specification; GreedyKernel is tested for equality against them. The
-engine calls GreedyKernel.decide and random_decide with numpy arrays
-and gets a target array back, one intp per switch. All
+engine stacks the GreedyKernels of its argmin lanes into one
+lane_argmin call and calls random_decide per Random lane, with numpy
+arrays, and gets target arrays back, one intp per switch. All
 arithmetic is exact (int / Fraction), so every comparison is an
 equality check. Ties break toward the lowest controller index
 everywhere; with that rule JSQ is the devolution-off argmin at v = 0.
@@ -204,7 +205,9 @@ class GreedyKernel:
     `decide` runs on int64 arrays while no backlog exceeds `int64_top`,
     which keeps max|K| + d*max(Q) < 2**62, so no sum can wrap; on object
     arrays of Python ints the same expressions are exact at any size.
-    The caller picks the dtype (engine.run does it once per run).
+    The caller picks the dtype (the engine does it once per lane group).
+    The engine stacks the K matrices of several lanes and decides for
+    them in one lane_argmin call, which `decide` runs with one lane.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
@@ -223,7 +226,6 @@ class GreedyKernel:
              for row, a in zip(cost.w, cost.alpha)],
             dtype=object)
         self.devolve = params.devolution is Devolution.ON
-        self.rows = np.arange(cost.n_switches)
         k_max = max((abs(k) for row in scaled.values() for k in row.values()),
                     default=0)
         # largest backlog the int64 path accepts (none when d itself
@@ -238,8 +240,29 @@ class GreedyKernel:
         switch) for pre-slot backlogs q_s, q_c: both int64 arrays with no
         entry above int64_top, or both object arrays."""
         k = self.k_object if q_s.dtype == object else self.k_int64
-        m = k + q_c * self.scale
-        target = m.argmin(1)
-        if self.devolve:
-            target[m[self.rows, target] > q_s * self.scale] = LOCAL
-        return target
+        return lane_argmin(k[None], self.scale, q_s[None], q_c[None],
+                           int(self.devolve))[0]
+
+
+def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
+                n_devolve: int) -> np.ndarray:
+    """GreedyKernel.decide for L lanes at once: one row per lane.
+
+    `k` stacks the lanes' K matrices (L x n_s x n_c), `scale` is their
+    scales d as an (L x 1) column (or one int for all lanes), and q_s,
+    q_c are the pre-slot backlogs (L x n_s, L x n_c), int64 within every
+    lane's int64_top or object arrays. Each lane takes the argmin over j
+    of K[i, j] + d*Qc_j per switch; the first `n_devolve` lanes go LOCAL
+    where that minimum exceeds d*Qs_i. Lanes never mix, so each row is
+    its own lane's decision.
+    """
+    m = k + (q_c * scale)[:, None, :]
+    target = m.argmin(2)
+    if n_devolve:
+        # each switch's minimum m[l, i, target[l, i]], read from flat m
+        best = m.reshape(-1).take(
+            target + np.arange(0, m.size, m.shape[2]).reshape(target.shape))
+        local = best > q_s * scale
+        local[n_devolve:] = False
+        target[local] = LOCAL
+    return target

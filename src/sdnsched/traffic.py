@@ -25,6 +25,11 @@ import numpy as np
 
 _BLOCK = 512  # slots of draws (or trace gaps) buffered per switch
 
+#: Largest rate numpy's Generator.poisson accepts: it rejects a lam
+#: above int64's max less ten times its square root.
+POISSON_MAX_RATE = float(np.iinfo(np.int64).max
+                         - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class TraceCdf:
@@ -39,6 +44,9 @@ class Poisson:
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"Poisson rate must be finite and >= 0, "
                              f"got {self.rate}")
+        if self.rate > POISSON_MAX_RATE:
+            raise ValueError(f"Poisson rate must be at most "
+                             f"{POISSON_MAX_RATE!r}, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,8 @@ class TrafficConfig:
             raise ValueError("rates and capacities must be nonnegative")
         if self.slot_length_us <= 0:
             raise ValueError("slot length must be positive")
+        if self.a_max < 1:
+            raise ValueError(f"a_max must be >= 1, got {self.a_max}")
         if self.controller_capacity > self.b_max:
             raise ValueError("controller capacity exceeds b_max")
         if self.switch_capacity > self.u_max:
@@ -204,7 +214,7 @@ class ArrivalState:
         fixed = [cfg.hot_spot_rate if i in hot
                  else base.rate if isinstance(base, Constant) else 0
                  for i in range(cfg.n_switches)]
-        fixed = [min(max(r, 0), cfg.a_max) for r in fixed]
+        fixed = [min(r, cfg.a_max) for r in fixed]
         self.row = np.array(fixed, np.int64 if max(fixed, default=0) < 2 ** 63
                             else object)
         cols = [] if isinstance(base, Constant) \
@@ -319,6 +329,20 @@ def sample_slot_services(cfg: TrafficConfig) -> tuple[tuple[int, ...], tuple[int
     """Constant service: capacity per controller and per switch."""
     return ((cfg.controller_capacity,) * cfg.n_controllers,
             (cfg.switch_capacity,) * cfg.n_switches)
+
+
+def cap_warnings(cfg: TrafficConfig) -> list[str]:
+    """Warnings for the fixed rates (hot-spot, constant) that a_max caps:
+    those switches get a_max arrivals per slot, not their rate."""
+    hot = cfg.hot_spot_switches
+    fixed = []
+    if hot:
+        fixed.append(("hot-spot", cfg.hot_spot_rate))
+    if isinstance(cfg.base_process, Constant) and len(hot) < cfg.n_switches:
+        fixed.append(("constant", cfg.base_process.rate))
+    return [f"{kind} rate {rate} exceeds a_max {cfg.a_max}; those switches "
+            f"get {cfg.a_max} arrivals per slot"
+            for kind, rate in fixed if rate > cfg.a_max]
 
 
 def mean_arrival_rates(cfg: TrafficConfig) -> list[Fraction | float]:

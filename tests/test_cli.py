@@ -162,6 +162,36 @@ class TestRun:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("a_max", [-1, 0])
+    def test_a_max_below_one_rejected(self, capsys, tmp_path, a_max):
+        code, _, err = self.run_config(capsys, tmp_path, a_max=a_max,
+                                       arrivals="poisson:3")
+        assert code == 1
+        assert f"a_max must be >= 1, got {a_max}" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_poisson_rate_above_numpy_limit_rejected(self, capsys, tmp_path):
+        # numpy's Generator.poisson takes lam up to 9.223372006484771e18
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", "--horizon", "3",
+            "--arrivals", "poisson:1e30"))
+        assert code == 1
+        assert "bad arrival process 'poisson:1e30'" in err
+        assert "at most 9.223372006484771e+18" in err
+        assert "lam value too large" not in err
+        code, _, _ = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", "--horizon", "3",
+            "--arrivals", "poisson:9.223372006484771e18"))
+        assert code == 0
+
+    def test_fixed_rate_above_a_max_warns(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, a_max=5,
+                                       arrivals="constant:9",
+                                       hot_spot_rate=50)
+        assert code == 0
+        assert "warning: hot-spot rate 50 exceeds a_max 5" in err
+        assert "warning: constant rate 9 exceeds a_max 5" in err
+
     def test_jsq_equals_greedy_devolution_off_v0(self, capsys, tmp_path):
         common = ["--kind", "fat-tree", "--k", "4", "--horizon", "100",
                   "--arrivals", "poisson:3", "--controller-capacity", "25",
@@ -232,6 +262,44 @@ class TestSweep:
         body = (tmp_path / "sweep.csv").read_text()
         for scheme in ("greedy", "static", "random", "jsq"):
             assert f"\n{scheme}," in body
+
+
+class TestSweepEqualsRuns:
+    """Every sweep.csv row equals the summary of a separate `run` of its
+    (scheme, seed, V)."""
+
+    COMMON = ["--kind", "fat-tree", "--k", "4", "--horizon", "60",
+              "--arrivals", "poisson:3", "--hot-spot-rate", "25",
+              "--controller-capacity", "30", "--switch-capacity", "3"]
+    GRID = "1/3,10,1e30"
+
+    @pytest.mark.parametrize("command, schemes, flags", [
+        ("sweep", ["--schemes", "greedy,random,jsq,static"], []),
+        ("compare", [], []),
+        ("sweep", [], ["--devolution", "off"]),
+    ])
+    def test_rows_equal_separate_runs(self, capsys, tmp_path, command,
+                                      schemes, flags):
+        code, _, _ = run_cli(capsys, command, *self.COMMON, *schemes,
+                             *flags, "--v-grid", self.GRID, "--seeds", "3,8",
+                             "--out-dir", str(tmp_path / "sweep"))
+        assert code == 0
+        _, *rows = (tmp_path / "sweep" / "sweep.csv").read_text() \
+            .strip().split("\n")
+        assert len(rows) == 3 * 2 * (4 if command == "compare" or schemes
+                                     else 1)
+        for row in rows:
+            scheme, seed, v, *values = row.split(",")
+            code, _, _ = run_cli(
+                capsys, "run", *self.COMMON, *flags, "--scheme", scheme,
+                "--v", v, "--run-seed", seed, "--traffic-seed", seed,
+                "--stride", "60", "--name", "one",
+                "--out-dir", str(tmp_path / "run"))
+            assert code == 0
+            summary = json.loads(
+                (tmp_path / "run" / "one.summary.json").read_text())
+            assert values == [summary[key] for key in (
+                "f_bar", "g_bar", "total_cost", "mean_backlog")], row
 
 
 def test_seed_env_var(capsys, tmp_path, monkeypatch):

@@ -369,6 +369,72 @@ class TestInt64Limit:
         assert engine.int64_queue_limit(cost, 10, 10, 7) == 7
 
 
+@st.composite
+def lane_cases(draw):
+    """Lanes on one small cost model and horizon: every scheme,
+    devolution on and off, Fraction V and V >= 2^63, two traffic seeds,
+    and constant 10^16 or 2*10^16 arrivals, whose lanes pass their int64
+    queue limit on different slots (or start on object arrays)."""
+    n_s, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cost = CostModel(
+        w=tuple(tuple(draw(st.lists(st.integers(1, 6), min_size=n_c,
+                                    max_size=n_c))) for _ in range(n_s)),
+        alpha=tuple(Fraction(draw(st.integers(0, 20)), draw(st.integers(1, 3)))
+                    for _ in range(n_s)))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=2, max_size=2,
+                          unique=True))
+
+    def traffic(process, seed, a_max=10 ** 6):
+        return TrafficConfig(
+            base_process=process, n_switches=n_s, n_controllers=n_c,
+            hot_spot_switches=frozenset({0}), hot_spot_rate=5,
+            controller_capacity=draw(st.integers(0, 8)),
+            switch_capacity=draw(st.integers(0, 4)), a_max=a_max, seed=seed)
+
+    sources = [traffic(Poisson(3), seeds[0]), traffic(Pareto(1.5, 2), seeds[1]),
+               traffic(Constant(10 ** 16), seeds[0], 10 ** 16),
+               traffic(Constant(2 * 10 ** 16), seeds[1], 2 * 10 ** 16)]
+    horizon = draw(st.integers(1, 40))
+    return [RunConfig(
+        cost=cost, traffic=draw(st.sampled_from(sources)),
+        scheme=draw(st.sampled_from(Scheme)),
+        params=SchedulerParams(
+            v=draw(st.sampled_from([0, 1, Fraction(7, 3), 50, 2 ** 63,
+                                    2 ** 70 + 1])),
+            devolution=draw(st.sampled_from(Devolution))),
+        horizon_slots=horizon, run_seed=draw(st.integers(0, 2 ** 32)),
+        stride=draw(st.integers(1, 5)), log_lyapunov=draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 8)))]
+
+
+class TestLanes:
+    @given(lane_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_separate_runs(self, cfgs):
+        assert engine.run_lanes(cfgs) == [run(cfg) for cfg in cfgs]
+
+    def test_lanes_cross_int64_limit_on_different_slots(self, monkeypatch):
+        # alone, each lane widens on its own slot; together they share
+        # one int64 group, which widens once, on the earlier slot
+        widened = []
+        widen = engine.RunState.widen
+        monkeypatch.setattr(engine.RunState, "widen",
+                            lambda state: widened.append(state.t) or
+                            widen(state))
+        cfgs = [small_cfg(scheme=Scheme.JSQ, horizon=60, seed=1,
+                          process=Constant(rate), a_max=rate)
+                for rate in (10 ** 16, 2 * 10 ** 16)]
+        separate = [run(cfg) for cfg in cfgs]
+        alone = list(widened)
+        assert len(alone) == 2 and alone[0] > alone[1] > 0
+        assert engine.run_lanes(cfgs) == separate
+        assert widened[2:] == [alone[1]]
+
+    def test_lanes_share_cost_and_horizon(self):
+        with pytest.raises(ValueError):
+            engine.run_lanes([small_cfg(horizon=5), small_cfg(horizon=6)])
+
+
 class TestSweep:
     def test_single_v_matches_run(self):
         cfg = small_cfg(v=7, horizon=100)
