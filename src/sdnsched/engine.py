@@ -401,11 +401,9 @@ def advance(state: RunState, decide, rows, keep) -> list:
     return kept
 
 
-def step(state: RunState, cfg: RunConfig, decide,
-         keep: bool) -> MetricsRecord | None:
-    """Advance a one-lane state (init_state, whose lane is `cfg`) one
-    slot on its own arrival source. Returns the slot's record when keep
-    is set."""
+def step(state: RunState, decide, keep: bool) -> MetricsRecord | None:
+    """Advance a one-lane state (from init_state) one slot on its own
+    arrival source. Returns the slot's record when keep is set."""
     kept = advance(state, decide, [state.arrival_state.next_row()],
                    [0] if keep else [])
     return kept[0][1] if kept else None
@@ -497,26 +495,36 @@ class SweepRow:
 
 def sweep(cfg, v_values) -> list[SweepRow]:
     """One row per (config, V), config by config in grid order: `cfg` is
-    one RunConfig or a sequence of them, and every (config, V) pair is a
-    lane of one run_lanes call, so lanes with the same traffic config
-    share their arrivals (common random numbers). A row reads only the
-    final record and the mean backlog, so each lane keeps records for its
-    first and last slots alone."""
+    one RunConfig or a sequence of them, and every distinct (config, V)
+    run is a lane of one run_lanes call, so lanes with the same traffic
+    config share their arrivals (common random numbers). Static, Random
+    and JSQ lanes do not read V, so one lane serves every V of their
+    config. A row reads only the final record and the mean backlog, so
+    each lane keeps records for its first and last slots alone."""
     if not v_values:
         raise ValueError("empty V grid")
     cfgs = [cfg] if isinstance(cfg, RunConfig) else cfg
-    lanes = [replace(c, params=replace(c.params, v=v),
-                     stride=c.horizon_slots)
+    pairs = [(c, v, (id(c), v if c.scheme is Scheme.GREEDY else None))
              for c in cfgs for v in v_values]
-    return [SweepRow(
-        v=lane.params.v,
-        scheme=lane.scheme,
-        run_seed=lane.run_seed,
-        f_bar=res.final.f_bar,
-        g_bar=res.final.g_bar,
-        total_cost=res.final.f_bar + res.final.g_bar,
-        mean_backlog=res.mean_backlog,
-    ) for lane, res in zip(lanes, run_lanes(lanes))]
+    lanes = {}
+    for c, v, key in pairs:
+        if key not in lanes:
+            lanes[key] = replace(c, params=replace(c.params, v=v),
+                                 stride=c.horizon_slots)
+    results = dict(zip(lanes, run_lanes(list(lanes.values()))))
+    rows = []
+    for c, v, key in pairs:
+        res = results[key]
+        rows.append(SweepRow(
+            v=v,
+            scheme=c.scheme,
+            run_seed=c.run_seed,
+            f_bar=res.final.f_bar,
+            g_bar=res.final.g_bar,
+            total_cost=res.final.f_bar + res.final.g_bar,
+            mean_backlog=res.mean_backlog,
+        ))
+    return rows
 
 
 def capacity_check(cfg: RunConfig) -> list[str]:

@@ -102,12 +102,18 @@ def min_cost_arrival_variance(w, rates) -> Fraction:
 
 
 def format_rational(x, digits: int = 6) -> str:
-    """Fixed-point decimal rendering of an exact rational."""
-    frac = Fraction(x)
-    scaled = round(frac * 10 ** digits)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, part = divmod(scaled, 10 ** digits)
+    """Fixed-point decimal rendering of an exact rational, rounded half
+    to even at `digits` places: round(Fraction(x) * 10**digits), from
+    one integer divmod with no Fraction arithmetic."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    unit = 10 ** digits
+    d = x.denominator
+    q, r = divmod(x.numerator * unit, d)  # floor, and r in [0, d)
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    sign = "-" if q < 0 else ""
+    whole, part = divmod(abs(q), unit)
     return f"{sign}{whole}.{part:0{digits}d}"
 
 

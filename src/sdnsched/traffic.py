@@ -7,12 +7,17 @@ the others and A/B comparisons between schemes share random numbers.
 
 ArrivalState samples all switches at once, with no per-switch Python
 work per slot: Poisson and Pareto switches draw a block of slots per
-numpy call, and trace switches draw a block of inter-arrival gaps
-through a vectorised inverse CDF and count each slot's events for all
-switches together. numpy's Generator gives the same values whatever the
-block size, and the trace arithmetic is the same float operations in
-the same order as drawing one event at a time, so the arrivals are
-bit-identical to that scalar specification (tests/test_traffic.py).
+numpy call. Trace switches buffer a block of inter-arrival gaps each;
+when one runs short, all of them are refilled in one batch through
+EmpiricalCdf.sample_array, an inverse CDF whose segment search is a
+bucket table plus a fixed number of exact correction steps. Each slot
+counts the events of every trace switch in one column-major window
+(one row per event, one column per switch), with further passes only
+for the switches still inside the slot. numpy's Generator gives the same
+values whatever the block size, and the trace arithmetic is the same
+float operations in the same order as drawing one event at a time, so
+the arrivals are bit-identical to that scalar specification
+(tests/test_traffic.py).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 _BLOCK = 512  # slots of draws (or trace gaps) buffered per switch
+_REFILL = 8192  # trace gaps mapped per inverse-CDF call when refilling
 
 #: Largest rate numpy's Generator.poisson accepts: it rejects a lam
 #: above int64's max less ten times its square root.
@@ -129,8 +135,7 @@ class EmpiricalCdf:
             raise ValueError("largest inter-arrival time must be positive")
         self.xs = xs
         self.ps = ps
-        self._xs = np.array(xs, dtype=float)
-        self._ps = np.array(ps, dtype=float)
+        self._search = None  # sample_array's tables, built on first use
 
     @property
     def mean(self) -> float:
@@ -152,17 +157,38 @@ class EmpiricalCdf:
                 return x0 + (x1 - x0) * (u - p0) / (p1 - p0)
         return self.xs[-1]
 
+    def _build_search(self):
+        """Tables for sample_array. Segment k >= 1 runs from point k - 1
+        to point k; segment 0 is the point mass at xs[0] (dx = 0, dp = 1,
+        so the expression gives xs[0] exactly). Bucket b of M (a power of
+        two, so u * M is exact) starts at segment #{ps < b/M}; a u in the
+        bucket lies at most `steps` segments further, the most ps values
+        any one bucket holds."""
+        n = len(self.ps)
+        m = 1 << min(max(4, (4 * n - 1).bit_length()), 16)
+        ps = np.array(self.ps)
+        start = np.searchsorted(ps, np.arange(m + 1) / m, side="left")
+        xs = np.array(self.xs)
+        x0 = np.concatenate(([xs[0]], xs[:-1]))
+        # segment 0's u - p0 < 0 makes its term -0.0, so xs[0] + term is
+        # xs[0] even when xs[0] is -0.0
+        p0 = np.concatenate(([2.0], ps[:-1]))
+        dx = np.concatenate(([0.0], np.diff(xs)))
+        dp = np.concatenate(([1.0], np.diff(ps)))
+        return m, start, int(np.diff(start).max()), ps, x0, dx, p0, dp
+
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         """`sample` at every element of u, with the same float
-        expression, so each result has the same bits."""
-        k = np.searchsorted(self._ps, u, side="left")
-        out = np.full(u.shape, self.xs[0], dtype=float)
-        seg = k > 0
-        k, u = k[seg], u[seg]
-        x0, x1 = self._xs[k - 1], self._xs[k]
-        p0, p1 = self._ps[k - 1], self._ps[k]
-        out[seg] = x0 + (x1 - x0) * (u - p0) / (p1 - p0)
-        return out
+        expression, so each result has the same bits. The segment of u
+        is k = #{ps < u}: a bucket table gives a lower bound and a fixed
+        number of steps `k += ps[k] < u` makes it exact."""
+        if self._search is None:
+            self._search = self._build_search()
+        m, start, steps, ps, x0, dx, p0, dp = self._search
+        k = start.take((u * m).astype(np.intp))
+        for _ in range(steps):
+            k += ps.take(k) < u
+        return x0.take(k) + dx.take(k) * (u - p0.take(k)) / dp.take(k)
 
 
 def load_interarrival_cdf(path: str) -> EmpiricalCdf:
@@ -201,10 +227,12 @@ class ArrivalState:
     Constant and hot-spot switches are fixed columns of a row template.
     Poisson and Pareto switches fill one column each of a
     (block x n_switches) int64 matrix every block slots, and a slot reads
-    one row. Trace switches each buffer a row of `block` inter-arrival
-    gaps; the gap at a switch's read position `at` is the time left to
-    its next event, which carries the residual across slot boundaries.
-    Nothing is drawn until the first slot.
+    one row. Trace switches each own `block` consecutive inter-arrival
+    gaps of one flat buffer; the gap at a switch's read position `at` is
+    the time left to its next event, which carries the residual across
+    slot boundaries. When a switch has less than a window of unread gaps,
+    every trace switch is refilled in one batch. Nothing is drawn until
+    the first slot.
     """
 
     def __init__(self, cfg: TrafficConfig):
@@ -228,12 +256,13 @@ class ArrivalState:
         self.pos = self.block_len
         if isinstance(base, TraceCdf):
             self.cdf = load_interarrival_cdf(base.path)
-            # events inspected per switch and pass: about twice a slot's
-            # mean, so one pass usually covers the slot
+            # events inspected per switch and pass: a slot's mean count
+            # plus three of its Poisson standard deviations, so one pass
+            # almost always covers the slot; more passes stay exact
             per_slot = cfg.slot_length_us / self.cdf.mean
-            self.window = int(min(16 + 2 * per_slot, self.block_len // 2))
-            self.gaps = None  # (n_trace x block_len) gaps, next event first
-            self.at = np.zeros(len(self.cols), np.intp)
+            self.window = int(min(per_slot + 3 * math.sqrt(per_slot) + 8,
+                                  self.block_len // 2))
+            self.gaps = None  # flat gap buffer, allocated on the first slot
 
     def _draw_block(self) -> None:
         p, n = self.cfg.base_process, self.block_len
@@ -259,52 +288,111 @@ class ArrivalState:
         np.clip(self.block, 0, self.cap, out=self.block)
         self.pos = 0
 
-    def _top_up_gaps(self, live: np.ndarray) -> None:
-        """Leave a window of unread gaps for every switch in `live`: a
-        switch that runs short moves its unread gaps to the front and
-        draws as many as it has read."""
+    def _start_trace(self) -> None:
+        """Allocate the trace buffers: switch r's gaps sit at
+        [r*block, (r+1)*block) of `gaps`, and every one of them counts as
+        read, so the first slot fills them all."""
+        m, n, w = len(self.cols), self.block_len, self.window
+        self.base = np.arange(m) * n
+        self.at = self.base + n  # flat index of each switch's next gap
+        self.last = self.base + (n - w)  # the last `at` that leaves a window
+        self.room = -w  # a lower bound on min(last - at)
+        self.gaps = np.empty(m * n)
+        self.offsets = np.arange(w)[:, None]
+        self.columns = np.arange(m)
+        # the first pass's window; accumulating leaves row 0, the negated
+        # time left, as it is
+        self.buf = np.empty((w + 1, m))
+        self.buf[0] = -float(self.cfg.slot_length_us)
+
+    def _top_up_gaps(self) -> None:
+        """Leave a window of unread gaps for every trace switch. When one
+        has less, every trace switch is refilled in one batch: one
+        compaction moves each switch's unread gaps to the front of its
+        row, and each switch draws as many gaps as it has read with one
+        call on its own stream, so each stream is read in order. One
+        inverse-CDF call maps the draws of up to _REFILL gaps' worth of
+        rows, which bounds the batch's temporaries."""
+        self.room = int((self.last - self.at).min())
+        if self.room >= 0:
+            return
         n = self.block_len
-        if self.gaps is None:
-            self.gaps = np.array([self.cdf.sample_array(rng.random(n))
-                                  for rng in self.rngs])
-        for r in live[self.at[live] > n - self.window].tolist():
-            k = self.at[r]
-            self.gaps[r] = np.concatenate((
-                self.gaps[r, k:], self.cdf.sample_array(self.rngs[r].random(k))))
-            self.at[r] = 0
+        read = self.at - self.base
+        j = np.arange(n)
+        front = (j < n - read[:, None]).ravel()
+        self.gaps[front] = self.gaps[(j >= read[:, None]).ravel()]
+        self.at[:] = self.base
+        self.room = n - self.window
+        fresh, counts = ~front, read.tolist()
+        rows = max(1, _REFILL // n)
+        for r in range(0, len(counts), rows):
+            u = np.concatenate([rng.random(k) for rng, k in
+                                zip(self.rngs[r:r + rows], counts[r:r + rows])])
+            seg = slice(r * n, (r + rows) * n)
+            self.gaps[seg][fresh[seg]] = self.cdf.sample_array(u)
+
+    def _pass(self, at: np.ndarray, buf: np.ndarray,
+              columns: np.ndarray) -> tuple[np.ndarray, int]:
+        """One pass over the next `window` gaps of the switches whose read
+        positions are `at` and whose negated time left is buf[0]. Returns
+        the events that fit, per switch and at most, and advances `at`
+        past them.
+
+        buf is (window + 1) x switches, so each row is one event of every
+        switch: one flat take fills rows 1..window, and np.add.accumulate
+        down the rows leaves the negated time left after each event. Since
+        rounding is symmetric, -left + gap is -(left - gap) bit for bit:
+        the same float operations as subtracting the gaps one event at a
+        time. An event fits while the time left after it is >= 0, which
+        for finite floats is exactly `gap <= time left`; the time left
+        never grows, so the events that fit are a prefix. For a switch
+        whose slot ended, buf[fits + 1] is the first gap that does not
+        fit less the time left: that gap's residual.
+        """
+        w = self.window
+        win = buf[1:]
+        np.take(self.gaps, self.offsets + at, out=win)
+        np.add.accumulate(buf, axis=0, out=buf)
+        fits = (win <= 0).sum(0)
+        at += fits
+        top = int(fits.max())
+        self.room -= top
+        if top < w:
+            self.gaps[at] = buf[fits + 1, columns]
+        else:
+            ended = np.flatnonzero(fits < w)
+            self.gaps[at[ended]] = buf[fits[ended] + 1, ended]
+        return fits, top
 
     def _trace_counts(self) -> np.ndarray:
         """Events per trace switch in one slot.
 
-        For each switch still inside the slot, one pass subtracts its
-        next `window` gaps from the time left, in order
-        (np.subtract.accumulate): the same float operations as
-        subtracting them one event at a time. An event fits while the
-        time left after it is >= 0, which for finite floats is exactly
-        `gap <= time left`; the time left never grows, so the events that
-        fit are a prefix. The first gap that does not fit becomes the
-        residual `gap - time left`.
+        The first pass covers every switch with the preallocated window
+        and needs no fancy indexing. Only the switches still inside the
+        slot after `window` events take further passes, each from the
+        time it has left.
         """
+        if self.gaps is None:
+            self._start_trace()
         w = self.window
-        count = np.zeros(len(self.cols), np.int64)
-        left = np.full(len(self.cols), float(self.cfg.slot_length_us))
-        live = np.arange(len(self.cols))
-        offsets = np.arange(w)
+        if self.room < 0:
+            self._top_up_gaps()
+        count, top = self._pass(self.at, self.buf, self.columns)
+        if top < w:
+            return count
+        live = np.flatnonzero(count == w)
+        left = self.buf[w, live]
         while live.size:
-            self._top_up_gaps(live)
+            if self.room < 0:
+                self._top_up_gaps()
             at = self.at[live]
-            gaps = self.gaps[live[:, None], at[:, None] + offsets]
-            # after[:, j]: time left in the slot after j more events
-            after = np.subtract.accumulate(
-                np.concatenate((left[live, None], gaps), axis=1), axis=1)
-            fits = (after[:, 1:] >= 0).sum(1)
+            buf = np.empty((w + 1, live.size))
+            buf[0] = left
+            fits, _ = self._pass(at, buf, np.arange(live.size))
+            self.at[live] = at
             count[live] += fits
-            self.at[live] = at + fits
-            done = fits < w
-            ended = live[done]
-            self.gaps[ended, self.at[ended]] -= after[done, fits[done]]
-            left[live] = after[:, -1]
-            live = live[~done]
+            more = fits == w
+            live, left = live[more], buf[w, more]
         return count
 
     def next_row(self) -> np.ndarray:
@@ -312,8 +400,11 @@ class ArrivalState:
         if not self.rngs:
             return self.row
         if isinstance(self.cfg.base_process, TraceCdf):
+            count = np.minimum(self._trace_counts(), self.cap)
+            if len(count) == len(self.row):  # every switch is a trace switch
+                return count
             row = self.row.copy()
-            row[self.cols] = np.minimum(self._trace_counts(), self.cap)
+            row[self.cols] = count
             return row
         if self.pos == self.block_len:
             self._draw_block()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdnsched import topology
+from sdnsched import engine, topology
 from sdnsched.cli import build_parser, cmd_sweep, main
 
 
@@ -243,6 +243,31 @@ class TestSweep:
             "--v-grid", "0,10", "--seeds", "1,2", "--out-dir", str(tmp_path))
         assert code == 0
         assert len(calls) == 1
+
+    def test_v_free_lanes_run_once(self, capsys, tmp_path, monkeypatch):
+        # Static, Random and JSQ ignore V: each (scheme, seed) is one lane
+        # whose row repeats for every V; greedy runs one lane per V
+        lane_counts = []
+        run_lanes = engine.run_lanes
+        monkeypatch.setattr(engine, "run_lanes",
+                            lambda cfgs: lane_counts.append(len(cfgs)) or
+                            run_lanes(cfgs))
+        code, _, _ = run_cli(
+            capsys, "compare", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "30", "--arrivals", "poisson:3",
+            "--controller-capacity", "25", "--switch-capacity", "3",
+            "--v-grid", "0,10,100", "--seeds", "0,1",
+            "--out-dir", str(tmp_path))
+        assert code == 0
+        assert lane_counts == [3 * 2 + 3 * 2]
+        _, *rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+        assert len(rows) == 4 * 3 * 2
+        values = {}
+        for row in rows:
+            scheme, seed, v, *rest = row.split(",")
+            values.setdefault((scheme, seed), set()).add(tuple(rest))
+        for (scheme, _), seen in values.items():
+            assert len(seen) == (3 if scheme == "greedy" else 1)
 
     def test_duplicate_v_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -275,7 +275,7 @@ class TestInvariants:
         ctrl_service, switch_service = services
         for _ in range(cfg.horizon_slots):
             q = state.queues
-            engine.step(state, cfg, decide, keep=False)
+            engine.step(state, decide, keep=False)
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
             target = decide_tuples(replay_decide, q).target
@@ -302,7 +302,7 @@ class TestInvariants:
         ctrl_service, switch_service = tr.sample_slot_services(cfg.traffic)
         for _ in range(cfg.horizon_slots):
             q = state.queues
-            rec = engine.step(state, cfg, decide, keep=True)
+            rec = engine.step(state, decide, keep=True)
             arrivals = tr.sample_slot_arrivals(replay)
             assoc = decide_tuples(replay_decide, q)
             inflow = [a if t == LOCAL else 0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnsched.metrics import (
     Accumulator,
@@ -94,7 +95,54 @@ class TestMinCostArrivalVariance:
             min_cost_arrival_variance(((1, 2),), (5, 5))
 
 
+def reference_format(x, digits=6):
+    """The Fraction body format_rational had: round(x * 10**digits)."""
+    frac = Fraction(x)
+    scaled = round(frac * 10 ** digits)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    whole, part = divmod(scaled, 10 ** digits)
+    return f"{sign}{whole}.{part:0{digits}d}"
+
+
+@st.composite
+def rationals(draw):
+    """ints, Fractions with denominators past 2^64, and exact ties
+    (k + 1/2) / 10**digits with odd and even k."""
+    digits = draw(st.sampled_from([0, 1, 2, 6, 9, 20]))
+    kind = draw(st.sampled_from(["int", "fraction", "tie"]))
+    big = st.integers(-2 ** 80, 2 ** 80)
+    if kind == "int":
+        x = draw(big)
+    elif kind == "fraction":
+        x = Fraction(draw(big), draw(st.integers(1, 2 ** 80)))
+    else:
+        x = Fraction(2 * draw(big) + 1, 2 * 10 ** digits)
+    return x, digits
+
+
 class TestFormatting:
+    @given(rationals())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_fraction_rounding(self, case):
+        x, digits = case
+        assert format_rational(x, digits) == reference_format(x, digits)
+
+    @pytest.mark.parametrize("x, digits, text", [
+        (Fraction(1, 2), 0, "0.0"),            # tie, even q: down
+        (Fraction(3, 2), 0, "2.0"),            # tie, odd q: up
+        (Fraction(-1, 2), 0, "0.0"),           # -0.5 rounds to 0
+        (Fraction(-3, 2), 0, "-2.0"),
+        (Fraction(5, 10 ** 7), 6, "0.000000"),
+        (Fraction(15, 10 ** 7), 6, "0.000002"),
+        (Fraction(-25, 10 ** 7), 6, "-0.000002"),
+        (Fraction(1, 2 ** 70 + 1), 6, "0.000000"),
+        (2 ** 64 + 1, 2, "18446744073709551617.00"),
+        (0.1, 3, "0.100"),
+    ])
+    def test_ties_and_types(self, x, digits, text):
+        assert format_rational(x, digits) == text == reference_format(x, digits)
+
     def test_six_digits(self):
         assert format_rational(Fraction(1, 3)) == "0.333333"
         assert format_rational(3) == "3.000000"

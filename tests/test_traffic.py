@@ -137,6 +137,31 @@ def traffic_cases(draw, tmp_dir):
     return cfg, draw(st.sampled_from([2, 3, 8, 64]))
 
 
+@st.composite
+def clustered_cdfs(draw):
+    """CDF points whose probabilities crowd 2-12 deep into one bucket of
+    sample_array's search table, plus a few spread ones and sometimes a
+    point mass at ps[0] > 0. Returns (points, cluster size)."""
+    n_cluster = draw(st.integers(2, 12))
+    centre = draw(st.floats(0.01, 0.98))
+    spacing = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    ps = {centre + i * spacing for i in range(n_cluster)}
+    ps |= set(draw(st.lists(st.floats(0.001, 0.999), max_size=4)))
+    if draw(st.booleans()):
+        ps.add(0.0)
+    ps = sorted(p for p in ps if p < 1.0) + [1.0]
+    steps = draw(st.lists(st.floats(0.5, 100.0), min_size=len(ps) - 1,
+                          max_size=len(ps) - 1))
+    xs = [draw(st.sampled_from([0.0, 3.5, 700.0]))]
+    for step in steps:
+        xs.append(xs[-1] + step)
+    return list(zip(xs, ps)), n_cluster
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestCdfLoading:
     def test_constant_point(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(tmp_path, "1700 1.0\n"))
@@ -343,6 +368,65 @@ class TestBlockSampler:
             state = ArrivalState(make_cfg(process, n_switches=2, seed=4))
             fresh = np.random.default_rng([4, 0])
             assert state.rngs[0].random() == fresh.random()
+
+    @given(clustered_cdfs(), st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_sample_array_exact_for_clustered_probabilities(self, case, seed):
+        points, n_cluster = case
+        cdf = traffic.EmpiricalCdf(points)
+        ps = np.array(cdf.ps)
+        u = np.concatenate([
+            np.random.default_rng(seed).random(500), [0.0], ps[:-1],
+            np.nextafter(ps[:-1], 0.0), np.nextafter(ps[:-1], 1.0),
+            np.linspace(ps.min(), ps[-2], 50)])
+        cdf.sample_array(u[:1])
+        m, steps = cdf._search[0], cdf._search[2]
+        u = np.concatenate([u, np.arange(m) / m])  # every bucket edge
+        # the cluster straddles at most one bucket edge, so the search
+        # takes several correction steps
+        assert steps >= (n_cluster + 1) // 2
+        assert bits(cdf.sample_array(u)) == bits([cdf.sample(x) for x in u])
+
+    def test_sample_array_keeps_negative_zero(self, tmp_path):
+        cdf = load_interarrival_cdf(write_cdf(tmp_path, "-0 0.5\n10 1.0\n"))
+        u = np.array([0.0, 0.25, 0.5, 0.75])
+        assert bits(cdf.sample_array(u)) == bits([cdf.sample(x) for x in u])
+
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_trace_events_past_the_window(self, tmp_path, block):
+        # runs of 1 us gaps: a slot often holds far more events than the
+        # window, so the count takes further passes
+        cfg = make_cfg(TraceCdf(write_cdf(tmp_path, "1 0.97\n30000 1.0\n")),
+                       n_switches=4, slot_length_us=1000, seed=2,
+                       hot_spot_switches=frozenset({1}))
+        with mock.patch.object(ArrivalState, "_pass", autospec=True,
+                               side_effect=ArrivalState._pass) as passes:
+            rows = sampled_rows(cfg, 200, block)
+        assert rows == reference_rows(cfg, 200)
+        assert passes.call_count > 200 + 50
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_trace_batched_refills_with_hot_spots(self, data):
+        # a CDF with zero gaps makes the switches read their gaps at
+        # uneven rates, so each batched refill finds them at different
+        # read positions; hot-spot switches are not trace switches
+        n = data.draw(st.integers(2, 6))
+        block = data.draw(st.integers(2, 64))
+        zero = data.draw(st.integers(1, 8)) / 16
+        big = data.draw(st.integers(100, 3000))
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            cfg = make_cfg(
+                TraceCdf(write_cdf(Path(tmp_dir), f"0 {zero!r}\n{big} 1.0\n")),
+                n_switches=n,
+                hot_spot_switches=frozenset(data.draw(
+                    st.sets(st.integers(0, n - 1), max_size=n - 1))),
+                hot_spot_rate=3,
+                slot_length_us=data.draw(st.integers(100, 3000)),
+                seed=data.draw(st.integers(0, 2 ** 32)))
+            n_slots = 3 * block + 5
+            assert sampled_rows(cfg, n_slots, block) == \
+                reference_rows(cfg, n_slots)
 
     def test_sample_array_matches_sample(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(
