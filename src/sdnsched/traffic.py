@@ -10,7 +10,8 @@ work per slot: Poisson and Pareto switches draw a block of slots per
 numpy call. Trace switches buffer a block of inter-arrival gaps each;
 when one runs short, all of them are refilled in one batch through
 EmpiricalCdf.sample_array, an inverse CDF whose segment search is a
-bucket table plus a fixed number of exact correction steps. Each slot
+bucket table plus a fixed number of exact correction steps (a binary
+search when one bucket holds too many probabilities). Each slot
 counts the events of every trace switch in one column-major window
 (one row per event, one column per switch), with further passes only
 for the switches still inside the slot. numpy's Generator gives the same
@@ -163,7 +164,9 @@ class EmpiricalCdf:
         so the expression gives xs[0] exactly). Bucket b of M (a power of
         two, so u * M is exact) starts at segment #{ps < b/M}; a u in the
         bucket lies at most `steps` segments further, the most ps values
-        any one bucket holds."""
+        any one bucket holds. When that is more steps than a binary search
+        over ps takes, as for many probabilities crowded near 1, `steps`
+        is None and sample_array uses np.searchsorted instead."""
         n = len(self.ps)
         m = 1 << min(max(4, (4 * n - 1).bit_length()), 16)
         ps = np.array(self.ps)
@@ -175,7 +178,10 @@ class EmpiricalCdf:
         p0 = np.concatenate(([2.0], ps[:-1]))
         dx = np.concatenate(([0.0], np.diff(xs)))
         dp = np.concatenate(([1.0], np.diff(ps)))
-        return m, start, int(np.diff(start).max()), ps, x0, dx, p0, dp
+        steps = int(np.diff(start).max())
+        if steps > n.bit_length():
+            steps = None
+        return m, start, steps, ps, x0, dx, p0, dp
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
         """`sample` at every element of u, with the same float
@@ -185,9 +191,12 @@ class EmpiricalCdf:
         if self._search is None:
             self._search = self._build_search()
         m, start, steps, ps, x0, dx, p0, dp = self._search
-        k = start.take((u * m).astype(np.intp))
-        for _ in range(steps):
-            k += ps.take(k) < u
+        if steps is None:
+            k = np.searchsorted(ps, u, side="left")
+        else:
+            k = start.take((u * m).astype(np.intp))
+            for _ in range(steps):
+                k += ps.take(k) < u
         return x0.take(k) + dx.take(k) * (u - p0.take(k)) / dp.take(k)
 
 
@@ -296,10 +305,8 @@ class ArrivalState:
         self.base = np.arange(m) * n
         self.at = self.base + n  # flat index of each switch's next gap
         self.last = self.base + (n - w)  # the last `at` that leaves a window
-        self.room = -w  # a lower bound on min(last - at)
         self.gaps = np.empty(m * n)
         self.offsets = np.arange(w)[:, None]
-        self.columns = np.arange(m)
         # the first pass's window; accumulating leaves row 0, the negated
         # time left, as it is
         self.buf = np.empty((w + 1, m))
@@ -313,8 +320,7 @@ class ArrivalState:
         call on its own stream, so each stream is read in order. One
         inverse-CDF call maps the draws of up to _REFILL gaps' worth of
         rows, which bounds the batch's temporaries."""
-        self.room = int((self.last - self.at).min())
-        if self.room >= 0:
+        if (self.last - self.at).min() >= 0:
             return
         n = self.block_len
         read = self.at - self.base
@@ -322,7 +328,6 @@ class ArrivalState:
         front = (j < n - read[:, None]).ravel()
         self.gaps[front] = self.gaps[(j >= read[:, None]).ravel()]
         self.at[:] = self.base
-        self.room = n - self.window
         fresh, counts = ~front, read.tolist()
         rows = max(1, _REFILL // n)
         for r in range(0, len(counts), rows):
@@ -331,8 +336,7 @@ class ArrivalState:
             seg = slice(r * n, (r + rows) * n)
             self.gaps[seg][fresh[seg]] = self.cdf.sample_array(u)
 
-    def _pass(self, at: np.ndarray, buf: np.ndarray,
-              columns: np.ndarray) -> tuple[np.ndarray, int]:
+    def _pass(self, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """One pass over the next `window` gaps of the switches whose read
         positions are `at` and whose negated time left is buf[0]. Returns
         the events that fit, per switch and at most, and advances `at`
@@ -355,40 +359,31 @@ class ArrivalState:
         np.add.accumulate(buf, axis=0, out=buf)
         fits = (win <= 0).sum(0)
         at += fits
-        top = int(fits.max())
-        self.room -= top
-        if top < w:
-            self.gaps[at] = buf[fits + 1, columns]
-        else:
-            ended = np.flatnonzero(fits < w)
-            self.gaps[at[ended]] = buf[fits[ended] + 1, ended]
-        return fits, top
+        ended = np.flatnonzero(fits < w)
+        self.gaps[at[ended]] = buf[fits[ended] + 1, ended]
+        return fits
 
     def _trace_counts(self) -> np.ndarray:
         """Events per trace switch in one slot.
 
-        The first pass covers every switch with the preallocated window
-        and needs no fancy indexing. Only the switches still inside the
+        The first pass covers every switch with one flat take into the
+        preallocated window. Only the switches still inside the
         slot after `window` events take further passes, each from the
         time it has left.
         """
         if self.gaps is None:
             self._start_trace()
         w = self.window
-        if self.room < 0:
-            self._top_up_gaps()
-        count, top = self._pass(self.at, self.buf, self.columns)
-        if top < w:
-            return count
+        self._top_up_gaps()
+        count = self._pass(self.at, self.buf)
         live = np.flatnonzero(count == w)
         left = self.buf[w, live]
         while live.size:
-            if self.room < 0:
-                self._top_up_gaps()
+            self._top_up_gaps()
             at = self.at[live]
             buf = np.empty((w + 1, live.size))
             buf[0] = left
-            fits, _ = self._pass(at, buf, np.arange(live.size))
+            fits = self._pass(at, buf)
             self.at[live] = at
             count[live] += fits
             more = fits == w

@@ -383,9 +383,26 @@ class TestBlockSampler:
         m, steps = cdf._search[0], cdf._search[2]
         u = np.concatenate([u, np.arange(m) / m])  # every bucket edge
         # the cluster straddles at most one bucket edge, so the search
-        # takes several correction steps
-        assert steps >= (n_cluster + 1) // 2
+        # takes several correction steps, or a binary search when that is
+        # more steps than a binary search takes
+        assert steps is None or steps >= (n_cluster + 1) // 2
         assert bits(cdf.sample_array(u)) == bits([cdf.sample(x) for x in u])
+
+    @pytest.mark.parametrize("ps, steps", [
+        # three probabilities in one bucket: three correction steps
+        ([0.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9, 0.75, 1.0], 3),
+        # a log-binned tail, 40 points in [0.99, 1): a binary search
+        ([0.5] + list(1 - 10 ** -np.linspace(2, 8, 40)) + [1.0], None),
+    ])
+    def test_sample_array_search_choice(self, ps, steps):
+        cdf = traffic.EmpiricalCdf([(10.0 * (i + 1), p)
+                                    for i, p in enumerate(ps)])
+        u = np.concatenate([np.random.default_rng(1).random(2000), [0.0],
+                            ps[:-1], np.nextafter(ps[:-1], 1.0),
+                            1 - np.geomspace(1e-9, 0.02, 500)])
+        out = cdf.sample_array(u)
+        assert cdf._search[2] == steps
+        assert bits(out) == bits([cdf.sample(x) for x in u])
 
     def test_sample_array_keeps_negative_zero(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(tmp_path, "-0 0.5\n10 1.0\n"))
