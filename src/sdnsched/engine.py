@@ -77,7 +77,7 @@ class RunConfig:
 class LaneRule:
     """The decision rule of lanes that decide together: maps the pre-slot
     backlogs (L x n_s, L x n_c) to the targets (L x n_s), one row per
-    lane; a one-lane rule also maps 1-D backlogs to a 1-D target.
+    lane.
 
     The lanes come in `lane_order`: greedy lanes with devolution on, then
     the other argmin lanes (greedy with devolution off, and JSQ, the
@@ -109,8 +109,6 @@ class LaneRule:
                      if cfg.scheme is Scheme.RANDOM]
 
     def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
-        if q_s.ndim == 1:
-            return self.decide(q_s[None], q_c[None])[0]
         if q_s.dtype == object:
             k, scale = self.k_object, self.scale_object
         else:
@@ -147,15 +145,6 @@ def lane_kernel(cfg: RunConfig) -> GreedyKernel | None:
     return GreedyKernel(cfg.cost, params)
 
 
-def decision_rule(cfg: RunConfig):
-    """One run's decision rule, chosen once: returns (decide, top), where
-    decide maps the pre-slot backlog arrays (q_s, q_c) to the target
-    array, and top is the largest backlog it takes on int64 arrays."""
-    kernel = lane_kernel(cfg)
-    return LaneRule([cfg], [kernel]).decide, \
-        INT64_BOUND if kernel is None else kernel.int64_top
-
-
 def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
                       decide_top: int) -> int:
     """Largest backlog at which a slot can run on int64 arrays; negative
@@ -177,14 +166,16 @@ def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
                decide_top)
 
 
-def lane_limit(cfg: RunConfig, decide_top: int) -> tuple[int, int]:
-    """A lane's (int64 queue limit, growth): no backlog grows by more
-    than `growth` in a slot."""
+def lane_limit(cfg: RunConfig,
+               kernel: GreedyKernel | None) -> tuple[int, int]:
+    """A lane's (int64 queue limit, growth), for its lane_kernel: no
+    backlog grows by more than `growth` in a slot."""
     t = cfg.traffic
     a_cap = min(t.a_max, 2 ** 63 - 1)
     return (int64_queue_limit(cfg.cost, a_cap,
                               max(t.controller_capacity, t.switch_capacity),
-                              decide_top),
+                              INT64_BOUND if kernel is None
+                              else kernel.int64_top),
             cfg.cost.n_switches * a_cap)
 
 
@@ -212,9 +203,7 @@ class RunState:
     pass its limit.
 
     `rows[l]` is the index of lane l's arrival row among the rows a slot
-    is given (`shared_row` when every lane reads the same one);
-    `arrival_state` is the arrival source of a state stepped with
-    `step`.
+    is given (`shared_row` when every lane reads the same one).
     """
 
     t: int
@@ -229,7 +218,6 @@ class RunState:
     f_sum: list[int] = field(default_factory=list)
     dg_sum: list[int] = field(default_factory=list)
     backlog_sum: list[int] = field(default_factory=list)
-    arrival_state: tr.ArrivalState | None = None
 
     @classmethod
     def start(cls, cfgs, limits, rows) -> "RunState":
@@ -258,11 +246,6 @@ class RunState:
         n_s = self.cfgs[0].cost.n_switches
         return QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:]))
 
-    @property
-    def queues(self) -> QueueState:
-        """A one-lane state's queues."""
-        return self.lane_queues(0)
-
     def check_limits(self) -> None:
         """Re-read every lane's largest backlog: widen when one is past
         its lane's limit, else set the next check."""
@@ -278,16 +261,6 @@ class RunState:
         self.q = self.q.astype(object)
         self.service = self.service.astype(object)
         self.check_at = math.inf
-
-
-def init_state(cfg: RunConfig, decide_top: int) -> RunState:
-    """A one-lane state with its own arrival source: zero backlogs, and
-    the run's int64 queue limit for a decision rule that takes backlogs
-    up to decide_top; a run whose limit is negative starts on object
-    arrays."""
-    state = RunState.start([cfg], [lane_limit(cfg, decide_top)], [0])
-    state.arrival_state = tr.ArrivalState(cfg.traffic)
-    return state
 
 
 def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
@@ -401,14 +374,6 @@ def advance(state: RunState, decide, rows, keep) -> list:
     return kept
 
 
-def step(state: RunState, decide, keep: bool) -> MetricsRecord | None:
-    """Advance a one-lane state (from init_state) one slot on its own
-    arrival source. Returns the slot's record when keep is set."""
-    kept = advance(state, decide, [state.arrival_state.next_row()],
-                   [0] if keep else [])
-    return kept[0][1] if kept else None
-
-
 @dataclass(frozen=True)
 class RunResult:
     records: list[MetricsRecord]
@@ -440,8 +405,7 @@ def run_lanes(cfgs) -> list[RunResult]:
         sources.setdefault(cfg.traffic, len(sources))
     arrival_states = [tr.ArrivalState(t) for t in sources]
     kernels = [lane_kernel(cfg) for cfg in cfgs]
-    limits = [lane_limit(cfg, INT64_BOUND if k is None else k.int64_top)
-              for cfg, k in zip(cfgs, kernels)]
+    limits = list(map(lane_limit, cfgs, kernels))
     groups = []
     for wide in (False, True):
         lanes = sorted((i for i, (limit, _) in enumerate(limits)

@@ -188,12 +188,6 @@ class Association:
 
     target: tuple[int, ...]
 
-    def uploads(self) -> int:
-        return len(self.target) - self.target.count(LOCAL)
-
-    def locals_(self) -> int:
-        return self.target.count(LOCAL)
-
 
 @dataclass(frozen=True)
 class SchedulerParams:

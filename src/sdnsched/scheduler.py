@@ -1,14 +1,16 @@
 """Per-slot decision rules: the greedy drift-plus-penalty rule, the
 Static/Random/JSQ baselines, the per-slot objective, a brute-force
 oracle that certifies per-slot optimality by exhaustive enumeration,
-and GreedyKernel, the one fast decider the engine runs.
+and the one fast decider the engine runs: GreedyKernel's tables read
+by lane_argmin.
 
 The per-switch functions (greedy_decide, association_only_decide,
 jsq_decide, static_decide, brute_force_decide, slot_objective) are the
-specification; GreedyKernel is tested for equality against them. The
-engine stacks the GreedyKernels of its argmin lanes into one
-lane_argmin call and calls random_decide per Random lane, with numpy
-arrays, and gets target arrays back, one intp per switch. All
+specification; lane_argmin over GreedyKernel tables is tested for
+equality against them. The engine stacks the K matrices of its argmin
+lanes into one lane_argmin call and calls random_decide per Random
+lane, with numpy arrays, and gets target arrays back, one intp per
+switch. All
 arithmetic is exact (int / Fraction), so every comparison is an
 equality check. Ties break toward the lowest controller index
 everywhere; with that rule JSQ is the devolution-off argmin at v = 0.
@@ -188,8 +190,8 @@ def brute_force_decide(ctx: DecisionContext) -> Association:
 
 
 class GreedyKernel:
-    """Vectorised, integer-scaled greedy decider: the fast path for every
-    scheme that decides from queues.
+    """The tables of the vectorised, integer-scaled greedy decider: the
+    fast path for every scheme that decides from queues.
 
     The time-invariant part of each weight, v*(W[i][j] - alpha_i), is a
     rational constant, computed once per distinct (hop count, alpha)
@@ -202,12 +204,12 @@ class GreedyKernel:
     row, so the argmin equals association_only_decide, and at v = 0 it
     equals jsq_decide.
 
-    `decide` runs on int64 arrays while no backlog exceeds `int64_top`,
-    which keeps max|K| + d*max(Q) < 2**62, so no sum can wrap; on object
-    arrays of Python ints the same expressions are exact at any size.
-    The caller picks the dtype (the engine does it once per lane group).
-    The engine stacks the K matrices of several lanes and decides for
-    them in one lane_argmin call, which `decide` runs with one lane.
+    lane_argmin runs on `k_int64` while no backlog exceeds `int64_top`,
+    which keeps max|K| + d*max(Q) < 2**62, so no sum can wrap; on
+    `k_object` and object arrays of Python ints the same expressions are
+    exact at any size. The caller picks the dtype (the engine does it
+    once per lane group) and stacks the K matrices of several lanes into
+    one lane_argmin call.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
@@ -235,18 +237,10 @@ class GreedyKernel:
         self.k_int64 = self.k_object.astype(np.int64) \
             if self.int64_top >= 0 else None
 
-    def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
-        """The target array (an intp controller index or LOCAL per
-        switch) for pre-slot backlogs q_s, q_c: both int64 arrays with no
-        entry above int64_top, or both object arrays."""
-        k = self.k_object if q_s.dtype == object else self.k_int64
-        return lane_argmin(k[None], self.scale, q_s[None], q_c[None],
-                           int(self.devolve))[0]
-
 
 def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
                 n_devolve: int) -> np.ndarray:
-    """GreedyKernel.decide for L lanes at once: one row per lane.
+    """The greedy argmin for L lanes at once: one row per lane.
 
     `k` stacks the lanes' K matrices (L x n_s x n_c), `scale` is their
     scales d as an (L x 1) column (or one int for all lanes), and q_s,

@@ -41,13 +41,13 @@ class _GraphBuilder:
         return {n: tuple(sorted(nbrs)) for n, nbrs in self.adj.items()}
 
 
-def gen_fat_tree(k: int) -> Topology:
-    """Standard k-ary fat-tree: k pods of k/2 edge + k/2 aggregate
-    switches, (k/2)^2 core switches, k/2 hosts per edge switch.
+def _fat_tree(k: int, kind: TopoKind, core_group) -> Topology:
+    """k pods of k/2 edge + k/2 aggregate switches, (k/2)^2 core
+    switches, k/2 hosts per edge switch; aggregate a of pod p connects to
+    every core of group core_group(p, a).
 
     Switch ids: edges pod-major, then aggregates pod-major, then cores
     grouped so that core group g holds cores g*(k/2)..(g+1)*(k/2)-1.
-    Aggregate a of every pod connects to all cores of group a.
     """
     _check_k(k)
     half = k // 2
@@ -80,8 +80,9 @@ def gen_fat_tree(k: int) -> Topology:
                 hosts.append(host)
                 host += 1
         for a in range(half):
+            group = core_group(pod, a)
             for c in range(half):
-                g.add_edge(agg_id(pod, a), core_id(a, c))
+                g.add_edge(agg_id(pod, a), core_id(group, c))
 
     pods = tuple(
         tuple(edge_id(p, e) for e in range(half))
@@ -89,13 +90,19 @@ def gen_fat_tree(k: int) -> Topology:
         for p in range(k)
     )
     return Topology(
-        kind=TopoKind.FAT_TREE,
+        kind=kind,
         k=k,
         switches=tuple(range(n_switches)),
         hosts=tuple(hosts),
         adjacency=g.freeze(),
         pods=pods,
     )
+
+
+def gen_fat_tree(k: int) -> Topology:
+    """Standard k-ary fat-tree: aggregate a of every pod connects to all
+    cores of group a."""
+    return _fat_tree(k, TopoKind.FAT_TREE, lambda pod, a: a)
 
 
 def gen_three_tier(k: int) -> Topology:
@@ -154,41 +161,9 @@ def gen_f10(k: int) -> Topology:
     edge-to-aggregate wiring, but odd-indexed pods connect aggregate a
     to core group (a + k/4) mod (k/2), breaking the fat-tree symmetry.
     """
-    _check_k(k)
-    base = gen_fat_tree(k)
-    half = k // 2
-    rot = max(k // 4, 1)
-    n_edge = k * half
-    n_agg = k * half
-
-    def agg_id(pod, a):
-        return n_edge + pod * half + a
-
-    def core_id(group, c):
-        return n_edge + n_agg + group * half + c
-
-    g = _GraphBuilder()
-    for n in base.adjacency:
-        g.add_node(n)
-    core_start = n_edge + n_agg
-    for u, v in base.edges():
-        if core_start <= max(u, v) < core_start + half * half and min(u, v) >= n_edge:
-            continue  # rewire aggregate-to-core links below
-        g.add_edge(u, v)
-    for pod in range(k):
-        for a in range(half):
-            group = a if pod % 2 == 0 else (a + rot) % half
-            for c in range(half):
-                g.add_edge(agg_id(pod, a), core_id(group, c))
-
-    return Topology(
-        kind=TopoKind.F10,
-        k=k,
-        switches=base.switches,
-        hosts=base.hosts,
-        adjacency=g.freeze(),
-        pods=base.pods,
-    )
+    half, rot = k // 2, max(k // 4, 1)
+    return _fat_tree(k, TopoKind.F10,
+                     lambda pod, a: a if pod % 2 == 0 else (a + rot) % half)
 
 
 def gen_jellyfish(
@@ -402,7 +377,8 @@ def build_cost_model(topo: Topology, placement: PlacementResult) -> CostModel:
 
 def generate(kind: TopoKind, k: int, seed: int = 0,
              hosts_min: int | None = None, hosts_max: int | None = None) -> Topology:
-    """Dispatch helper used by the engine and CLI."""
+    """Build the topology of `kind` with port count k: the CLI's
+    dispatch."""
     if kind is TopoKind.FAT_TREE:
         return gen_fat_tree(k)
     if kind is TopoKind.THREE_TIER:

@@ -37,6 +37,9 @@ _REFILL = 8192  # trace gaps mapped per inverse-CDF call when refilling
 POISSON_MAX_RATE = float(np.iinfo(np.int64).max
                          - np.sqrt(np.iinfo(np.int64).max) * 10)
 
+#: Largest controller or switch service capacity, requests per slot.
+MAX_CAPACITY = 10 ** 6
+
 
 @dataclass(frozen=True)
 class TraceCdf:
@@ -92,8 +95,6 @@ class TrafficConfig:
     controller_capacity: int = 600
     switch_capacity: int = 10
     a_max: int = 10 ** 6
-    b_max: int = 10 ** 6
-    u_max: int = 10 ** 6
     seed: int = 0
 
     def __post_init__(self):
@@ -104,10 +105,11 @@ class TrafficConfig:
             raise ValueError("slot length must be positive")
         if self.a_max < 1:
             raise ValueError(f"a_max must be >= 1, got {self.a_max}")
-        if self.controller_capacity > self.b_max:
-            raise ValueError("controller capacity exceeds b_max")
-        if self.switch_capacity > self.u_max:
-            raise ValueError("switch capacity exceeds u_max")
+        for name, capacity in (("controller", self.controller_capacity),
+                               ("switch", self.switch_capacity)):
+            if capacity > MAX_CAPACITY:
+                raise ValueError(f"{name} capacity {capacity} exceeds the "
+                                 f"limit {MAX_CAPACITY}")
 
 
 class EmpiricalCdf:

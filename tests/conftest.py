@@ -9,6 +9,7 @@ from sdnsched.model import (
     CostModel,
     QueueState,
 )
+from sdnsched.scheduler import lane_argmin
 
 # Worked three-switch / two-controller example: controllers serve 2,
 # switches serve 1, alpha = 2, arrivals (3, 2, 2). Hop counts not pinned
@@ -46,9 +47,14 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
 
 
 def kernel_target(kernel, q_s, q_c):
-    """GreedyKernel.decide called on backlog tuples as the engine calls
-    it: on int64 arrays when no backlog exceeds kernel.int64_top, else on
+    """scheduler.lane_argmin run for one GreedyKernel lane on backlog
+    tuples as the engine runs it: on kernel.k_int64 and int64 arrays when
+    no backlog exceeds kernel.int64_top, else on kernel.k_object and
     object arrays of Python ints. Returns the target tuple."""
-    dtype = np.int64 if max(q_s + q_c) <= kernel.int64_top else object
-    return tuple(kernel.decide(np.array(q_s, dtype),
-                               np.array(q_c, dtype)).tolist())
+    if max(q_s + q_c) <= kernel.int64_top:
+        k, dtype = kernel.k_int64, np.int64
+    else:
+        k, dtype = kernel.k_object, object
+    return tuple(lane_argmin(k[None], kernel.scale,
+                             np.array([q_s], dtype), np.array([q_c], dtype),
+                             int(kernel.devolve))[0].tolist())

@@ -1,0 +1,33 @@
+"""The benchmark's span targets still resolve.
+
+perfbench/layertrace.py times the library through callables it names by
+module and attribute path, and leaves a span unmeasured when none of its
+targets exists. A library change that deletes or renames the last target
+of a span would silently zero that span's metric, so each span must keep
+at least one callable that resolves.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def load_layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layertrace = load_layertrace()
+SPANS = sorted({name for name, _, _ in layertrace.TARGETS})
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_span_resolves_a_callable(span):
+    found = [f"{module}:{path}" for name, module, path in layertrace.TARGETS
+             if name == span and layertrace._resolve(module, path)]
+    assert found, f"no target of span {span} resolves"

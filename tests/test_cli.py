@@ -104,6 +104,16 @@ class TestRun:
         return run_cli(capsys, "run", "--config", str(path),
                        "--out-dir", str(tmp_path))
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--controller-capacity", "controller"),
+        ("--switch-capacity", "switch"),
+    ])
+    def test_capacity_above_limit_named(self, capsys, tmp_path, flag, name):
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "jsq", flag, "2000000"))
+        assert code == 1
+        assert f"{name} capacity 2000000 exceeds the limit 1000000" in err
+
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path):
         code, _, err = self.run_config(capsys, tmp_path, k="4")
         assert code == 1

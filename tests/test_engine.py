@@ -74,11 +74,21 @@ def spec_apply_slot(queues, assoc, arrivals, ctrl_service, switch_service,
             slot_comp_cost(assoc, arrivals, cost))
 
 
-def decide_tuples(decide, q):
-    """A rule from engine.decision_rule called on a QueueState of small
-    backlogs, as int64 arrays; returns the Association."""
-    return Association(target=tuple(decide(
-        np.array(q.q_s, np.int64), np.array(q.q_c, np.int64)).tolist()))
+def one_lane(cfg):
+    """A one-lane RunState and its LaneRule, built as run_lanes builds
+    them: zero backlogs, with the lane's int64 queue limit."""
+    kernel = engine.lane_kernel(cfg)
+    return (engine.RunState.start([cfg], [engine.lane_limit(cfg, kernel)],
+                                  [0]),
+            engine.LaneRule([cfg], [kernel]))
+
+
+def decide_tuples(rule, q):
+    """A one-lane LaneRule's decision on a QueueState of small backlogs,
+    as int64 arrays; returns the Association."""
+    return Association(target=tuple(rule.decide(
+        np.array([q.q_s], np.int64), np.array([q.q_c], np.int64))[0]
+        .tolist()))
 
 
 @st.composite
@@ -196,13 +206,13 @@ class TestRun:
         from sdnsched import traffic as tr
         cfg = small_cfg(horizon=100, seed=3)
         res = run(cfg)
-        decide, top = engine.decision_rule(cfg)
-        state = engine.init_state(cfg, top)
+        state, rule = one_lane(cfg)
+        arrival_state = tr.ArrivalState(cfg.traffic)
         services = tr.sample_slot_services(cfg.traffic)
-        q = state.queues
+        q = state.lane_queues(0)
         for rec in res.records:
-            arrivals = tr.sample_slot_arrivals(state.arrival_state)
-            assoc = decide_tuples(decide, q)
+            arrivals = tr.sample_slot_arrivals(arrival_state)
+            assoc = decide_tuples(rule, q)
             q, f, g = apply_slot_tuples(q, assoc, arrivals, *services,
                                         cfg.cost)
             assert (f, g, q.total()) == (rec.f_slot, rec.g_slot,
@@ -267,25 +277,25 @@ class TestInvariants:
         # q' = max(q + in - service, 0), where a switch's inflow is its
         # arrivals when it goes LOCAL and a controller's is the arrivals
         # uploaded to it
-        decide, top = engine.decision_rule(cfg)
-        state = engine.init_state(cfg, top)
+        state, rule = one_lane(cfg)
+        arrival_state = tr.ArrivalState(cfg.traffic)
         services = tr.sample_slot_services(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
-        replay_decide, _ = engine.decision_rule(cfg)
+        _, replay_rule = one_lane(cfg)
         ctrl_service, switch_service = services
         for _ in range(cfg.horizon_slots):
-            q = state.queues
-            engine.step(state, decide, keep=False)
+            q = state.lane_queues(0)
+            engine.advance(state, rule.decide, [arrival_state.next_row()], [])
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
-            target = decide_tuples(replay_decide, q).target
+            target = decide_tuples(replay_rule, q).target
             q_s = tuple(max(q.q_s[i] + (a if t == LOCAL else 0)
                             - switch_service[i], 0)
                         for i, (a, t) in enumerate(zip(arrivals, target)))
             q_c = tuple(max(q.q_c[j] + sum(a for a, t in zip(arrivals, target)
                                            if t == j) - ctrl_service[j], 0)
                         for j in range(cfg.cost.n_controllers))
-            assert state.queues == QueueState(q_s=q_s, q_c=q_c)
+            assert state.lane_queues(0) == QueueState(q_s=q_s, q_c=q_c)
 
     @given(run_cases())
     @settings(max_examples=100, deadline=None)
@@ -295,16 +305,17 @@ class TestInvariants:
         # and controller queue j, where x_j = in_j - service_j: Q'_j =
         # max(Q_j + x_j, 0) and max(y, 0)^2 <= y^2
         cfg = engine.replace(cfg, log_lyapunov=True)
-        decide, top = engine.decision_rule(cfg)
-        state = engine.init_state(cfg, top)
+        state, rule = one_lane(cfg)
+        arrival_state = tr.ArrivalState(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
-        replay_decide, _ = engine.decision_rule(cfg)
+        _, replay_rule = one_lane(cfg)
         ctrl_service, switch_service = tr.sample_slot_services(cfg.traffic)
         for _ in range(cfg.horizon_slots):
-            q = state.queues
-            rec = engine.step(state, decide, keep=True)
+            q = state.lane_queues(0)
+            [(_, rec)] = engine.advance(state, rule.decide,
+                                        [arrival_state.next_row()], [0])
             arrivals = tr.sample_slot_arrivals(replay)
-            assoc = decide_tuples(replay_decide, q)
+            assoc = decide_tuples(replay_rule, q)
             inflow = [a if t == LOCAL else 0
                       for a, t in zip(arrivals, assoc.target)]
             inflow += [sum(a for a, t in zip(arrivals, assoc.target) if t == j)
