@@ -35,7 +35,12 @@ class ConfigError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SDND_SEED", "0"))
+    text = os.environ.get("SDND_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError([f"bad SDND_SEED value {text!r}: expected an "
+                           "integer"]) from None
 
 
 def _parse_v(text: str) -> Fraction:
@@ -302,7 +307,11 @@ def cmd_run(args) -> int:
 
 
 def _parse_grid(text: str):
-    values = [_parse_v(tok) for tok in text.split(",") if tok]
+    try:
+        values = [_parse_v(tok) for tok in text.split(",") if tok]
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError([f"bad --v-grid value {text!r}: expected "
+                           "comma-separated V values"]) from None
     if len(set(values)) != len(values):
         raise ConfigError(["duplicate V values in grid"])
     if not values:
@@ -313,7 +322,11 @@ def _parse_grid(text: str):
 def cmd_sweep(args, fixed_schemes=None) -> int:
     grid = _parse_grid(args.v_grid)
     schemes = fixed_schemes or [s.strip() for s in args.schemes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError([f"bad --seeds value {args.seeds!r}: expected "
+                           "comma-separated integers"]) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fabrics = {}

@@ -9,20 +9,22 @@ CLI `sweep`/`compare` command is one run_lanes call over every
 ArrivalState row per slot (common random numbers, each draw made once);
 greedy and JSQ lanes share one argmin, and pricing is one gather and
 one scatter for all lanes. A QueueState is built only for the records
-a lane keeps. Each lane derives one int64 queue limit up front; a lane
-group moves to object arrays of Python ints, for good, on the slot
-where one of its backlogs could pass its lane's limit, so no sum ever
-wraps, and lanes that cannot start on int64 run in a group of their
-own.
+a lane keeps.
+
+A LaneGroup holds its lanes' queues, services, decision and pricing
+tables in one dtype. Each lane derives one int64 queue limit up front;
+a group moves to object arrays of Python ints, for good, after the
+slot on which one lane's total backlog passes its limit, so no sum
+ever wraps, and lanes that cannot start on int64 run in a group of
+their own.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,60 +76,8 @@ class RunConfig:
             raise ValueError("cost model and traffic config sizes disagree")
 
 
-class LaneRule:
-    """The decision rule of lanes that decide together: maps the pre-slot
-    backlogs (L x n_s, L x n_c) to the targets (L x n_s), one row per
-    lane.
-
-    The lanes come in `lane_order`: greedy lanes with devolution on, then
-    the other argmin lanes (greedy with devolution off, and JSQ, the
-    devolution-off argmin at v = 0), which all decide in one
-    lane_argmin call over their stacked K matrices; then Static lanes,
-    a fixed target row each; then Random lanes, each drawing from its
-    own random.Random(run_seed) as a separate run would.
-    """
-
-    def __init__(self, cfgs, kernels):
-        cost = cfgs[0].cost
-        self.n_s, self.n_c = cost.n_switches, cost.n_controllers
-        argmin = [k for k in kernels if k is not None]
-        self.n_argmin = len(argmin)
-        self.n_devolve = sum(k.devolve for k in argmin)
-        scales = [[k.scale] for k in argmin]
-        self.k_object = np.stack([k.k_object for k in argmin]) \
-            if argmin else None
-        self.scale_object = np.array(scales, object)
-        # the int64 tables exist when every lane has them
-        fits = all(k.k_int64 is not None for k in argmin)
-        self.k_int64 = np.stack([k.k_int64 for k in argmin]) \
-            if argmin and fits else None
-        self.scale_int64 = np.array(scales, np.int64) if fits else None
-        self.template = np.empty((len(cfgs), self.n_s), np.intp)
-        if any(cfg.scheme is Scheme.STATIC for cfg in cfgs):
-            self.template[:] = static_decide(cost).target
-        self.rngs = [random.Random(cfg.run_seed) for cfg in cfgs
-                     if cfg.scheme is Scheme.RANDOM]
-
-    def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
-        if q_s.dtype == object:
-            k, scale = self.k_object, self.scale_object
-        else:
-            k, scale = self.k_int64, self.scale_int64
-        n = self.n_argmin
-        if n == len(self.template):
-            return lane_argmin(k, scale, q_s, q_c, self.n_devolve)
-        target = self.template.copy()
-        if n:
-            target[:n] = lane_argmin(k, scale, q_s[:n], q_c[:n],
-                                     self.n_devolve)
-        for row, rng in zip(target[len(target) - len(self.rngs):],
-                            self.rngs):
-            row[:] = random_decide(self.n_s, self.n_c, rng)
-        return target
-
-
 def lane_order(cfg: RunConfig) -> int:
-    """A lane's place in a LaneRule: argmin lanes that devolve, other
+    """A lane's place in a LaneGroup: argmin lanes that devolve, other
     argmin lanes, Static lanes, Random lanes."""
     if cfg.scheme is Scheme.GREEDY:
         return 0 if cfg.params.devolution is Devolution.ON else 1
@@ -156,120 +106,33 @@ def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
     all queues. `decide_top` is the largest backlog the decision rule
     takes on int64 (GreedyKernel.int64_top).
     """
-    tables = cost.tables
+    weight = cost.tables.weight
     n_s = cost.n_switches
-    if tables.w_int64 is None or service_top >= INT64_BOUND:
+    if weight >= INT64_BOUND or service_top >= INT64_BOUND:
         return -1
-    growth = n_s * a_cap
-    return min(INT64_BOUND - 1 - n_s * tables.weight * a_cap,
-               (INT64_BOUND - 1) // (n_s + cost.n_controllers) - growth,
+    return min(INT64_BOUND - 1 - n_s * weight * a_cap,
+               (INT64_BOUND - 1) // (n_s + cost.n_controllers) - n_s * a_cap,
                decide_top)
 
 
-def lane_limit(cfg: RunConfig,
-               kernel: GreedyKernel | None) -> tuple[int, int]:
-    """A lane's (int64 queue limit, growth), for its lane_kernel: no
-    backlog grows by more than `growth` in a slot."""
+def lane_limit(cfg: RunConfig, kernel: GreedyKernel | None) -> int:
+    """A lane's int64 queue limit, for its lane_kernel."""
     t = cfg.traffic
-    a_cap = min(t.a_max, 2 ** 63 - 1)
-    return (int64_queue_limit(cfg.cost, a_cap,
-                              max(t.controller_capacity, t.switch_capacity),
-                              INT64_BOUND if kernel is None
-                              else kernel.int64_top),
-            cfg.cost.n_switches * a_cap)
-
-
-def _slots_within(limits, tops, growths):
-    """Slots that every lane can run before its backlog bound, grown by
-    its growth per slot, could pass its limit."""
-    return min(((lim - top) // g + 1 if g else math.inf
-                for lim, top, g in zip(limits, tops, growths)),
-               default=math.inf)
-
-
-@dataclass
-class RunState:
-    """The slot state of lanes that advance in lock step, one row per
-    lane: the backlogs q (L x (n_s + n_c)), each lane's switch queues
-    then its controller queues, their services, and each lane's exact
-    running sums of f, d*g (d = CostTables.scale) and the total backlog,
-    as Python ints.
-
-    The arrays share one dtype: int64 while no lane's backlog could pass
-    that lane's int64 queue limit, object arrays of Python ints, for
-    every lane and for good, from the slot on which one could. Lane l's
-    backlogs grow by at most `growth[l]` per slot, so the maxima are
-    re-read only on slot `check_at`, when some lane's bound could first
-    pass its limit.
-
-    `rows[l]` is the index of lane l's arrival row among the rows a slot
-    is given (`shared_row` when every lane reads the same one).
-    """
-
-    t: int
-    cfgs: list[RunConfig]
-    q: np.ndarray
-    service: np.ndarray
-    limit: list[int]
-    growth: list[int]
-    rows: list[int]
-    check_at: float = math.inf
-    shared_row: int | None = None
-    f_sum: list[int] = field(default_factory=list)
-    dg_sum: list[int] = field(default_factory=list)
-    backlog_sum: list[int] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, cfgs, limits, rows) -> "RunState":
-        """Zero backlogs for lanes with these (limit, growth) pairs; on
-        object arrays when a lane's limit is negative."""
-        n = len(cfgs)
-        limit, growth = (list(x) for x in zip(*limits))
-        dtype = np.int64 if min(limit) >= 0 else object
-        cost = cfgs[0].cost
-        service = [[cfg.traffic.switch_capacity] * cost.n_switches
-                   + [cfg.traffic.controller_capacity] * cost.n_controllers
-                   for cfg in cfgs]
-        return cls(
-            t=0, cfgs=list(cfgs),
-            q=np.zeros((n, cost.n_switches + cost.n_controllers), dtype),
-            service=np.array(service, dtype),
-            limit=limit, growth=growth, rows=list(rows),
-            shared_row=rows[0] if len(set(rows)) == 1 else None,
-            check_at=_slots_within(limit, [0] * n, growth)
-            if dtype is np.int64 else math.inf,
-            f_sum=[0] * n, dg_sum=[0] * n, backlog_sum=[0] * n)
-
-    def lane_queues(self, lane: int, q=None) -> QueueState:
-        """Lane `lane`'s queues, in this state or in backlogs `q`."""
-        row = (self.q if q is None else q)[lane].tolist()
-        n_s = self.cfgs[0].cost.n_switches
-        return QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:]))
-
-    def check_limits(self) -> None:
-        """Re-read every lane's largest backlog: widen when one is past
-        its lane's limit, else set the next check."""
-        tops = self.q.max(1, initial=0).tolist()
-        if any(top > lim for top, lim in zip(tops, self.limit)):
-            self.widen()
-        else:
-            self.check_at = self.t + _slots_within(self.limit, tops,
-                                                   self.growth)
-
-    def widen(self) -> None:
-        """Move every lane onto object arrays of Python ints."""
-        self.q = self.q.astype(object)
-        self.service = self.service.astype(object)
-        self.check_at = math.inf
+    return int64_queue_limit(cfg.cost, min(t.a_max, 2 ** 63 - 1),
+                             max(t.controller_capacity, t.switch_capacity),
+                             INT64_BOUND if kernel is None
+                             else kernel.int64_top)
 
 
 def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
-                service: np.ndarray, cost: CostModel):
+                service: np.ndarray, cost: CostModel, w: np.ndarray,
+                scaled_alpha: np.ndarray):
     """Price L lanes' forced associations and advance their queues one
     slot, one row per lane: q and service are (L x (n_s + n_c)) arrays,
     each lane's switch queues then its controller queues; `target` is
     (L x n_s); `arrivals` is (L x n_s) or one row that every lane
-    shares.
+    shares. `w` and `scaled_alpha` are cost.tables' arrays of the same
+    name, cast to q's dtype.
 
     Returns (next_q, f, dg): f and dg = d*g are arrays of each lane's
     slot costs. A lane's slot is priced on integer arrays:
@@ -279,10 +142,6 @@ def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
     scatter, whose switch part is A_local.
     """
     tables = cost.tables
-    if q.dtype == object:
-        w, scaled_alpha = tables.w, tables.scaled_alpha
-    else:
-        w, scaled_alpha = tables.w_int64, tables.scaled_alpha_int64
     lanes, width = q.shape
     cells = target + tables.cells
     joins = tables.joins.take(cells)
@@ -312,66 +171,156 @@ def apply_slot(q_s: np.ndarray, q_c: np.ndarray, target: np.ndarray,
     arrays of Python ints; `target` is an intp array with LOCAL for -1.
     Pure; used by tests that force a specific association.
     """
+    dtype = q_s.dtype
     q, f, dg = apply_lanes(np.concatenate((q_s, q_c))[None], target[None],
                            arrivals, np.concatenate((switch_service,
-                                                     ctrl_service)), cost)
+                                                     ctrl_service)), cost,
+                           cost.tables.w.astype(dtype),
+                           cost.tables.scaled_alpha.astype(dtype))
     n_s = cost.n_switches
     return q[0, :n_s], q[0, n_s:], int(f[0]), \
         Fraction(int(dg[0]), cost.tables.scale)
 
 
-def advance(state: RunState, decide, rows, keep) -> list:
-    """Advance every lane one slot: arrivals (lane l reads
-    rows[state.rows[l]]), snapshot decision, costs, queue updates,
-    running sums. Returns (lane, record) for each lane index in keep."""
-    if state.t >= state.check_at:
-        state.check_limits()
-    if state.shared_row is not None:
-        arrivals = rows[state.shared_row]
-    else:
-        arrivals = np.stack([rows[i] for i in state.rows])
-    if state.q.dtype == object:
-        arrivals = arrivals.astype(object)
-    cost = state.cfgs[0].cost
-    n_s = cost.n_switches
-    q = state.q
-    target = decide(q[:, :n_s], q[:, n_s:])
-    state.q, f, dg = apply_lanes(q, target, arrivals, state.service, cost)
-    backlog = state.q.sum(1).tolist()
-    f, dg = f.tolist(), dg.tolist()
-    state.f_sum = list(map(operator.add, state.f_sum, f))
-    state.dg_sum = list(map(operator.add, state.dg_sum, dg))
-    state.backlog_sum = list(map(operator.add, state.backlog_sum, backlog))
-    t = state.t
-    state.t += 1
-    if not keep:
-        return []
-    d = cost.tables.scale
-    locals_ = (target == LOCAL).sum(1).tolist()
-    kept = []
-    for lane in keep:
-        cfg = state.cfgs[lane]
-        next_q = state.lane_queues(lane)
-        g_slot = Fraction(dg[lane], d)
-        lyap = drift = None
-        if cfg.log_lyapunov:
-            lyap = lyapunov(state.lane_queues(lane, q))
-            drift = lyapunov(next_q) - lyap \
-                + cfg.params.v * (f[lane] + g_slot)
-        kept.append((lane, MetricsRecord(
-            t=t,
-            f_slot=f[lane],
-            g_slot=g_slot,
-            f_bar=Fraction(state.f_sum[lane], t + 1),
-            g_bar=Fraction(state.dg_sum[lane], d * (t + 1)),
-            total_backlog=backlog[lane],
-            controller_backlog_variance=controller_variance(next_q.q_c),
-            uploads=n_s - locals_[lane],
-            locals_=locals_[lane],
-            lyapunov=lyap,
-            drift_penalty_sample=drift,
-        )))
-    return kept
+class LaneGroup:
+    """Lanes that advance in lock step on one dtype, one row per lane of
+    each slot array: the backlogs q (L x (n_s + n_c)), each lane's switch
+    queues then its controller queues, and their services; the stacked
+    decision tables k and scale and the pricing tables w and
+    scaled_alpha; and each lane's exact running sums of f, d*g
+    (d = CostTables.scale) and the total backlog, as Python ints.
+
+    The lanes come in `lane_order`: greedy lanes with devolution on, then
+    the other argmin lanes (greedy with devolution off, and JSQ, the
+    devolution-off argmin at v = 0), which all decide in one
+    lane_argmin call over their stacked K matrices; then Static lanes,
+    a fixed target row each; then Random lanes, each drawing from its
+    own random.Random(run_seed) as a separate run would.
+
+    The arrays are int64 while every lane's backlogs are within its int64
+    queue limit, and object arrays of Python ints, for every lane and for
+    good, from the slot after one lane's total backlog passes its limit:
+    backlogs are nonnegative, so a lane's total bounds each of them. A
+    group with a negative limit starts on object arrays.
+
+    `rows[l]` is the index of lane l's arrival row among the rows a slot
+    is given (`shared_row` when every lane reads the same one).
+    """
+
+    def __init__(self, cfgs, kernels, limits, rows):
+        cost = cfgs[0].cost
+        self.cfgs = list(cfgs)
+        n_s, n_c = cost.n_switches, cost.n_controllers
+        self.n_s, self.n_c = n_s, n_c
+        dtype = np.int64 if min(limits) >= 0 else object
+        # an object group has no limit to check
+        self.limit = list(limits) if dtype is np.int64 else []
+        argmin = [k for k in kernels if k is not None]
+        self.n_argmin = len(argmin)
+        self.n_devolve = sum(k.devolve for k in argmin)
+        self.k = np.array([k.k for k in argmin], object).astype(dtype)
+        self.scale = np.array([[k.scale] for k in argmin], object) \
+            .astype(dtype)
+        self.w = cost.tables.w.astype(dtype)
+        self.scaled_alpha = cost.tables.scaled_alpha.astype(dtype)
+        self.q = np.zeros((len(cfgs), n_s + n_c), dtype)
+        self.service = np.array(
+            [[cfg.traffic.switch_capacity] * n_s
+             + [cfg.traffic.controller_capacity] * n_c for cfg in cfgs],
+            dtype)
+        self.template = np.empty((len(cfgs), n_s), np.intp)
+        if any(cfg.scheme is Scheme.STATIC for cfg in cfgs):
+            self.template[:] = static_decide(cost).target
+        self.rngs = [random.Random(cfg.run_seed) for cfg in cfgs
+                     if cfg.scheme is Scheme.RANDOM]
+        self.rows = list(rows)
+        self.shared_row = rows[0] if len(set(rows)) == 1 else None
+        self.t = 0
+        self.f_sum = [0] * len(cfgs)
+        self.dg_sum = [0] * len(cfgs)
+        self.backlog_sum = [0] * len(cfgs)
+
+    def widen(self) -> None:
+        """Move every array onto object arrays of Python ints."""
+        for name in ("q", "service", "k", "scale", "w", "scaled_alpha"):
+            setattr(self, name, getattr(self, name).astype(object))
+        self.limit = []
+
+    def lane_queues(self, lane: int, q=None) -> QueueState:
+        """Lane `lane`'s queues, in this group or in backlogs `q`."""
+        row = (self.q if q is None else q)[lane].tolist()
+        return QueueState(q_s=tuple(row[:self.n_s]),
+                          q_c=tuple(row[self.n_s:]))
+
+    def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
+        """The targets (L x n_s) for the pre-slot backlogs (L x n_s,
+        L x n_c), one row per lane."""
+        n = self.n_argmin
+        if n == len(self.template):
+            return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve)
+        target = self.template.copy()
+        if n:
+            target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
+                                     self.n_devolve)
+        for row, rng in zip(target[len(target) - len(self.rngs):],
+                            self.rngs):
+            row[:] = random_decide(self.n_s, self.n_c, rng)
+        return target
+
+    def advance(self, rows, keep) -> list:
+        """Advance every lane one slot: arrivals (lane l reads
+        rows[self.rows[l]]), snapshot decision, costs, queue updates,
+        running sums. Returns (lane, record) for each lane index in
+        keep."""
+        if self.shared_row is not None:
+            arrivals = rows[self.shared_row]
+        else:
+            arrivals = np.stack([rows[i] for i in self.rows])
+        if self.q.dtype == object:
+            arrivals = arrivals.astype(object)
+        cost = self.cfgs[0].cost
+        n_s = self.n_s
+        q = self.q
+        target = self.decide(q[:, :n_s], q[:, n_s:])
+        self.q, f, dg = apply_lanes(q, target, arrivals, self.service, cost,
+                                    self.w, self.scaled_alpha)
+        backlog = self.q.sum(1).tolist()
+        f, dg = f.tolist(), dg.tolist()
+        self.f_sum = list(map(operator.add, self.f_sum, f))
+        self.dg_sum = list(map(operator.add, self.dg_sum, dg))
+        self.backlog_sum = list(map(operator.add, self.backlog_sum, backlog))
+        t = self.t
+        self.t += 1
+        if any(map(operator.gt, backlog, self.limit)):
+            self.widen()
+        if not keep:
+            return []
+        d = cost.tables.scale
+        locals_ = (target == LOCAL).sum(1).tolist()
+        kept = []
+        for lane in keep:
+            cfg = self.cfgs[lane]
+            next_q = self.lane_queues(lane)
+            g_slot = Fraction(dg[lane], d)
+            lyap = drift = None
+            if cfg.log_lyapunov:
+                lyap = lyapunov(self.lane_queues(lane, q))
+                drift = lyapunov(next_q) - lyap \
+                    + cfg.params.v * (f[lane] + g_slot)
+            kept.append((lane, MetricsRecord(
+                t=t,
+                f_slot=f[lane],
+                g_slot=g_slot,
+                f_bar=Fraction(self.f_sum[lane], t + 1),
+                g_bar=Fraction(self.dg_sum[lane], d * (t + 1)),
+                total_backlog=backlog[lane],
+                controller_backlog_variance=controller_variance(next_q.q_c),
+                uploads=n_s - locals_[lane],
+                locals_=locals_[lane],
+                lyapunov=lyap,
+                drift_penalty_sample=drift,
+            )))
+        return kept
 
 
 @dataclass(frozen=True)
@@ -389,8 +338,8 @@ def run_lanes(cfgs) -> list[RunResult]:
     traffic config read one ArrivalState row per slot, so their arrivals
     are drawn once (common random numbers). Lanes whose int64 queue
     limit is negative from the start form an object group of their own,
-    so the others stay on int64; each group decides in one LaneRule call
-    and prices in one apply_lanes call per slot. Each lane keeps one
+    so the others stay on int64; each LaneGroup decides in one call and
+    prices in one apply_lanes call per slot. Each lane keeps one
     record per its stride plus the final slot.
     """
     cfgs = list(cfgs)
@@ -408,7 +357,7 @@ def run_lanes(cfgs) -> list[RunResult]:
     limits = list(map(lane_limit, cfgs, kernels))
     groups = []
     for wide in (False, True):
-        lanes = sorted((i for i, (limit, _) in enumerate(limits)
+        lanes = sorted((i for i, limit in enumerate(limits)
                         if (limit < 0) == wide),
                        key=lambda i: lane_order(cfgs[i]))
         if not lanes:
@@ -417,25 +366,24 @@ def run_lanes(cfgs) -> list[RunResult]:
         strides = {}
         for pos, cfg in enumerate(members):
             strides.setdefault(cfg.stride, []).append(pos)
-        groups.append((lanes, tuple(strides.items()),
-                       LaneRule(members, [kernels[i] for i in lanes]),
-                       RunState.start(members, [limits[i] for i in lanes],
-                                      [sources[c.traffic] for c in members])))
+        groups.append((lanes, tuple(strides.items()), LaneGroup(
+            members, [kernels[i] for i in lanes], [limits[i] for i in lanes],
+            [sources[c.traffic] for c in members])))
     records = [[] for _ in cfgs]
     last = first.horizon_slots - 1
     for t in range(first.horizon_slots):
         rows = [a.next_row() for a in arrival_states]
-        for lanes, strides, rule, state in groups:
+        for lanes, strides, group in groups:
             keep = [pos for stride, at in strides
                     if t % stride == 0 or t == last for pos in at]
-            for pos, rec in advance(state, rule.decide, rows, keep):
+            for pos, rec in group.advance(rows, keep):
                 records[lanes[pos]].append(rec)
     results = [None] * len(cfgs)
-    for lanes, _, _, state in groups:
+    for lanes, _, group in groups:
         for pos, lane in enumerate(lanes):
             results[lane] = RunResult(
                 records=records[lane], final=records[lane][-1],
-                mean_backlog=Fraction(state.backlog_sum[pos], state.t))
+                mean_backlog=Fraction(group.backlog_sum[pos], group.t))
     return results
 
 

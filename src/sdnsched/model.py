@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -124,16 +124,15 @@ class CostTables:
     the switch's own queue i for LOCAL.
 
     `scaled_alpha` is d*alpha, where d is alpha's common denominator
-    `scale`. `w` and `scaled_alpha` are object arrays of Python ints
-    and, where they fit, int64 arrays (else None); `weight` bounds every
-    entry of both.
+    `scale`. `w` and `scaled_alpha` are object arrays of Python ints;
+    `weight` bounds every entry of both, so a caller that knows its sums
+    stay within int64 casts them (engine.LaneGroup does, once per lane
+    group).
     """
 
     w: np.ndarray
     scaled_alpha: np.ndarray
     scale: int
-    w_int64: Optional[np.ndarray]
-    scaled_alpha_int64: Optional[np.ndarray]
     weight: int
     cells: np.ndarray
     joins: np.ndarray
@@ -147,15 +146,11 @@ class CostTables:
             .reshape(n_s * (n_c + 1))
         scaled = np.array([int(a * scale) for a in alpha], dtype=object)
         weight = max([1, *w, *scaled])
-        fits = weight < INT64_BOUND
         joins = np.empty((n_s, n_c + 1), np.intp)
         joins[:, 0] = np.arange(n_s)
         joins[:, 1:] = np.arange(n_s, n_s + n_c)
-        return cls(w=w, scaled_alpha=scaled, scale=scale,
-                   w_int64=w.astype(np.int64) if fits else None,
-                   scaled_alpha_int64=scaled.astype(np.int64) if fits
-                   else None,
-                   weight=weight, cells=np.arange(n_s) * (n_c + 1) + 1,
+        return cls(w=w, scaled_alpha=scaled, scale=scale, weight=weight,
+                   cells=np.arange(n_s) * (n_c + 1) + 1,
                    joins=joins.ravel())
 
 

@@ -204,12 +204,12 @@ class GreedyKernel:
     row, so the argmin equals association_only_decide, and at v = 0 it
     equals jsq_decide.
 
-    lane_argmin runs on `k_int64` while no backlog exceeds `int64_top`,
-    which keeps max|K| + d*max(Q) < 2**62, so no sum can wrap; on
-    `k_object` and object arrays of Python ints the same expressions are
-    exact at any size. The caller picks the dtype (the engine does it
-    once per lane group) and stacks the K matrices of several lanes into
-    one lane_argmin call.
+    `k` is K as an object array of Python ints, exact at any size. While
+    no backlog exceeds `int64_top`, max|K| + d*max(Q) < 2**62, so a
+    caller may cast K to int64 and run lane_argmin on int64 backlogs
+    without a sum wrapping; the engine casts the stacked K matrices of a
+    lane group once, and moves them back to object arrays when it
+    widens.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
@@ -223,7 +223,7 @@ class GreedyKernel:
                                 for t in row.values()))
         scaled = {a: {w: int(t * self.scale) for w, t in row.items()}
                   for a, row in terms.items()}
-        self.k_object = np.array(
+        self.k = np.array(
             [list(map(scaled[a].__getitem__, row))
              for row, a in zip(cost.w, cost.alpha)],
             dtype=object)
@@ -234,8 +234,6 @@ class GreedyKernel:
         # is too large for int64)
         self.int64_top = (INT64_BOUND - 1 - k_max) // self.scale \
             if self.scale < INT64_BOUND else -1
-        self.k_int64 = self.k_object.astype(np.int64) \
-            if self.int64_top >= 0 else None
 
 
 def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,

@@ -232,6 +232,20 @@ def load_interarrival_cdf(path: str) -> EmpiricalCdf:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def trace_events_per_slot(cfg: TrafficConfig, cdf: EmpiricalCdf) -> float:
+    """A trace switch's mean events per slot, slot_length_us / cdf.mean.
+    Rejects a CDF whose mean gap is so short (or underflows to 0) that
+    a slot would hold more than MAX_CAPACITY events on average."""
+    mean = cdf.mean
+    per_slot = cfg.slot_length_us / mean if mean else math.inf
+    if per_slot > MAX_CAPACITY:
+        raise ValueError(
+            f"{cfg.base_process.path}: mean inter-arrival time {mean!r} us "
+            f"gives {per_slot:.3g} events per slot, above the limit "
+            f"{MAX_CAPACITY}")
+    return per_slot
+
+
 class ArrivalState:
     """Arrival generator state for one simulation run.
 
@@ -270,7 +284,7 @@ class ArrivalState:
             # events inspected per switch and pass: a slot's mean count
             # plus three of its Poisson standard deviations, so one pass
             # almost always covers the slot; more passes stay exact
-            per_slot = cfg.slot_length_us / self.cdf.mean
+            per_slot = trace_events_per_slot(cfg, self.cdf)
             self.window = int(min(per_slot + 3 * math.sqrt(per_slot) + 8,
                                   self.block_len // 2))
             self.gaps = None  # flat gap buffer, allocated on the first slot
@@ -443,6 +457,6 @@ def mean_arrival_rates(cfg: TrafficConfig) -> list[Fraction | float]:
         base = float("inf") if p.shape <= 1 \
             else p.shape * p.scale / (p.shape - 1)
     else:
-        base = cfg.slot_length_us / load_interarrival_cdf(p.path).mean
+        base = trace_events_per_slot(cfg, load_interarrival_cdf(p.path))
     return [cfg.hot_spot_rate if i in cfg.hot_spot_switches else base
             for i in range(cfg.n_switches)]

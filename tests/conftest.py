@@ -48,13 +48,10 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
 
 def kernel_target(kernel, q_s, q_c):
     """scheduler.lane_argmin run for one GreedyKernel lane on backlog
-    tuples as the engine runs it: on kernel.k_int64 and int64 arrays when
-    no backlog exceeds kernel.int64_top, else on kernel.k_object and
+    tuples as the engine runs it: on kernel.k cast to int64 and int64
+    arrays when no backlog exceeds kernel.int64_top, else on kernel.k and
     object arrays of Python ints. Returns the target tuple."""
-    if max(q_s + q_c) <= kernel.int64_top:
-        k, dtype = kernel.k_int64, np.int64
-    else:
-        k, dtype = kernel.k_object, object
-    return tuple(lane_argmin(k[None], kernel.scale,
+    dtype = np.int64 if max(q_s + q_c) <= kernel.int64_top else object
+    return tuple(lane_argmin(kernel.k[None].astype(dtype), kernel.scale,
                              np.array([q_s], dtype), np.array([q_c], dtype),
                              int(kernel.devolve))[0].tolist())

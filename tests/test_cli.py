@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,25 @@ class TestRun:
         assert code == 1
         assert problem in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cdf, mean", [
+        ("0 0.5\n5e-324 1.0\n", "0.0"),
+        ("0 0.999999\n1 1.0\n", "5.000000000143778e-07"),
+        ("0 0.5\n1e-300 1.0\n", "2.5e-301"),
+    ])
+    def test_trace_cdf_above_event_limit_rejected(self, capsys, tmp_path,
+                                                  cdf, mean):
+        # a mean gap of 0 (underflow) or far below a slot would need
+        # billions of events per slot
+        path = tmp_path / "trace.cdf"
+        path.write_text(cdf)
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", "--horizon", "2",
+            "--arrivals", f"trace:{path}"))
+        assert code == 1
+        assert f"{path}: mean inter-arrival time {mean} us" in err
+        assert "above the limit 1000000" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("spec, problem", [
         ("pareto:0,1", "shape must be finite and > 0"),
         ("pareto:1,-1", "scale must be finite and > 0"),
@@ -287,6 +308,20 @@ class TestSweep:
         assert code == 1
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "x"), ("--seeds", ""), ("--v-grid", "nan"),
+        ("--v-grid", "1/0"),
+    ])
+    def test_bad_list_value_named(self, capsys, tmp_path, flag, value):
+        args = {"--v-grid": "0,10", "--seeds": "0", flag: value}
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", *(x for kv in args.items() for x in kv),
+            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"bad {flag} value {value!r}" in err
+        assert "Traceback" not in err
+
     def test_compare_covers_four_schemes(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "compare", "--kind", "fat-tree", "--k", "4",
@@ -347,3 +382,38 @@ def test_seed_env_var(capsys, tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "envseed.summary.json").read_text())
     assert summary["config"]["run_seed"] == 77
     assert summary["config"]["traffic_seed"] == 77
+
+
+def test_bad_seed_env_var_named(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SDND_SEED", "abc")
+    code, _, err = run_cli(capsys, "run", "--kind", "fat-tree", "--k", "4",
+                           "--horizon", "5", "--scheme", "jsq",
+                           "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "bad SDND_SEED value 'abc'" in err
+
+
+def readme_commands():
+    """Every `sdnsched ...` command of README's CLI block, continuation
+    lines joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1] \
+        .split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("sdnsched ")]
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    # the documented flags still parse and run (at a short horizon)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"topo", "run", "sweep",
+                                              "compare"}
+    for argv in commands:
+        for flag, value in (("--horizon", "50"),
+                            ("--out-dir", str(tmp_path / "out")),
+                            ("--out", str(tmp_path / "edges.txt"))):
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

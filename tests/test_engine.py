@@ -75,20 +75,19 @@ def spec_apply_slot(queues, assoc, arrivals, ctrl_service, switch_service,
 
 
 def one_lane(cfg):
-    """A one-lane RunState and its LaneRule, built as run_lanes builds
-    them: zero backlogs, with the lane's int64 queue limit."""
+    """A one-lane LaneGroup, built as run_lanes builds it: zero backlogs,
+    with the lane's int64 queue limit."""
     kernel = engine.lane_kernel(cfg)
-    return (engine.RunState.start([cfg], [engine.lane_limit(cfg, kernel)],
-                                  [0]),
-            engine.LaneRule([cfg], [kernel]))
+    return engine.LaneGroup([cfg], [kernel], [engine.lane_limit(cfg, kernel)],
+                            [0])
 
 
-def decide_tuples(rule, q):
-    """A one-lane LaneRule's decision on a QueueState of small backlogs,
-    as int64 arrays; returns the Association."""
-    return Association(target=tuple(rule.decide(
-        np.array([q.q_s], np.int64), np.array([q.q_c], np.int64))[0]
-        .tolist()))
+def decide_tuples(group, q):
+    """A one-lane LaneGroup's decision on a QueueState of small backlogs,
+    as arrays of the group's dtype; returns the Association."""
+    dtype = group.q.dtype
+    return Association(target=tuple(group.decide(
+        np.array([q.q_s], dtype), np.array([q.q_c], dtype))[0].tolist()))
 
 
 @st.composite
@@ -206,13 +205,13 @@ class TestRun:
         from sdnsched import traffic as tr
         cfg = small_cfg(horizon=100, seed=3)
         res = run(cfg)
-        state, rule = one_lane(cfg)
+        group = one_lane(cfg)
         arrival_state = tr.ArrivalState(cfg.traffic)
         services = tr.sample_slot_services(cfg.traffic)
-        q = state.lane_queues(0)
+        q = group.lane_queues(0)
         for rec in res.records:
             arrivals = tr.sample_slot_arrivals(arrival_state)
-            assoc = decide_tuples(rule, q)
+            assoc = decide_tuples(group, q)
             q, f, g = apply_slot_tuples(q, assoc, arrivals, *services,
                                         cfg.cost)
             assert (f, g, q.total()) == (rec.f_slot, rec.g_slot,
@@ -277,25 +276,25 @@ class TestInvariants:
         # q' = max(q + in - service, 0), where a switch's inflow is its
         # arrivals when it goes LOCAL and a controller's is the arrivals
         # uploaded to it
-        state, rule = one_lane(cfg)
+        group = one_lane(cfg)
         arrival_state = tr.ArrivalState(cfg.traffic)
         services = tr.sample_slot_services(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
-        _, replay_rule = one_lane(cfg)
+        replay_group = one_lane(cfg)
         ctrl_service, switch_service = services
         for _ in range(cfg.horizon_slots):
-            q = state.lane_queues(0)
-            engine.advance(state, rule.decide, [arrival_state.next_row()], [])
+            q = group.lane_queues(0)
+            group.advance([arrival_state.next_row()], [])
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
-            target = decide_tuples(replay_rule, q).target
+            target = decide_tuples(replay_group, q).target
             q_s = tuple(max(q.q_s[i] + (a if t == LOCAL else 0)
                             - switch_service[i], 0)
                         for i, (a, t) in enumerate(zip(arrivals, target)))
             q_c = tuple(max(q.q_c[j] + sum(a for a, t in zip(arrivals, target)
                                            if t == j) - ctrl_service[j], 0)
                         for j in range(cfg.cost.n_controllers))
-            assert state.lane_queues(0) == QueueState(q_s=q_s, q_c=q_c)
+            assert group.lane_queues(0) == QueueState(q_s=q_s, q_c=q_c)
 
     @given(run_cases())
     @settings(max_examples=100, deadline=None)
@@ -305,17 +304,16 @@ class TestInvariants:
         # and controller queue j, where x_j = in_j - service_j: Q'_j =
         # max(Q_j + x_j, 0) and max(y, 0)^2 <= y^2
         cfg = engine.replace(cfg, log_lyapunov=True)
-        state, rule = one_lane(cfg)
+        group = one_lane(cfg)
         arrival_state = tr.ArrivalState(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
-        _, replay_rule = one_lane(cfg)
+        replay_group = one_lane(cfg)
         ctrl_service, switch_service = tr.sample_slot_services(cfg.traffic)
         for _ in range(cfg.horizon_slots):
-            q = state.lane_queues(0)
-            [(_, rec)] = engine.advance(state, rule.decide,
-                                        [arrival_state.next_row()], [0])
+            q = group.lane_queues(0)
+            [(_, rec)] = group.advance([arrival_state.next_row()], [0])
             arrivals = tr.sample_slot_arrivals(replay)
-            assoc = decide_tuples(replay_rule, q)
+            assoc = decide_tuples(replay_group, q)
             inflow = [a if t == LOCAL else 0
                       for a, t in zip(arrivals, assoc.target)]
             inflow += [sum(a for a, t in zip(arrivals, assoc.target) if t == j)
@@ -348,18 +346,19 @@ class TestInt64Limit:
     @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
     def test_switch_mid_run_keeps_output(self, tmp_path, monkeypatch,
                                          scheme):
-        # 10^15 requests per switch per slot on fat-tree k=4: a backlog
-        # passes the limit (about 1.9e17 here) within 200 slots
+        # 10^15 requests per switch per slot on fat-tree k=4: a lane's
+        # total backlog passes the limit (about 1.9e17 here) within 200
+        # slots
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "kind": "fat-tree", "k": 4, "scheme": scheme, "v": "10",
             "horizon": 200, "arrivals": f"constant:{10 ** 15}",
             "a_max": 10 ** 15, "log_lyapunov": True, "name": "run"}))
         widened = []
-        widen = engine.RunState.widen
-        monkeypatch.setattr(engine.RunState, "widen",
-                            lambda state: widened.append(state.t) or
-                            widen(state))
+        widen = engine.LaneGroup.widen
+        monkeypatch.setattr(engine.LaneGroup, "widen",
+                            lambda group: widened.append(group.t) or
+                            widen(group))
 
         def output(out_dir):
             assert main(["run", "--config", str(config),
@@ -372,6 +371,39 @@ class TestInt64Limit:
         monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: -1)
         assert output(tmp_path / "object") == switched
         assert len(widened) == 1  # the second run started on object arrays
+
+    def test_widens_after_first_total_above_limit(self, tmp_path,
+                                                  monkeypatch):
+        # every backlog is at most its lane's total, so the group widens
+        # on the slot after the first whose total backlog passes the limit
+        widened = []
+        widen = engine.LaneGroup.widen
+        monkeypatch.setattr(engine.LaneGroup, "widen",
+                            lambda group: widened.append(group.t) or
+                            widen(group))
+
+        def output(name):
+            assert main(["run", "--kind", "fat-tree", "--k", "4",
+                         "--scheme", "greedy", "--v", "10", "--horizon", "60",
+                         "--arrivals", "poisson:3", "--controller-capacity",
+                         "20", "--switch-capacity", "2", "--stride", "1",
+                         "--name", "run", "--out-dir",
+                         str(tmp_path / name)]) == 0
+            return [(tmp_path / name / f"run{ext}").read_bytes()
+                    for ext in (".csv", ".summary.json")]
+
+        unpatched = output("int64")
+        assert widened == []
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: 50)
+        switched = output("switched")
+        header, *rows = [line.split(",")
+                         for line in switched[0].decode().splitlines()]
+        col = header.index("total_backlog")
+        first = next(int(row[0]) for row in rows if int(row[col]) > 50)
+        assert widened == [first + 1]
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: -1)
+        assert output("object") == switched == unpatched
+        assert widened == [first + 1]  # the last run started on object arrays
 
     def test_limit_covers_a_max_and_services(self):
         cost = CostModel.uniform_alpha(((1, 3), (2, 2)), 2)
@@ -428,10 +460,10 @@ class TestLanes:
         # alone, each lane widens on its own slot; together they share
         # one int64 group, which widens once, on the earlier slot
         widened = []
-        widen = engine.RunState.widen
-        monkeypatch.setattr(engine.RunState, "widen",
-                            lambda state: widened.append(state.t) or
-                            widen(state))
+        widen = engine.LaneGroup.widen
+        monkeypatch.setattr(engine.LaneGroup, "widen",
+                            lambda group: widened.append(group.t) or
+                            widen(group))
         cfgs = [small_cfg(scheme=Scheme.JSQ, horizon=60, seed=1,
                           process=Constant(rate), a_max=rate)
                 for rate in (10 ** 16, 2 * 10 ** 16)]

@@ -245,6 +245,12 @@ class TestArrivals:
         # 10000us slots / 1700us inter-arrival = 5.88 per slot
         assert abs(total / 2000 - 5.88) < 0.01
 
+    def test_trace_above_event_limit_rejected(self, tmp_path):
+        # a mean gap of 5e-7 us: 2e10 events in a 10000 us slot
+        path = write_cdf(tmp_path, "0 0.999999\n1 1.0\n")
+        with pytest.raises(ValueError, match="above the limit 1000000"):
+            ArrivalState(make_cfg(TraceCdf(path)))
+
     def test_trace_conserves_events_across_boundaries(self, tmp_path):
         # replay: total arrivals over T slots equals events in [0, T*slot)
         path = write_cdf(tmp_path, "500 0.0\n2500 1.0\n")
