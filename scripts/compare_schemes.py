@@ -11,13 +11,37 @@ import csv
 import pathlib
 from fractions import Fraction
 
-from sdnsched.engine import RunConfig, Scheme, run
+from sdnsched.engine import RunConfig, Scheme, sweep
 from sdnsched.metrics import format_rational
 from sdnsched.model import SchedulerParams
 from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
 from sdnsched.traffic import Poisson, TrafficConfig
 
+SCHEMES = (Scheme.GREEDY, Scheme.STATIC, Scheme.RANDOM, Scheme.JSQ)
 SEEDS = [0, 1, 2, 3, 4]
+
+
+def configs(horizon: int) -> list[RunConfig]:
+    """One run per (scheme, seed); the sweep sets V."""
+    topo = gen_fat_tree(4)
+    cost = build_cost_model(topo, place_controllers(topo))
+    return [RunConfig(
+        cost=cost,
+        traffic=TrafficConfig(
+            base_process=Poisson(2),
+            n_switches=topo.n_switches,
+            n_controllers=cost.n_controllers,
+            hot_spot_switches=frozenset(topo.pods[0]),
+            hot_spot_rate=20,
+            controller_capacity=60,
+            switch_capacity=4,
+            seed=seed,
+        ),
+        scheme=scheme,
+        params=SchedulerParams(),
+        horizon_slots=horizon,
+        run_seed=seed,
+    ) for scheme in SCHEMES for seed in SEEDS]
 
 
 def main() -> None:
@@ -27,34 +51,14 @@ def main() -> None:
     ap.add_argument("--out", default="results/compare.csv")
     args = ap.parse_args()
 
-    topo = gen_fat_tree(4)
-    cost = build_cost_model(topo, place_controllers(topo))
+    # every (scheme, seed) run is a lane of one loop; arrivals are drawn
+    # once per seed
+    results = sweep(configs(args.horizon), [args.v])
     rows = []
-    for scheme in (Scheme.GREEDY, Scheme.STATIC, Scheme.RANDOM, Scheme.JSQ):
-        costs, backlogs = [], []
-        for seed in SEEDS:
-            cfg = RunConfig(
-                cost=cost,
-                traffic=TrafficConfig(
-                    base_process=Poisson(2),
-                    n_switches=topo.n_switches,
-                    n_controllers=cost.n_controllers,
-                    hot_spot_switches=frozenset(topo.pods[0]),
-                    hot_spot_rate=20,
-                    controller_capacity=60,
-                    switch_capacity=4,
-                    seed=seed,
-                ),
-                scheme=scheme,
-                params=SchedulerParams(v=args.v),
-                horizon_slots=args.horizon,
-                run_seed=seed,
-            )
-            res = run(cfg)
-            costs.append(res.final.f_bar + res.final.g_bar)
-            backlogs.append(res.mean_backlog)
-        mean_cost = sum(costs) / len(costs)
-        mean_backlog = sum(backlogs) / len(backlogs)
+    for scheme in SCHEMES:
+        picked = [r for r in results if r.scheme is scheme]
+        mean_cost = sum(r.total_cost for r in picked) / len(picked)
+        mean_backlog = sum(r.mean_backlog for r in picked) / len(picked)
         rows.append((scheme.value, mean_cost, mean_backlog))
         print(f"{scheme.value:>6}  mean total cost {float(mean_cost):10.3f}  "
               f"mean backlog {float(mean_backlog):12.3f}")

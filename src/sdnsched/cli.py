@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,14 +119,9 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_run(args, fabrics=None) -> tuple[RunConfig, dict]:
+def _resolve_run(args) -> tuple[RunConfig, dict]:
     """Merge config file and flags into a RunConfig, collecting all
-    validation problems before failing.
-
-    `fabrics` is an optional dict that a command resolving several runs
-    keeps for its own lifetime: it maps each topology's inputs to the
-    (topology, placement, cost model) built for them, so every run on
-    the same fabric reuses one build."""
+    validation problems before failing."""
     cfg = {}
     if args.config:
         cfg.update(_load_config_file(args.config))
@@ -167,25 +163,24 @@ def _resolve_run(args, fabrics=None) -> tuple[RunConfig, dict]:
         process = None
     if cfg["horizon"] < 1:
         problems.append("horizon must be >= 1")
+    traffic_seed = cfg.get("traffic_seed", _default_seed())
+    if traffic_seed < 0:
+        # numpy seeds the per-switch streams, and takes no negative seed
+        name = "traffic_seed" if "traffic_seed" in cfg else "SDND_SEED"
+        problems.append(f"{name} must be >= 0, got {traffic_seed}")
     if kind is None:
         raise ConfigError(problems)
 
     # the switch count that bounds hot-spot ids needs the topology
     topo_seed = cfg.get("topo_seed", _default_seed())
-    fabrics = {} if fabrics is None else fabrics
-    key = (kind, cfg["k"], topo_seed, cfg.get("hosts_min"),
-           cfg.get("hosts_max"))
-    if key not in fabrics:
-        try:
-            topo = topology.generate(kind, cfg["k"], seed=topo_seed,
-                                     hosts_min=cfg.get("hosts_min"),
-                                     hosts_max=cfg.get("hosts_max"))
-        except ValueError as exc:
-            raise ConfigError(problems + [str(exc)]) from None
-        placement = topology.place_controllers(topo, seed=topo_seed)
-        fabrics[key] = (topo, placement,
-                        topology.build_cost_model(topo, placement))
-    topo, placement, cost = fabrics[key]
+    try:
+        topo = topology.generate(kind, cfg["k"], seed=topo_seed,
+                                 hosts_min=cfg.get("hosts_min"),
+                                 hosts_max=cfg.get("hosts_max"))
+    except ValueError as exc:
+        raise ConfigError(problems + [str(exc)]) from None
+    placement = topology.place_controllers(topo, seed=topo_seed)
+    cost = topology.build_cost_model(topo, placement)
     hot = cfg.get("hot_spot_switches")
     if hot is None:
         hot = _default_hot_spot(topo)
@@ -209,7 +204,7 @@ def _resolve_run(args, fabrics=None) -> tuple[RunConfig, dict]:
             controller_capacity=cfg.get("controller_capacity", 600),
             switch_capacity=cfg.get("switch_capacity", 10),
             a_max=cfg.get("a_max", 10 ** 6),
-            seed=cfg.get("traffic_seed", _default_seed()),
+            seed=traffic_seed,
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
@@ -277,12 +272,11 @@ def cmd_topo(args) -> int:
     topo = topology.generate(kind, args.k, seed=seed,
                              hosts_min=args.hosts_min, hosts_max=args.hosts_max)
     placement = topology.place_controllers(topo, seed=seed)
-    w = topology.hop_matrix(topo, placement)
-    alpha = topology.derive_alpha(w)
+    cost = topology.build_cost_model(topo, placement)
     stats = (
         f"kind={kind.value} k={args.k} switches={topo.n_switches} "
         f"hosts={topo.n_hosts} controllers={placement.controller_count} "
-        f"alpha={format_rational(alpha)}"
+        f"alpha={format_rational(cost.alpha[0])}"
     )
     if args.out:
         Path(args.out).write_text(topology.dump_edge_list(topo))
@@ -309,9 +303,11 @@ def cmd_run(args) -> int:
 def _parse_grid(text: str):
     try:
         values = [_parse_v(tok) for tok in text.split(",") if tok]
+        if min(values, default=0) < 0:
+            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise ConfigError([f"bad --v-grid value {text!r}: expected "
-                           "comma-separated V values"]) from None
+                           "comma-separated nonnegative V values"]) from None
     if len(set(values)) != len(values):
         raise ConfigError(["duplicate V values in grid"])
     if not values:
@@ -321,22 +317,29 @@ def _parse_grid(text: str):
 
 def cmd_sweep(args, fixed_schemes=None) -> int:
     grid = _parse_grid(args.v_grid)
-    schemes = fixed_schemes or [s.strip() for s in args.schemes.split(",")]
+    names = fixed_schemes or [s.strip() for s in args.schemes.split(",")]
     try:
+        # each seed is a run seed and a traffic seed
         seeds = [int(s) for s in args.seeds.split(",")]
+        if min(seeds) < 0:
+            raise ValueError
     except ValueError:
         raise ConfigError([f"bad --seeds value {args.seeds!r}: expected "
-                           "comma-separated integers"]) from None
+                           "comma-separated nonnegative integers"]) from None
+    known = {s.value for s in Scheme}
+    unknown = [f"unknown scheme {name!r}" for name in names
+               if name not in known]
+    if unknown:
+        raise ConfigError(unknown)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fabrics = {}
-    cfgs = []
-    for scheme in schemes:
-        for seed in seeds:
-            run_args = argparse.Namespace(**{
-                **vars(args), "scheme": scheme,
-                "run_seed": seed, "traffic_seed": seed})
-            cfgs.append(_resolve_run(run_args, fabrics)[0])
+    # one resolution; the (scheme, seed) configs differ only in these
+    base, _ = _resolve_run(argparse.Namespace(**{
+        **vars(args), "scheme": names[0],
+        "run_seed": seeds[0], "traffic_seed": seeds[0]}))
+    cfgs = [replace(base, scheme=Scheme(name), run_seed=seed,
+                    traffic=replace(base.traffic, seed=seed))
+            for name in names for seed in seeds]
     warnings = {w: None for cfg in cfgs for w in engine.capacity_check(cfg)}
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

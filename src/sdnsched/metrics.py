@@ -82,25 +82,6 @@ def controller_variance(q_c: Sequence[int]) -> Fraction:
     return Fraction(n * sq - total * total, n * n)
 
 
-def min_cost_arrival_variance(w, rates) -> Fraction:
-    """Variance of per-controller minimum-cost request arrival rates.
-
-    A switch with several minimum-cost controllers contributes its
-    rate to each of them.
-    """
-    if len(w) != len(rates):
-        raise ValueError("one rate per switch required")
-    n_c = len(w[0])
-    r = [Fraction(0)] * n_c
-    for row, rate in zip(w, rates):
-        lo = min(row)
-        for j, hops in enumerate(row):
-            if hops == lo:
-                r[j] += Fraction(rate)
-    mean = sum(r) / n_c
-    return sum((x - mean) ** 2 for x in r) / n_c
-
-
 def format_rational(x, digits: int = 6) -> str:
     """Fixed-point decimal rendering of an exact rational, rounded half
     to even at `digits` places: round(Fraction(x) * 10**digits), from

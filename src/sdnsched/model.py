@@ -102,7 +102,7 @@ class CostModel:
 
     @cached_property
     def tables(self) -> "CostTables":
-        """W and the scaled alpha as integer arrays, built once."""
+        """W, the scaled alpha and the gap as integer arrays, built once."""
         return CostTables.build(self)
 
     @classmethod
@@ -113,7 +113,8 @@ class CostModel:
 
 @dataclass(frozen=True)
 class CostTables:
-    """A CostModel's integers for vectorised pricing, built once.
+    """A CostModel's one integer scaling, for vectorised pricing and
+    decisions, built once.
 
     Switch i under target t (a controller index, or LOCAL = -1) is cell
     `cells[i] + t` of the flat per-cell tables, which hold n_c + 1 cells
@@ -128,6 +129,10 @@ class CostTables:
     `weight` bounds every entry of both, so a caller that knows its sums
     stay within int64 casts them (engine.LaneGroup does, once per lane
     group).
+
+    `gap` is the decision rule's cost term in the same scale,
+    d*W[i][j] - d*alpha_i, as an (n_s x n_c) object array of Python
+    ints, and `gap_max` is max|gap|.
     """
 
     w: np.ndarray
@@ -136,6 +141,8 @@ class CostTables:
     weight: int
     cells: np.ndarray
     joins: np.ndarray
+    gap: np.ndarray
+    gap_max: int
 
     @classmethod
     def build(cls, cost: "CostModel") -> "CostTables":
@@ -149,9 +156,11 @@ class CostTables:
         joins = np.empty((n_s, n_c + 1), np.intp)
         joins[:, 0] = np.arange(n_s)
         joins[:, 1:] = np.arange(n_s, n_s + n_c)
+        gap = w.reshape(n_s, n_c + 1)[:, 1:] * scale - scaled[:, None]
         return cls(w=w, scaled_alpha=scaled, scale=scale, weight=weight,
                    cells=np.arange(n_s) * (n_c + 1) + 1,
-                   joins=joins.ravel())
+                   joins=joins.ravel(), gap=gap,
+                   gap_max=abs(gap).max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,8 @@ class QueueState:
 
 @dataclass(frozen=True)
 class Association:
-    """Per-slot decision: each switch maps to LOCAL or one controller.
-
-    At most one controller per switch holds structurally (one target
-    per switch), so only index ranges need validation.
-    """
+    """Per-slot decision: each switch maps to LOCAL or one controller
+    (one target per switch)."""
 
     target: tuple[int, ...]
 
@@ -192,13 +198,6 @@ class SchedulerParams:
     def __post_init__(self):
         if self.v < 0:
             raise ValueError("v must be nonnegative")
-
-
-def is_feasible(assoc: Association, n_switches: int, n_controllers: int) -> bool:
-    """Check that every target is LOCAL or a valid controller index."""
-    if len(assoc.target) != n_switches:
-        return False
-    return all(t == LOCAL or 0 <= t < n_controllers for t in assoc.target)
 
 
 def step_switch_queue(q: int, routed_local: int, service: int) -> int:

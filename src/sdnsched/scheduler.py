@@ -7,19 +7,20 @@ by lane_argmin.
 The per-switch functions (greedy_decide, association_only_decide,
 jsq_decide, static_decide, brute_force_decide, slot_objective) are the
 specification; lane_argmin over GreedyKernel tables is tested for
-equality against them. The engine stacks the K matrices of its argmin
-lanes into one lane_argmin call and calls random_decide per Random
-lane, with numpy arrays, and gets target arrays back, one intp per
-switch. All
-arithmetic is exact (int / Fraction), so every comparison is an
-equality check. Ties break toward the lowest controller index
-everywhere; with that rule JSQ is the devolution-off argmin at v = 0.
+equality against them. For v = p/q, GreedyKernel's table is
+K = p*(d*W - d*alpha): p times the cost model's one integer scaling of
+the gap W - alpha (CostTables.gap, d = CostTables.scale). The engine
+stacks the K matrices of its argmin lanes into one lane_argmin call and
+calls random_decide per Random lane, with numpy arrays, and gets target
+arrays back, one intp per switch. All arithmetic is exact
+(int / Fraction), so every comparison is an equality check. Ties break
+toward the lowest controller index everywhere; with that rule JSQ is the
+devolution-off argmin at v = 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,19 +194,19 @@ class GreedyKernel:
     """The tables of the vectorised, integer-scaled greedy decider: the
     fast path for every scheme that decides from queues.
 
-    The time-invariant part of each weight, v*(W[i][j] - alpha_i), is a
-    rational constant, computed once per distinct (hop count, alpha)
-    pair; scaling every weight by the common denominator d gives the
-    integer matrix K, and each slot is one argmin per row of
-    M = K + d*Qc. numpy returns the first index on a tie, which is the
-    lowest-index rule. With devolution on, switch i goes LOCAL where
-    M[i, j] > d*Qs_i, so decisions equal greedy_decide exactly. With
+    With v = p/q in lowest terms and the cost model's integer gap
+    d*W[i][j] - d*alpha_i (CostTables.gap, d its `scale`), every weight
+    times q*d is K[i, j] + q*d*(Qc_j - Qs_i), with K = p*(d*W - d*alpha).
+    So `scale` is q*d, and each slot is one argmin per row of
+    M = K + scale*Qc. numpy returns the first index on a tie, which is
+    the lowest-index rule. With devolution on, switch i goes LOCAL where
+    M[i, j] > scale*Qs_i, so decisions equal greedy_decide exactly. With
     devolution off that test is skipped; alpha_i is constant along a
-    row, so the argmin equals association_only_decide, and at v = 0 it
-    equals jsq_decide.
+    row, so the argmin equals association_only_decide, and at v = 0
+    (p = 0, K = 0) it equals jsq_decide.
 
     `k` is K as an object array of Python ints, exact at any size. While
-    no backlog exceeds `int64_top`, max|K| + d*max(Q) < 2**62, so a
+    no backlog exceeds `int64_top`, max|K| + scale*max(Q) < 2**62, so a
     caller may cast K to int64 and run lane_argmin on int64 backlogs
     without a sum wrapping; the engine casts the stacked K matrices of a
     lane group once, and moves them back to object arrays when it
@@ -213,26 +214,15 @@ class GreedyKernel:
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
+        tables = cost.tables
         v = Fraction(params.v)
-        hops_by_alpha = {}
-        for row, a in zip(cost.w, cost.alpha):
-            hops_by_alpha.setdefault(a, set()).update(row)
-        terms = {a: {w: v * (w - a) for w in hops}
-                 for a, hops in hops_by_alpha.items()}
-        self.scale = math.lcm(*(t.denominator for row in terms.values()
-                                for t in row.values()))
-        scaled = {a: {w: int(t * self.scale) for w, t in row.items()}
-                  for a, row in terms.items()}
-        self.k = np.array(
-            [list(map(scaled[a].__getitem__, row))
-             for row, a in zip(cost.w, cost.alpha)],
-            dtype=object)
+        self.k = v.numerator * tables.gap
+        self.scale = v.denominator * tables.scale
         self.devolve = params.devolution is Devolution.ON
-        k_max = max((abs(k) for row in scaled.values() for k in row.values()),
-                    default=0)
-        # largest backlog the int64 path accepts (none when d itself
-        # is too large for int64)
-        self.int64_top = (INT64_BOUND - 1 - k_max) // self.scale \
+        # largest backlog the int64 path accepts (none when the scale
+        # itself is too large for int64)
+        self.int64_top = \
+            (INT64_BOUND - 1 - v.numerator * tables.gap_max) // self.scale \
             if self.scale < INT64_BOUND else -1
 
 

@@ -1,5 +1,5 @@
 """Per-slot stochastic inputs: arrival processes (trace-CDF, Poisson,
-Pareto, constant), hot-spot overrides, and constant service vectors.
+Pareto, constant), hot-spot overrides, and constant service capacities.
 
 Every switch owns an independent PRNG stream derived from
 (seed, switch index), so changing one switch's mode never perturbs
@@ -425,12 +425,6 @@ class ArrivalState:
 
 def sample_slot_arrivals(state: ArrivalState) -> tuple[int, ...]:
     return tuple(state.next_row().tolist())
-
-
-def sample_slot_services(cfg: TrafficConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Constant service: capacity per controller and per switch."""
-    return ((cfg.controller_capacity,) * cfg.n_controllers,
-            (cfg.switch_capacity,) * cfg.n_switches)
 
 
 def cap_warnings(cfg: TrafficConfig) -> list[str]:

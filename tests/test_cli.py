@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sdnsched import engine, topology
+from sdnsched import cli, engine, topology
 from sdnsched.cli import build_parser, cmd_sweep, main
 
 
@@ -144,6 +144,24 @@ class TestRun:
         assert code == 1
         assert "bogus" in err and "[20] outside" in err
 
+    def test_negative_traffic_seed_flag_named(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "jsq", "--traffic-seed", "-1"))
+        assert code == 1
+        assert "traffic_seed must be >= 0, got -1" in err
+        assert "non-negative integer" not in err
+
+    def test_negative_traffic_seed_key_named(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, traffic_seed=-1)
+        assert code == 1
+        assert "traffic_seed must be >= 0, got -1" in err
+        assert "non-negative integer" not in err
+
+    def test_negative_run_seed_accepted(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "random", "--run-seed", "-2"))
+        assert code == 0
+
     @pytest.mark.parametrize("cdf, problem", [
         ("-5 0.5\n5 1.0\n", "nonnegative"),
         ("0 1.0\n", "positive"),
@@ -275,6 +293,28 @@ class TestSweep:
         assert code == 0
         assert len(calls) == 1
 
+    def test_config_resolved_once_per_command(self, capsys, tmp_path,
+                                              monkeypatch):
+        calls = []
+        resolve = cli._resolve_run
+        monkeypatch.setattr(cli, "_resolve_run",
+                            lambda args: calls.append(args) or resolve(args))
+        code, _, _ = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--arrivals", "constant:2",
+            "--schemes", "greedy,jsq,static", "--v-grid", "0,10",
+            "--seeds", "1,2,3", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_unknown_scheme_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--schemes", "greedy,bogus",
+            "--v-grid", "0", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "unknown scheme 'bogus'" in err
+
     def test_v_free_lanes_run_once(self, capsys, tmp_path, monkeypatch):
         # Static, Random and JSQ ignore V: each (scheme, seed) is one lane
         # whose row repeats for every V; greedy runs one lane per V
@@ -309,8 +349,8 @@ class TestSweep:
         assert "duplicate" in err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--seeds", "x"), ("--seeds", ""), ("--v-grid", "nan"),
-        ("--v-grid", "1/0"),
+        ("--seeds", "x"), ("--seeds", ""), ("--seeds", "-3"),
+        ("--v-grid", "nan"), ("--v-grid", "1/0"), ("--v-grid", "-1"),
     ])
     def test_bad_list_value_named(self, capsys, tmp_path, flag, value):
         args = {"--v-grid": "0,10", "--seeds": "0", flag: value}
@@ -391,6 +431,16 @@ def test_bad_seed_env_var_named(capsys, tmp_path, monkeypatch):
                            "--out-dir", str(tmp_path))
     assert code == 1
     assert "bad SDND_SEED value 'abc'" in err
+
+
+def test_negative_seed_env_var_named(capsys, tmp_path, monkeypatch):
+    # SDND_SEED supplies the traffic seed here, so the message names it
+    monkeypatch.setenv("SDND_SEED", "-1")
+    code, _, err = run_cli(capsys, "run", "--kind", "fat-tree", "--k", "4",
+                           "--horizon", "5", "--scheme", "jsq",
+                           "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "SDND_SEED must be >= 0, got -1" in err
 
 
 def readme_commands():

@@ -207,7 +207,9 @@ class TestRun:
         res = run(cfg)
         group = one_lane(cfg)
         arrival_state = tr.ArrivalState(cfg.traffic)
-        services = tr.sample_slot_services(cfg.traffic)
+        tcfg = cfg.traffic
+        services = ((tcfg.controller_capacity,) * tcfg.n_controllers,
+                    (tcfg.switch_capacity,) * tcfg.n_switches)
         q = group.lane_queues(0)
         for rec in res.records:
             arrivals = tr.sample_slot_arrivals(arrival_state)
@@ -278,10 +280,11 @@ class TestInvariants:
         # uploaded to it
         group = one_lane(cfg)
         arrival_state = tr.ArrivalState(cfg.traffic)
-        services = tr.sample_slot_services(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
         replay_group = one_lane(cfg)
-        ctrl_service, switch_service = services
+        tcfg = cfg.traffic
+        ctrl_service = (tcfg.controller_capacity,) * tcfg.n_controllers
+        switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
             q = group.lane_queues(0)
             group.advance([arrival_state.next_row()], [])
@@ -308,7 +311,9 @@ class TestInvariants:
         arrival_state = tr.ArrivalState(cfg.traffic)
         replay = tr.ArrivalState(cfg.traffic)
         replay_group = one_lane(cfg)
-        ctrl_service, switch_service = tr.sample_slot_services(cfg.traffic)
+        tcfg = cfg.traffic
+        ctrl_service = (tcfg.controller_capacity,) * tcfg.n_controllers
+        switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
             q = group.lane_queues(0)
             [(_, rec)] = group.advance([arrival_state.next_row()], [0])

@@ -8,7 +8,6 @@ from sdnsched.metrics import (
     Accumulator,
     controller_variance,
     format_rational,
-    min_cost_arrival_variance,
     record_to_csv_row,
 )
 from sdnsched.model import QueueState
@@ -74,25 +73,6 @@ class TestControllerVariance:
     def test_requires_controller(self):
         with pytest.raises(ValueError):
             controller_variance(())
-
-
-class TestMinCostArrivalVariance:
-    def test_single_controller(self):
-        assert min_cost_arrival_variance(((1,), (2,)), (5, 5)) == 0
-
-    def test_symmetric_assignment(self):
-        assert min_cost_arrival_variance(((1, 2), (2, 1)), (5, 5)) == 0
-
-    def test_skewed_assignment(self):
-        assert min_cost_arrival_variance(((1, 2), (1, 2)), (5, 5)) == 25
-
-    def test_multi_minimum_counts_toward_each(self):
-        # one switch at rate 6 with two minimum-cost controllers
-        assert min_cost_arrival_variance(((1, 1),), (6,)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            min_cost_arrival_variance(((1, 2),), (5, 5))
 
 
 def reference_format(x, digits=6):

@@ -8,7 +8,6 @@ from sdnsched.model import (
     Association,
     CostModel,
     QueueState,
-    is_feasible,
     lyapunov,
     slot_comm_cost,
     slot_comp_cost,
@@ -17,21 +16,6 @@ from sdnsched.model import (
 )
 
 counts = st.integers(min_value=0, max_value=10 ** 6)
-
-
-class TestFeasibility:
-    def test_all_local_feasible(self):
-        assert is_feasible(Association(target=(LOCAL, LOCAL)), 2, 0)
-        assert is_feasible(Association(target=(LOCAL,) * 5), 5, 3)
-
-    def test_valid_assignment(self):
-        assert is_feasible(Association(target=(1,)), 1, 2)
-
-    def test_out_of_range_index(self):
-        assert not is_feasible(Association(target=(5,)), 1, 2)
-
-    def test_wrong_length(self):
-        assert not is_feasible(Association(target=(0, 0)), 3, 2)
 
 
 class TestQueueSteps:

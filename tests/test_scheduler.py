@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsched.model import (
+    INT64_BOUND,
     LOCAL,
     Association,
     CostModel,
@@ -371,6 +372,23 @@ class TestKernels:
                                         st.integers(2 ** 62, 2 ** 66)))
             assert kernel_target(off, (0,) * n_s, (level,) * n_c) == \
                 static_decide(cost).target
+
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_table_is_the_scaled_weight(self, case):
+        # K / scale is v*(W - alpha) exactly, and int64_top keeps
+        # max|K| + scale*backlog below 2^62
+        cost, v, devolution = case
+        kernel = GreedyKernel(cost, SchedulerParams(v=v,
+                                                    devolution=devolution))
+        assert [[Fraction(k, kernel.scale) for k in row]
+                for row in kernel.k.tolist()] == \
+            [[v * (w - a) for w in row] for row, a in zip(cost.w, cost.alpha)]
+        top = max(abs(k) for k in kernel.k.ravel())
+        if kernel.int64_top >= 0:
+            assert top + kernel.scale * kernel.int64_top < INT64_BOUND
+        else:
+            assert top >= INT64_BOUND or kernel.scale >= INT64_BOUND
 
     def test_fractional_parameters(self):
         cost = CostModel.uniform_alpha(((2, 5), (3, 1)), Fraction(7, 3))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsched import traffic
+from sdnsched.engine import LaneGroup, RunConfig, Scheme, lane_limit
+from sdnsched.model import CostModel, SchedulerParams
 from sdnsched.traffic import (
     ArrivalState,
     Constant,
@@ -18,7 +20,6 @@ from sdnsched.traffic import (
     load_interarrival_cdf,
     mean_arrival_rates,
     sample_slot_arrivals,
-    sample_slot_services,
 )
 
 
@@ -459,24 +460,36 @@ class TestBlockSampler:
         assert cdf.sample_array(u).tolist() == [cdf.sample(x) for x in u]
 
 
+def lane_services(cfg):
+    """The constant service vectors (controllers, switches) that the
+    engine's lane loop builds from a traffic config."""
+    cost = CostModel.uniform_alpha(((1,) * cfg.n_controllers,)
+                                   * cfg.n_switches, 1)
+    run_cfg = RunConfig(cost=cost, traffic=cfg, scheme=Scheme.STATIC,
+                        params=SchedulerParams(), horizon_slots=1)
+    [row] = LaneGroup([run_cfg], [None], [lane_limit(run_cfg, None)],
+                      [0]).service.tolist()
+    return tuple(row[cfg.n_switches:]), tuple(row[:cfg.n_switches])
+
+
 class TestServices:
     def test_controller_vector(self):
         cfg = TrafficConfig(base_process=Constant(1), n_switches=3,
                             n_controllers=12, controller_capacity=600)
-        ctrl, _ = sample_slot_services(cfg)
+        ctrl, _ = lane_services(cfg)
         assert ctrl == (600,) * 12
 
     def test_zero_capacity(self):
         cfg = TrafficConfig(base_process=Constant(1), n_switches=2,
                             n_controllers=2, controller_capacity=0,
                             switch_capacity=0)
-        ctrl, sw = sample_slot_services(cfg)
+        ctrl, sw = lane_services(cfg)
         assert ctrl == (0, 0) and sw == (0, 0)
 
     def test_switch_vector(self):
         cfg = TrafficConfig(base_process=Constant(1), n_switches=720,
                             n_controllers=2, switch_capacity=10)
-        _, sw = sample_slot_services(cfg)
+        _, sw = lane_services(cfg)
         assert sw == (10,) * 720
 
 
