@@ -11,37 +11,23 @@ import csv
 import pathlib
 from fractions import Fraction
 
+from sdnsched.cli import sweep_configs
 from sdnsched.engine import RunConfig, Scheme, sweep
 from sdnsched.metrics import format_rational
-from sdnsched.model import SchedulerParams
-from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
-from sdnsched.traffic import Poisson, TrafficConfig
 
+# config-file keys, resolved as `sdnsched compare` resolves them; the
+# topology seed is fixed, so SDND_SEED changes nothing
+EXPERIMENT = {"kind": "fat-tree", "k": 4, "topo_seed": 0,
+              "arrivals": "poisson:2", "hot_spot_rate": 20,
+              "controller_capacity": 60, "switch_capacity": 4}
 SCHEMES = (Scheme.GREEDY, Scheme.STATIC, Scheme.RANDOM, Scheme.JSQ)
 SEEDS = [0, 1, 2, 3, 4]
 
 
 def configs(horizon: int) -> list[RunConfig]:
     """One run per (scheme, seed); the sweep sets V."""
-    topo = gen_fat_tree(4)
-    cost = build_cost_model(topo, place_controllers(topo))
-    return [RunConfig(
-        cost=cost,
-        traffic=TrafficConfig(
-            base_process=Poisson(2),
-            n_switches=topo.n_switches,
-            n_controllers=cost.n_controllers,
-            hot_spot_switches=frozenset(topo.pods[0]),
-            hot_spot_rate=20,
-            controller_capacity=60,
-            switch_capacity=4,
-            seed=seed,
-        ),
-        scheme=scheme,
-        params=SchedulerParams(),
-        horizon_slots=horizon,
-        run_seed=seed,
-    ) for scheme in SCHEMES for seed in SEEDS]
+    return sweep_configs({**EXPERIMENT, "horizon": horizon},
+                         [s.value for s in SCHEMES], SEEDS)
 
 
 def main() -> None:

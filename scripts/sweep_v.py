@@ -10,12 +10,15 @@ import argparse
 import csv
 import pathlib
 
-from sdnsched.engine import RunConfig, Scheme, sweep
+from sdnsched.cli import sweep_configs
+from sdnsched.engine import RunConfig, sweep
 from sdnsched.metrics import format_rational
-from sdnsched.model import SchedulerParams
-from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
-from sdnsched.traffic import Poisson, TrafficConfig
 
+# config-file keys, resolved as `sdnsched sweep` resolves them; the
+# topology seed is fixed, so SDND_SEED changes nothing
+EXPERIMENT = {"kind": "fat-tree", "k": 4, "topo_seed": 0,
+              "arrivals": "poisson:2", "hot_spot_rate": 20,
+              "controller_capacity": 60, "switch_capacity": 4}
 V_GRID = [0, 10, 100, 1000, 10000]
 SEEDS = [0, 1, 2, 3, 4]
 HORIZON = 20_000
@@ -23,25 +26,8 @@ HORIZON = 20_000
 
 def configs(horizon: int) -> list[RunConfig]:
     """One greedy run per seed; the sweep sets V."""
-    topo = gen_fat_tree(4)
-    cost = build_cost_model(topo, place_controllers(topo))
-    return [RunConfig(
-        cost=cost,
-        traffic=TrafficConfig(
-            base_process=Poisson(2),
-            n_switches=topo.n_switches,
-            n_controllers=cost.n_controllers,
-            hot_spot_switches=frozenset(topo.pods[0]),
-            hot_spot_rate=20,
-            controller_capacity=60,
-            switch_capacity=4,
-            seed=seed,
-        ),
-        scheme=Scheme.GREEDY,
-        params=SchedulerParams(),
-        horizon_slots=horizon,
-        run_seed=seed,
-    ) for seed in SEEDS]
+    return sweep_configs({**EXPERIMENT, "horizon": horizon}, ["greedy"],
+                         SEEDS)
 
 
 def main() -> None:

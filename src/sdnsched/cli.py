@@ -28,10 +28,11 @@ from .model import Devolution, SchedulerParams, TopoKind
 
 
 class ConfigError(Exception):
-    """Validation failure; carries every problem found, not just the first."""
+    """Validation failure; carries every problem found, not just the
+    first, each once."""
 
     def __init__(self, problems):
-        self.problems = list(problems)
+        self.problems = list(dict.fromkeys(problems))
         super().__init__("; ".join(self.problems))
 
 
@@ -40,15 +41,16 @@ def _default_seed() -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError([f"bad SDND_SEED value {text!r}: expected an "
-                           "integer"]) from None
+        raise ValueError(f"bad SDND_SEED value {text!r}: expected an "
+                         "integer") from None
 
 
-def _parse_v(text: str) -> Fraction:
+def _parse_v(text: str) -> int | Fraction:
+    """A nonnegative V, written p/q or as a decimal; an int when whole."""
     v = Fraction(text) if "/" in text else Fraction(str(float(text)))
-    if v.denominator == 1:
-        return v.numerator
-    return v
+    if v < 0:
+        raise ValueError("V must be nonnegative")
+    return v.numerator if v.denominator == 1 else v
 
 
 # kind -> (process class, type of each comma-separated parameter)
@@ -96,91 +98,99 @@ def _has_type(value, want: type) -> bool:
         and not (want is int and isinstance(value, bool))
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError([f"{path}: expected a JSON object of config keys"])
-    problems = []
-    unknown = set(data) - set(_RUN_FIELDS)
+def _key_problems(cfg: dict) -> list[str]:
+    """Missing, unknown and mistyped run keys."""
+    problems = [f"missing required field: {key}" for key in
+                ("kind", "k", "scheme", "horizon") if key not in cfg]
+    unknown = set(cfg) - set(_RUN_FIELDS)
     if unknown:
         problems.append(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
+    for key, value in cfg.items():
         want = _RUN_FIELDS.get(key)
         if want is not None and not _has_type(value, want):
             problems.append(f"config key {key!r} must be {want.__name__}, "
                             f"got {value!r}")
-    hot = data.get("hot_spot_switches")
+    hot = cfg.get("hot_spot_switches")
     if isinstance(hot, list) and not all(_has_type(s, int) for s in hot):
         problems.append(f"config key 'hot_spot_switches' must list switch "
                         f"ids, got {hot!r}")
-    if problems:
-        raise ConfigError(problems)
-    return data
+    return problems
 
 
-def _resolve_run(args) -> tuple[RunConfig, dict]:
-    """Merge config file and flags into a RunConfig, collecting all
-    validation problems before failing."""
+def _given(args) -> dict:
+    """A run, sweep or compare command's run keys: its config file's,
+    then its flags', which override them."""
     cfg = {}
     if args.config:
-        cfg.update(_load_config_file(args.config))
-    for name in _RUN_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            cfg[name] = flag
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError([f"{args.config}: expected a JSON object of "
+                               "config keys"])
+    return {**cfg, **{name: getattr(args, name) for name in _RUN_FIELDS
+                      if getattr(args, name, None) is not None}}
 
-    problems = []
-    for required in ("kind", "k", "scheme", "horizon"):
-        if required not in cfg:
-            problems.append(f"missing required field: {required}")
+
+def _fabric(kind: TopoKind, k: int, seed: int, hosts_min=None,
+            hosts_max=None):
+    """The topology of `kind` and its cost model, with controllers placed
+    from `seed`."""
+    topo = topology.generate(kind, k, seed=seed, hosts_min=hosts_min,
+                             hosts_max=hosts_max)
+    placement = topology.place_controllers(topo, seed=seed)
+    return topo, topology.build_cost_model(topo, placement)
+
+
+def resolve(cfg: dict) -> tuple[RunConfig, dict]:
+    """The RunConfig of the run keys `cfg` (the keys a --config file
+    holds), and the resolved keys a summary embeds. Every problem found
+    is collected before failing with one ConfigError."""
+    problems = _key_problems(cfg)
     if problems:
         raise ConfigError(problems)
 
-    try:
-        kind = TopoKind(cfg["kind"])
-    except ValueError:
-        problems.append(f"unknown topology kind {cfg['kind']!r}")
-        kind = None
-    try:
-        scheme = Scheme(cfg["scheme"])
-    except ValueError:
-        problems.append(f"unknown scheme {cfg['scheme']!r}")
-        scheme = None
-    try:
-        v = _parse_v(str(cfg.get("v", "0")))
-    except (ValueError, ZeroDivisionError):
-        problems.append(f"bad v value {cfg.get('v')!r}")
-        v = 0
-    devolution = Devolution(cfg.get("devolution", "on")) \
-        if cfg.get("devolution", "on") in ("on", "off") else None
-    if devolution is None:
-        problems.append(f"devolution must be 'on' or 'off'")
-    try:
-        process = _parse_process(cfg.get("arrivals", "poisson:5.88"))
-    except ValueError as exc:
-        problems.append(str(exc))
-        process = None
-    if cfg["horizon"] < 1:
+    def attempt(make, *args, problem=None, **kwargs):
+        """make(...), or None with `problem` (by default the error's own
+        message) recorded."""
+        try:
+            return make(*args, **kwargs)
+        except (ValueError, ZeroDivisionError) as exc:
+            problems.append(problem or str(exc))
+
+    def seed(key):
+        # SDND_SEED is read only when it supplies the seed; 0 stands in
+        # for a bad value, so that the other checks still run
+        return cfg[key] if key in cfg else attempt(_default_seed) or 0
+
+    kind = attempt(TopoKind, cfg["kind"],
+                   problem=f"unknown topology kind {cfg['kind']!r}")
+    scheme = attempt(Scheme, cfg["scheme"],
+                     problem=f"unknown scheme {cfg['scheme']!r}")
+    v = attempt(_parse_v, str(cfg.get("v", "0")),
+                problem=f"bad v value {cfg.get('v')!r}: expected a "
+                        "nonnegative number or p/q")
+    devolution = attempt(Devolution, cfg.get("devolution", "on"),
+                         problem="devolution must be 'on' or 'off'")
+    process = attempt(_parse_process, cfg.get("arrivals", "poisson:5.88"))
+    horizon = cfg["horizon"]
+    if horizon < 1:
         problems.append("horizon must be >= 1")
-    traffic_seed = cfg.get("traffic_seed", _default_seed())
+    stride = cfg.get("stride", 1 if horizon <= 10_000 else 10)
+    if stride < 1:
+        problems.append(f"stride must be >= 1, got {stride}")
+    topo_seed, run_seed = seed("topo_seed"), seed("run_seed")
+    traffic_seed = seed("traffic_seed")
     if traffic_seed < 0:
         # numpy seeds the per-switch streams, and takes no negative seed
         name = "traffic_seed" if "traffic_seed" in cfg else "SDND_SEED"
         problems.append(f"{name} must be >= 0, got {traffic_seed}")
-    if kind is None:
+    # the switch count, which bounds the hot-spot ids, and the traffic
+    # config need the topology
+    fabric = attempt(_fabric, kind, cfg["k"], topo_seed, cfg.get("hosts_min"),
+                     cfg.get("hosts_max")) if kind else None
+    if fabric is None:
         raise ConfigError(problems)
-
-    # the switch count that bounds hot-spot ids needs the topology
-    topo_seed = cfg.get("topo_seed", _default_seed())
-    try:
-        topo = topology.generate(kind, cfg["k"], seed=topo_seed,
-                                 hosts_min=cfg.get("hosts_min"),
-                                 hosts_max=cfg.get("hosts_max"))
-    except ValueError as exc:
-        raise ConfigError(problems + [str(exc)]) from None
-    placement = topology.place_controllers(topo, seed=topo_seed)
-    cost = topology.build_cost_model(topo, placement)
+    topo, cost = fabric
     hot = cfg.get("hot_spot_switches")
     if hot is None:
         hot = _default_hot_spot(topo)
@@ -188,52 +198,65 @@ def _resolve_run(args) -> tuple[RunConfig, dict]:
     if outside:
         problems.append(f"hot_spot_switches {outside} outside "
                         f"[0, {topo.n_switches})")
+    hot_rate = cfg.get("hot_spot_rate", 0)
+    tcfg = attempt(
+        traffic.TrafficConfig,
+        base_process=process,
+        n_switches=topo.n_switches,
+        n_controllers=cost.n_controllers,
+        slot_length_us=cfg.get("slot_length_us", 10_000),
+        hot_spot_switches=frozenset(hot) if hot_rate > 0 else frozenset(),
+        hot_spot_rate=hot_rate,
+        controller_capacity=cfg.get("controller_capacity", 600),
+        switch_capacity=cfg.get("switch_capacity", 10),
+        a_max=cfg.get("a_max", 10 ** 6),
+        seed=traffic_seed,
+    )
     if problems:
         raise ConfigError(problems)
 
-    hot_rate = cfg.get("hot_spot_rate", 0)
-    try:
-        tcfg = traffic.TrafficConfig(
-            base_process=process,
-            n_switches=topo.n_switches,
-            n_controllers=placement.controller_count,
-            slot_length_us=cfg.get("slot_length_us", 10_000),
-            hot_spot_switches=frozenset(hot) if hot_rate > 0
-            else frozenset(),
-            hot_spot_rate=hot_rate,
-            controller_capacity=cfg.get("controller_capacity", 600),
-            switch_capacity=cfg.get("switch_capacity", 10),
-            a_max=cfg.get("a_max", 10 ** 6),
-            seed=traffic_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
     run_cfg = RunConfig(
         cost=cost,
         traffic=tcfg,
         scheme=scheme,
         params=SchedulerParams(v=v, devolution=devolution),
-        horizon_slots=cfg["horizon"],
-        run_seed=cfg.get("run_seed", _default_seed()),
-        stride=cfg.get("stride", 1 if cfg["horizon"] <= 10_000 else 10),
+        horizon_slots=horizon,
+        run_seed=run_seed,
+        stride=stride,
         log_lyapunov=cfg.get("log_lyapunov", False),
     )
-    resolved = dict(cfg)
-    resolved.update({
+    resolved = {
+        **cfg,
         "kind": kind.value, "scheme": scheme.value,
         "v": str(v), "devolution": devolution.value,
         "topo_seed": topo_seed,
-        "traffic_seed": tcfg.seed, "run_seed": run_cfg.run_seed,
-        "stride": run_cfg.stride,
+        "traffic_seed": traffic_seed, "run_seed": run_seed,
+        "stride": stride,
         "n_switches": topo.n_switches, "n_hosts": topo.n_hosts,
-        "n_controllers": placement.controller_count,
+        "n_controllers": cost.n_controllers,
         "alpha": format_rational(cost.alpha[0]),
         "hot_spot_switches": sorted(tcfg.hot_spot_switches),
         "hot_spot_rate": hot_rate,
         "controller_capacity": tcfg.controller_capacity,
         "switch_capacity": tcfg.switch_capacity,
-    })
+    }
     return run_cfg, resolved
+
+
+def sweep_configs(cfg: dict, schemes, seeds) -> list[RunConfig]:
+    """The RunConfig of every (scheme, seed) pair of the run keys `cfg`,
+    scheme by scheme, then seed by seed; each seed is both the run seed
+    and the traffic seed. The pairs differ in nothing else, so `cfg` is
+    resolved once."""
+    unknown = [f"unknown scheme {name!r}" for name in schemes
+               if name not in {s.value for s in Scheme}]
+    if unknown:
+        raise ConfigError(unknown)
+    base, _ = resolve({**cfg, "scheme": schemes[0], "run_seed": seeds[0],
+                       "traffic_seed": seeds[0]})
+    return [replace(base, scheme=Scheme(name), run_seed=seed,
+                    traffic=replace(base.traffic, seed=seed))
+            for name in schemes for seed in seeds]
 
 
 def _default_hot_spot(topo) -> list[int]:
@@ -269,13 +292,10 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
 def cmd_topo(args) -> int:
     kind = TopoKind(args.kind)
     seed = args.seed if args.seed is not None else _default_seed()
-    topo = topology.generate(kind, args.k, seed=seed,
-                             hosts_min=args.hosts_min, hosts_max=args.hosts_max)
-    placement = topology.place_controllers(topo, seed=seed)
-    cost = topology.build_cost_model(topo, placement)
+    topo, cost = _fabric(kind, args.k, seed, args.hosts_min, args.hosts_max)
     stats = (
         f"kind={kind.value} k={args.k} switches={topo.n_switches} "
-        f"hosts={topo.n_hosts} controllers={placement.controller_count} "
+        f"hosts={topo.n_hosts} controllers={cost.n_controllers} "
         f"alpha={format_rational(cost.alpha[0])}"
     )
     if args.out:
@@ -285,7 +305,7 @@ def cmd_topo(args) -> int:
 
 
 def cmd_run(args) -> int:
-    run_cfg, resolved = _resolve_run(args)
+    run_cfg, resolved = resolve(_given(args))
     for warning in engine.capacity_check(run_cfg):
         print(f"warning: {warning}", file=sys.stderr)
     result = engine.run(run_cfg)
@@ -303,8 +323,6 @@ def cmd_run(args) -> int:
 def _parse_grid(text: str):
     try:
         values = [_parse_v(tok) for tok in text.split(",") if tok]
-        if min(values, default=0) < 0:
-            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise ConfigError([f"bad --v-grid value {text!r}: expected "
                            "comma-separated nonnegative V values"]) from None
@@ -326,20 +344,9 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
     except ValueError:
         raise ConfigError([f"bad --seeds value {args.seeds!r}: expected "
                            "comma-separated nonnegative integers"]) from None
-    known = {s.value for s in Scheme}
-    unknown = [f"unknown scheme {name!r}" for name in names
-               if name not in known]
-    if unknown:
-        raise ConfigError(unknown)
+    cfgs = sweep_configs(_given(args), names, seeds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one resolution; the (scheme, seed) configs differ only in these
-    base, _ = _resolve_run(argparse.Namespace(**{
-        **vars(args), "scheme": names[0],
-        "run_seed": seeds[0], "traffic_seed": seeds[0]}))
-    cfgs = [replace(base, scheme=Scheme(name), run_seed=seed,
-                    traffic=replace(base.traffic, seed=seed))
-            for name in names for seed in seeds]
     warnings = {w: None for cfg in cfgs for w in engine.capacity_check(cfg)}
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

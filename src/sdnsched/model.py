@@ -147,11 +147,17 @@ class CostTables:
     @classmethod
     def build(cls, cost: "CostModel") -> "CostTables":
         n_s, n_c = cost.n_switches, cost.n_controllers
-        alpha = [Fraction(a) for a in cost.alpha]
-        scale = math.lcm(*(a.denominator for a in alpha))
+        # a uniform-alpha model repeats one alpha object, so the Fraction
+        # work is done once per distinct object, keyed by id (hashing a
+        # Fraction per switch would cost as much as the work)
+        alpha = {id(a): a for a in cost.alpha}
+        scale = math.lcm(*(Fraction(a).denominator for a in alpha.values()))
+        scaled_of = {key: int(Fraction(a) * scale)
+                     for key, a in alpha.items()}
         w = np.array([[0, *row] for row in cost.w], dtype=object) \
             .reshape(n_s * (n_c + 1))
-        scaled = np.array([int(a * scale) for a in alpha], dtype=object)
+        scaled = np.array([scaled_of[id(a)] for a in cost.alpha],
+                          dtype=object)
         weight = max([1, *w, *scaled])
         joins = np.empty((n_s, n_c + 1), np.intp)
         joins[:, 0] = np.arange(n_s)

@@ -6,6 +6,7 @@ import pytest
 
 from sdnsched import cli, engine, topology
 from sdnsched.cli import build_parser, cmd_sweep, main
+from sdnsched.model import Devolution
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,24 @@ class TestRun:
                                        hot_spot_switches=[20])
         assert code == 1
         assert "bogus" in err and "[20] outside" in err
+
+    @pytest.mark.parametrize("flags, problems", [
+        (["--v", "-1", "--arrivals", "bogus:1"],
+         ["bad v value '-1'", "bad arrival process 'bogus:1'"]),
+        (["--v", "-1"], ["bad v value '-1'"]),
+        (["--stride", "0", "--arrivals", "bogus:1"],
+         ["stride must be >= 1, got 0", "bad arrival process 'bogus:1'"]),
+        (["--slot-length-us", "0", "--stride", "0"],
+         ["slot length must be positive", "stride must be >= 1, got 0"]),
+    ], ids=["v-arrivals", "v", "stride-arrivals", "slot-length-stride"])
+    def test_every_problem_reported(self, capsys, tmp_path, flags, problems):
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path, "--scheme", "greedy", *flags))
+        assert code == 1
+        for problem in problems:
+            assert f"error: {problem}" in err
+        assert err.count("error: ") == len(problems)
+        assert "Traceback" not in err
 
     def test_negative_traffic_seed_flag_named(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.base_args(
@@ -296,9 +315,9 @@ class TestSweep:
     def test_config_resolved_once_per_command(self, capsys, tmp_path,
                                               monkeypatch):
         calls = []
-        resolve = cli._resolve_run
-        monkeypatch.setattr(cli, "_resolve_run",
-                            lambda args: calls.append(args) or resolve(args))
+        resolve = cli.resolve
+        monkeypatch.setattr(cli, "resolve",
+                            lambda cfg: calls.append(cfg) or resolve(cfg))
         code, _, _ = run_cli(
             capsys, "sweep", "--kind", "fat-tree", "--k", "4",
             "--horizon", "5", "--arrivals", "constant:2",
@@ -374,6 +393,32 @@ class TestSweep:
             assert f"\n{scheme}," in body
 
 
+class TestSweepConfigs:
+    def test_equals_separate_resolutions(self, tmp_path):
+        # a Jellyfish config file whose keys flags override
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "jellyfish", "k": 6, "topo_seed": 2, "hosts_min": 1,
+            "hosts_max": 2, "scheme": "random", "horizon": 40, "v": "5",
+            "arrivals": "poisson:3", "hot_spot_rate": 25, "run_seed": 9}))
+        args = build_parser().parse_args([
+            "sweep", "--config", str(path), "--hosts-max", "3",
+            "--devolution", "off", "--horizon", "30", "--v-grid", "0"])
+        given = cli._given(args)
+        schemes, seeds = ["jsq", "greedy", "static", "random"], [3, 0, 8]
+        cfgs = cli.sweep_configs(given, schemes, seeds)
+        assert cfgs == [
+            cli.resolve({**given, "scheme": scheme, "run_seed": seed,
+                         "traffic_seed": seed})[0]
+            for scheme in schemes for seed in seeds]
+        # the flags took effect, and each pair has its own scheme and seeds
+        assert {(c.horizon_slots, c.params.devolution, c.params.v)
+                for c in cfgs} == {(30, Devolution.OFF, 5)}
+        assert [(c.scheme.value, c.run_seed, c.traffic.seed)
+                for c in cfgs] == [(scheme, seed, seed) for scheme in schemes
+                                   for seed in seeds]
+
+
 class TestSweepEqualsRuns:
     """Every sweep.csv row equals the summary of a separate `run` of its
     (scheme, seed, V)."""
@@ -431,6 +476,20 @@ def test_bad_seed_env_var_named(capsys, tmp_path, monkeypatch):
                            "--out-dir", str(tmp_path))
     assert code == 1
     assert "bad SDND_SEED value 'abc'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "jsq", "--topo-seed", "1", "--traffic-seed", "1",
+     "--run-seed", "1"],
+    ["sweep", "--v-grid", "0", "--topo-seed", "1", "--seeds", "1"],
+], ids=["run", "sweep"])
+def test_seed_env_var_unread_when_every_seed_given(capsys, tmp_path,
+                                                  monkeypatch, argv):
+    monkeypatch.setenv("SDND_SEED", "abc")
+    code, _, err = run_cli(capsys, *argv, "--kind", "fat-tree", "--k", "4",
+                           "--horizon", "5", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert "SDND_SEED" not in err
 
 
 def test_negative_seed_env_var_named(capsys, tmp_path, monkeypatch):
