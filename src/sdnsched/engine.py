@@ -193,7 +193,8 @@ class LaneGroup:
     The lanes come in `lane_order`: greedy lanes with devolution on, then
     the other argmin lanes (greedy with devolution off, and JSQ, the
     devolution-off argmin at v = 0), which all decide in one
-    lane_argmin call over their stacked K matrices; then Static lanes,
+    lane_argmin call over their stacked K tables (one row per row class
+    of the cost model, CostTables.row_class); then Static lanes,
     a fixed target row each; then Random lanes, each drawing from its
     own random.Random(run_seed) as a separate run would.
 
@@ -219,6 +220,7 @@ class LaneGroup:
         self.n_argmin = len(argmin)
         self.n_devolve = sum(k.devolve for k in argmin)
         self.k = np.array([k.k for k in argmin], object).astype(dtype)
+        self.row_class = cost.tables.row_class
         self.scale = np.array([[k.scale] for k in argmin], object) \
             .astype(dtype)
         self.w = cost.tables.w.astype(dtype)
@@ -257,11 +259,12 @@ class LaneGroup:
         L x n_c), one row per lane."""
         n = self.n_argmin
         if n == len(self.template):
-            return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve)
+            return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve,
+                               self.row_class)
         target = self.template.copy()
         if n:
             target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
-                                     self.n_devolve)
+                                     self.n_devolve, self.row_class)
         for row, rng in zip(target[len(target) - len(self.rngs):],
                             self.rngs):
             row[:] = random_decide(self.n_s, self.n_c, rng)

@@ -131,8 +131,11 @@ class CostTables:
     group).
 
     `gap` is the decision rule's cost term in the same scale,
-    d*W[i][j] - d*alpha_i, as an (n_s x n_c) object array of Python
-    ints, and `gap_max` is max|gap|.
+    d*W[i][j] - d*alpha_i, as an object array of Python ints with one
+    row per row class: switches whose gap rows are equal share a class,
+    numbered in order of first appearance, and `row_class` (intp, one
+    entry per switch) maps each switch to its class, so switch i's gap
+    row is gap[row_class[i]]. `gap_max` is max|gap|.
     """
 
     w: np.ndarray
@@ -142,6 +145,7 @@ class CostTables:
     cells: np.ndarray
     joins: np.ndarray
     gap: np.ndarray
+    row_class: np.ndarray
     gap_max: int
 
     @classmethod
@@ -163,9 +167,13 @@ class CostTables:
         joins[:, 0] = np.arange(n_s)
         joins[:, 1:] = np.arange(n_s, n_s + n_c)
         gap = w.reshape(n_s, n_c + 1)[:, 1:] * scale - scaled[:, None]
+        classes = {}
+        row_class = np.array([classes.setdefault(row, len(classes))
+                              for row in map(tuple, gap.tolist())], np.intp)
+        gap = np.array(list(classes), object).reshape(len(classes), n_c)
         return cls(w=w, scaled_alpha=scaled, scale=scale, weight=weight,
                    cells=np.arange(n_s) * (n_c + 1) + 1,
-                   joins=joins.ravel(), gap=gap,
+                   joins=joins.ravel(), gap=gap, row_class=row_class,
                    gap_max=abs(gap).max(initial=0))
 
 

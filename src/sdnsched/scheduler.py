@@ -9,9 +9,10 @@ jsq_decide, static_decide, brute_force_decide, slot_objective) are the
 specification; lane_argmin over GreedyKernel tables is tested for
 equality against them. For v = p/q, GreedyKernel's table is
 K = p*(d*W - d*alpha): p times the cost model's one integer scaling of
-the gap W - alpha (CostTables.gap, d = CostTables.scale). The engine
-stacks the K matrices of its argmin lanes into one lane_argmin call and
-calls random_decide per Random lane, with numpy arrays, and gets target
+the gap W - alpha (CostTables.gap, d = CostTables.scale), one row per
+row class of switches with equal gap rows. The engine stacks the K
+tables of its argmin lanes into one lane_argmin call and calls
+random_decide per Random lane, with numpy arrays, and gets target
 arrays back, one intp per switch. All arithmetic is exact
 (int / Fraction), so every comparison is an equality check. Ties break
 toward the lowest controller index everywhere; with that rule JSQ is the
@@ -199,24 +200,31 @@ class GreedyKernel:
     times q*d is K[i, j] + q*d*(Qc_j - Qs_i), with K = p*(d*W - d*alpha).
     So `scale` is q*d, and each slot is one argmin per row of
     M = K + scale*Qc. numpy returns the first index on a tie, which is
-    the lowest-index rule. With devolution on, switch i goes LOCAL where
+    the lowest-index rule.
+
+    K depends on switch i only through its gap row, so `k` holds one row
+    per row class (CostTables.gap) and `row_class` maps each switch to
+    its row: switches of one class share their argmin and its minimum in
+    every slot, and only the LOCAL test below reads the switch's own
+    backlog. With devolution on, switch i goes LOCAL where
     M[i, j] > scale*Qs_i, so decisions equal greedy_decide exactly. With
     devolution off that test is skipped; alpha_i is constant along a
     row, so the argmin equals association_only_decide, and at v = 0
     (p = 0, K = 0) it equals jsq_decide.
 
-    `k` is K as an object array of Python ints, exact at any size. While
-    no backlog exceeds `int64_top`, max|K| + scale*max(Q) < 2**62, so a
-    caller may cast K to int64 and run lane_argmin on int64 backlogs
-    without a sum wrapping; the engine casts the stacked K matrices of a
-    lane group once, and moves them back to object arrays when it
-    widens.
+    `k` is K as a (classes x n_c) object array of Python ints, exact at
+    any size. While no backlog exceeds `int64_top`,
+    max|K| + scale*max(Q) < 2**62, so a caller may cast K to int64 and
+    run lane_argmin on int64 backlogs without a sum wrapping; the engine
+    casts the stacked K tables of a lane group once, and moves them back
+    to object arrays when it widens.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
         tables = cost.tables
         v = Fraction(params.v)
         self.k = v.numerator * tables.gap
+        self.row_class = tables.row_class
         self.scale = v.denominator * tables.scale
         self.devolve = params.devolution is Devolution.ON
         # largest backlog the int64 path accepts (none when the scale
@@ -227,24 +235,28 @@ class GreedyKernel:
 
 
 def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
-                n_devolve: int) -> np.ndarray:
+                n_devolve: int, row_class: np.ndarray) -> np.ndarray:
     """The greedy argmin for L lanes at once: one row per lane.
 
-    `k` stacks the lanes' K matrices (L x n_s x n_c), `scale` is their
-    scales d as an (L x 1) column (or one int for all lanes), and q_s,
-    q_c are the pre-slot backlogs (L x n_s, L x n_c), int64 within every
-    lane's int64_top or object arrays. Each lane takes the argmin over j
-    of K[i, j] + d*Qc_j per switch; the first `n_devolve` lanes go LOCAL
-    where that minimum exceeds d*Qs_i. Lanes never mix, so each row is
-    its own lane's decision.
+    `k` stacks the lanes' K tables (L x classes x n_c), one row per row
+    class, and `row_class` (n_s, intp) maps each switch to its class, a
+    map every lane shares. `scale` is the lanes' scales d as an (L x 1)
+    column (or one int for all lanes), and q_s, q_c are the pre-slot
+    backlogs (L x n_s, L x n_c), int64 within every lane's int64_top or
+    object arrays. Each lane takes the argmin over j of K[c, j] + d*Qc_j
+    and its minimum once per class c, and hands both to every switch of
+    the class; the first `n_devolve` lanes send switch i LOCAL where its
+    minimum exceeds d*Qs_i. Lanes never mix, so each row is its own
+    lane's decision.
     """
     m = k + (q_c * scale)[:, None, :]
-    target = m.argmin(2)
+    argmin = m.argmin(2)
+    target = argmin.take(row_class, 1)
     if n_devolve:
-        # each switch's minimum m[l, i, target[l, i]], read from flat m
+        # each class's minimum m[l, c, argmin[l, c]], read from flat m
         best = m.reshape(-1).take(
-            target + np.arange(0, m.size, m.shape[2]).reshape(target.shape))
-        local = best > q_s * scale
+            argmin + np.arange(0, m.size, m.shape[2]).reshape(argmin.shape))
+        local = best.take(row_class, 1) > q_s * scale
         local[n_devolve:] = False
         target[local] = LOCAL
     return target

@@ -1,6 +1,6 @@
 """Deterministic construction of the four evaluation topologies,
-controller placement, BFS hop-count matrices, and the derived
-computation cost alpha."""
+controller placement, BFS hop-count matrices (one switch-graph BFS per
+controller ToR), and the derived computation cost alpha."""
 
 from __future__ import annotations
 
@@ -178,7 +178,10 @@ def gen_jellyfish(
     if k < 4:
         raise ValueError(f"port count k must be >= 4, got {k}")
     if not (1 <= hosts_per_switch_min <= hosts_per_switch_max <= k - 1):
-        raise ValueError("host range must lie within [1, k-1]")
+        raise ValueError(
+            f"host range hosts_min={hosts_per_switch_min}, "
+            f"hosts_max={hosts_per_switch_max} must satisfy "
+            f"1 <= hosts_min <= hosts_max <= k-1 = {k - 1}")
     n_switches = 5 * k * k // 4
     n_hosts = k ** 3 // 4
     lo, hi = hosts_per_switch_min, hosts_per_switch_max
@@ -351,15 +354,37 @@ def bfs_hops(adjacency: dict[int, tuple[int, ...]], source: int) -> dict[int, in
 
 
 def hop_matrix(topo: Topology, placement: PlacementResult):
-    """w[i][j] = hop count from switch i to controller host j."""
-    rows = [[0] * placement.controller_count for _ in topo.switches]
-    for j, host in enumerate(placement.controller_hosts):
-        dist = bfs_hops(topo.adjacency, host)
-        for i, s in enumerate(topo.switches):
-            if s not in dist:
-                raise ValueError(f"switch {s} cannot reach controller host {host}")
-            rows[i][j] = dist[s]
-    return tuple(tuple(r) for r in rows)
+    """w[i][j] = hop count from switch i to controller host j.
+
+    Hosts are leaves, so no shortest path between switches passes
+    through one: the hop count from a switch to a host is 1 plus its
+    distance to the host's ToR in the switch-only graph. So this runs
+    one BFS per controller over the switches alone, from its ToR at 1,
+    and equals bfs_hops from the host.
+    """
+    n_s = topo.n_switches
+    links = [[v for v in topo.adjacency[s] if v < n_s] for s in topo.switches]
+    columns = []
+    for host in placement.controller_hosts:
+        dist = [0] * n_s
+        frontier = list(topo.adjacency[host])
+        hops = 1
+        for s in frontier:
+            dist[s] = hops
+        while frontier:
+            hops += 1
+            reached = []
+            for u in frontier:
+                for v in links[u]:
+                    if not dist[v]:
+                        dist[v] = hops
+                        reached.append(v)
+            frontier = reached
+        if 0 in dist:
+            raise ValueError(f"switch {topo.switches[dist.index(0)]} cannot "
+                             f"reach controller host {host}")
+        columns.append(dist)
+    return tuple(zip(*columns))
 
 
 def derive_alpha(w) -> Fraction:

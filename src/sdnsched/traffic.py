@@ -98,9 +98,12 @@ class TrafficConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hot_spot_rate < 0 or self.controller_capacity < 0 \
-                or self.switch_capacity < 0:
-            raise ValueError("rates and capacities must be nonnegative")
+        negative = [f"{name} must be >= 0, got {value}" for name, value in
+                    (("hot_spot_rate", self.hot_spot_rate),
+                     ("controller_capacity", self.controller_capacity),
+                     ("switch_capacity", self.switch_capacity)) if value < 0]
+        if negative:
+            raise ValueError("; ".join(negative))
         if self.slot_length_us <= 0:
             raise ValueError("slot length must be positive")
         if self.a_max < 1:

@@ -54,4 +54,5 @@ def kernel_target(kernel, q_s, q_c):
     dtype = np.int64 if max(q_s + q_c) <= kernel.int64_top else object
     return tuple(lane_argmin(kernel.k[None].astype(dtype), kernel.scale,
                              np.array([q_s], dtype), np.array([q_c], dtype),
-                             int(kernel.devolve))[0].tolist())
+                             int(kernel.devolve), kernel.row_class)[0]
+                 .tolist())

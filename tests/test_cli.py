@@ -117,6 +117,41 @@ class TestRun:
         assert code == 1
         assert f"{name} capacity 2000000 exceeds the limit 1000000" in err
 
+    @pytest.mark.parametrize("flags, problems", [
+        (["--controller-capacity", "-1", "--hot-spot-rate", "-2"],
+         ["hot_spot_rate must be >= 0, got -2",
+          "controller_capacity must be >= 0, got -1"]),
+        (["--switch-capacity", "-3"], ["switch_capacity must be >= 0, got -3"]),
+        (["--hot-spot-rate", "-1", "--controller-capacity", "-4",
+          "--switch-capacity", "-5"],
+         ["hot_spot_rate must be >= 0, got -1",
+          "controller_capacity must be >= 0, got -4",
+          "switch_capacity must be >= 0, got -5"]),
+    ], ids=["controller-hot-spot", "switch", "all-three"])
+    def test_negative_rate_or_capacity_named(self, capsys, tmp_path, flags,
+                                             problems):
+        code, _, err = run_cli(capsys, "run", "--kind", "f10", "--k", "4",
+                               "--scheme", "jsq", "--horizon", "3", *flags,
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        for problem in problems:
+            assert problem in err
+        assert "rates and capacities" not in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--hosts-min", "0"], "hosts_min=0, hosts_max=1"),
+        (["--hosts-min", "3", "--hosts-max", "1"], "hosts_min=3, hosts_max=1"),
+    ], ids=["min-zero", "min-above-max"])
+    def test_jellyfish_host_range_named(self, capsys, tmp_path, flags, named):
+        code, _, err = run_cli(capsys, "run", "--kind", "jellyfish", "--k",
+                               "6", "--scheme", "jsq", "--horizon", "3",
+                               *flags, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"host range {named} must satisfy " \
+            "1 <= hosts_min <= hosts_max <= k-1 = 5" in err
+        assert "Traceback" not in err
+
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path):
         code, _, err = self.run_config(capsys, tmp_path, k="4")
         assert code == 1

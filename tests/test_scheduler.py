@@ -25,6 +25,7 @@ from sdnsched.scheduler import (
     slot_objective,
     static_decide,
 )
+from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
 
 from conftest import kernel_target
 
@@ -307,12 +308,21 @@ def rationals(max_value):
 @st.composite
 def kernel_cases(draw):
     n_s, n_c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    cost = CostModel(
-        w=tuple(tuple(draw(st.integers(1, 10)) for _ in range(n_c))
-                for _ in range(n_s)),
-        alpha=tuple(draw(rationals(10)) for _ in range(n_s)))
+
+    def w_row():
+        return tuple(draw(st.integers(1, 10)) for _ in range(n_c))
+
+    if draw(st.booleans()):
+        # rows from a pool of one or two under one alpha: row classes of
+        # several switches, whose LOCAL tests differ by their backlogs
+        pool = [w_row() for _ in range(draw(st.integers(1, 2)))]
+        w = tuple(draw(st.sampled_from(pool)) for _ in range(n_s))
+        alpha = (draw(rationals(10)),) * n_s
+    else:
+        w = tuple(w_row() for _ in range(n_s))
+        alpha = tuple(draw(rationals(10)) for _ in range(n_s))
     v = draw(st.one_of(rationals(100), st.integers(2 ** 63, 2 ** 70)))
-    return cost, v, draw(st.sampled_from(Devolution))
+    return CostModel(w=w, alpha=alpha), v, draw(st.sampled_from(Devolution))
 
 
 def backlogs(draw, n, low, high):
@@ -382,7 +392,7 @@ class TestKernels:
         kernel = GreedyKernel(cost, SchedulerParams(v=v,
                                                     devolution=devolution))
         assert [[Fraction(k, kernel.scale) for k in row]
-                for row in kernel.k.tolist()] == \
+                for row in kernel.k[kernel.row_class].tolist()] == \
             [[v * (w - a) for w in row] for row, a in zip(cost.w, cost.alpha)]
         top = max(abs(k) for k in kernel.k.ravel())
         if kernel.int64_top >= 0:
@@ -398,6 +408,34 @@ class TestKernels:
         ctx = DecisionContext(q=q, arrivals=(1, 1), cost=cost, params=params)
         assert kernel_target(kernel, q.q_s, q.q_c) == \
             greedy_decide(ctx).target
+
+
+def assert_row_classes_are_gap_rows(cost):
+    """Two switches share a row class exactly when their gap rows
+    d*W[i] - d*alpha_i are equal; classes are numbered in order of first
+    appearance and CostTables.gap holds each class's row."""
+    tables = cost.tables
+    gap = [tuple((w - a) * tables.scale for w in row)
+           for row, a in zip(cost.w, cost.alpha)]
+    row_class = tables.row_class.tolist()
+    assert row_class == [list(dict.fromkeys(gap)).index(row) for row in gap]
+    assert [tuple(tables.gap[c]) for c in row_class] == gap
+
+
+class TestRowClasses:
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_classes_are_equal_gap_rows(self, case):
+        assert_row_classes_are_gap_rows(case[0])
+
+    @pytest.mark.parametrize("k, classes, switches", [
+        (4, 9, 20), (8, 15, 80), (24, 39, 720)])
+    def test_fat_tree_class_counts(self, k, classes, switches):
+        t = gen_fat_tree(k)
+        cost = build_cost_model(t, place_controllers(t))
+        assert (len(cost.tables.gap), len(cost.tables.row_class)) == \
+            (classes, switches)
+        assert_row_classes_are_gap_rows(cost)
 
 
 def test_huge_alpha_reduces_to_association_only():

@@ -1,7 +1,8 @@
 import pytest
 
-from sdnsched.model import TopoKind
+from sdnsched.model import TopoKind, Topology
 from sdnsched.topology import (
+    PlacementResult,
     bfs_hops,
     derive_alpha,
     gen_f10,
@@ -218,6 +219,44 @@ class TestHopMatrix:
             fwd = bfs_hops(t.adjacency, i)
             for j, h in enumerate(p.controller_hosts):
                 assert w[i][j] == fwd[h]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_fat_tree(4),
+        lambda: gen_fat_tree(8),
+        lambda: gen_f10(8),
+        lambda: gen_three_tier(6),
+    ], ids=["fat-tree-4", "fat-tree-8", "f10-8", "three-tier-6"])
+    def test_equals_bfs_from_each_controller_host(self, make):
+        t = make()
+        assert_hop_matrix_is_host_bfs(t, place_controllers(t))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k, lo, hi", [(6, 1, 2), (6, 1, 3), (8, 1, 2),
+                                           (8, 1, 3)])
+    def test_jellyfish_equals_bfs_from_each_controller_host(self, k, lo, hi,
+                                                            seed):
+        t = gen_jellyfish(k, lo, hi, seed=seed)
+        assert_hop_matrix_is_host_bfs(t, place_controllers(t, seed=seed))
+
+    def test_isolated_switch_named(self):
+        # switches 0-1-2 in a line and switch 3 alone; the controller
+        # host 4 hangs off switch 0
+        t = Topology(kind=TopoKind.JELLYFISH, k=4, switches=(0, 1, 2, 3),
+                     hosts=(4,), adjacency={0: (1, 4), 1: (0, 2), 2: (1,),
+                                            3: (), 4: (0,)}, pods=())
+        with pytest.raises(ValueError,
+                           match="switch 3 cannot reach controller host 4"):
+            hop_matrix(t, PlacementResult(controller_hosts=(4,)))
+
+
+def assert_hop_matrix_is_host_bfs(t, p):
+    """hop_matrix equals bfs_hops run from each controller host, entry by
+    entry."""
+    w = hop_matrix(t, p)
+    assert len(w) == t.n_switches
+    for j, host in enumerate(p.controller_hosts):
+        dist = bfs_hops(t.adjacency, host)
+        assert [row[j] for row in w] == [dist[s] for s in t.switches]
 
 
 class TestAlpha:
