@@ -1,5 +1,6 @@
-"""Deterministic construction of the four evaluation topologies,
-controller placement, BFS hop-count matrices (one switch-graph BFS per
+"""Deterministic construction of the four evaluation topologies (the
+fat-tree, F10 and three-tier through one Clos builder), controller
+placement, BFS hop-count matrices (one switch-graph BFS per
 controller ToR), and the derived computation cost alpha."""
 
 from __future__ import annotations
@@ -26,144 +27,84 @@ def _check_k(k: int) -> None:
         raise ValueError(f"port count k must be even and >= 4, got {k}")
 
 
-class _GraphBuilder:
-    def __init__(self):
-        self.adj: dict[int, set[int]] = {}
-
-    def add_node(self, n: int) -> None:
-        self.adj.setdefault(n, set())
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def freeze(self) -> dict[int, tuple[int, ...]]:
-        return {n: tuple(sorted(nbrs)) for n, nbrs in self.adj.items()}
-
-
-def _fat_tree(k: int, kind: TopoKind, core_group) -> Topology:
-    """k pods of k/2 edge + k/2 aggregate switches, (k/2)^2 core
-    switches, k/2 hosts per edge switch; aggregate a of pod p connects to
-    every core of group core_group(p, a).
-
-    Switch ids: edges pod-major, then aggregates pod-major, then cores
-    grouped so that core group g holds cores g*(k/2)..(g+1)*(k/2)-1.
-    """
-    _check_k(k)
-    half = k // 2
-    n_edge = k * half
-    n_agg = k * half
-    n_core = half * half
-    n_switches = n_edge + n_agg + n_core
-
-    def edge_id(pod, e):
-        return pod * half + e
-
-    def agg_id(pod, a):
-        return n_edge + pod * half + a
-
-    def core_id(group, c):
-        return n_edge + n_agg + group * half + c
-
-    g = _GraphBuilder()
-    for s in range(n_switches):
-        g.add_node(s)
-
-    host = n_switches
-    hosts = []
-    for pod in range(k):
-        for e in range(half):
-            for a in range(half):
-                g.add_edge(edge_id(pod, e), agg_id(pod, a))
-            for _ in range(half):
-                g.add_edge(edge_id(pod, e), host)
-                hosts.append(host)
-                host += 1
-        for a in range(half):
-            group = core_group(pod, a)
-            for c in range(half):
-                g.add_edge(agg_id(pod, a), core_id(group, c))
-
-    pods = tuple(
-        tuple(edge_id(p, e) for e in range(half))
-        + tuple(agg_id(p, a) for a in range(half))
-        for p in range(k)
-    )
+def _topology(kind: TopoKind, k: int, n_switches: int, adj,
+              pods=()) -> Topology:
+    """Freeze `adj`, the neighbours of each node id in turn, into a
+    Topology whose first n_switches nodes are the switches and the rest
+    the hosts."""
     return Topology(
         kind=kind,
         k=k,
         switches=tuple(range(n_switches)),
-        hosts=tuple(hosts),
-        adjacency=g.freeze(),
+        hosts=tuple(range(n_switches, len(adj))),
+        adjacency={n: tuple(sorted(nbrs)) for n, nbrs in enumerate(adj)},
         pods=pods,
     )
 
 
-def gen_fat_tree(k: int) -> Topology:
-    """Standard k-ary fat-tree: aggregate a of every pod connects to all
-    cores of group a."""
-    return _fat_tree(k, TopoKind.FAT_TREE, lambda pod, a: a)
+def _clos(kind: TopoKind, k: int, n_edge: int, n_agg: int, n_core: int,
+          cores_of) -> Topology:
+    """Layered Clos fabric: k pods of n_edge edge and n_agg aggregate
+    switches over n_core cores, k/2 hosts per edge switch. Every edge
+    switch joins every aggregate of its pod; aggregate a of pod p joins
+    the cores cores_of(p, a), numbered 0..n_core-1.
 
-
-def gen_three_tier(k: int) -> Topology:
-    """Canonical 3-tier: k core, k aggregate, k(k-1) edge switches.
-
-    Each aggregate roots one pod of k-1 edge switches (the pod includes
-    the aggregate itself) and connects to all k cores; each edge switch
-    carries k/2 hosts.
+    Switch ids run edges pod-major, then aggregates pod-major, then
+    cores; hosts follow in edge-switch order. A pod is its edges, then
+    its aggregates.
     """
     _check_k(k)
     half = k // 2
-    n_edge = k * (k - 1)
-    n_switches = n_edge + k + k  # edges, aggregates, cores
+    edges, aggs = k * n_edge, k * n_agg
+    core0 = edges + aggs
+    n_switches = core0 + n_core
+    adj = [[] for _ in range(n_switches + edges * half)]
+    pods = []
+    for p in range(k):
+        pod_edges = range(p * n_edge, (p + 1) * n_edge)
+        pod_aggs = range(edges + p * n_agg, edges + (p + 1) * n_agg)
+        for e in pod_edges:
+            tor_hosts = range(n_switches + e * half, n_switches + (e + 1) * half)
+            adj[e].extend(pod_aggs)
+            adj[e].extend(tor_hosts)
+            for n in (*pod_aggs, *tor_hosts):
+                adj[n].append(e)
+        for a, agg in enumerate(pod_aggs):
+            for c in cores_of(p, a):
+                adj[agg].append(core0 + c)
+                adj[core0 + c].append(agg)
+        pods.append((*pod_edges, *pod_aggs))
+    return _topology(kind, k, n_switches, adj, tuple(pods))
 
-    def edge_id(pod, e):
-        return pod * (k - 1) + e
 
-    def agg_id(pod):
-        return n_edge + pod
-
-    def core_id(c):
-        return n_edge + k + c
-
-    g = _GraphBuilder()
-    for s in range(n_switches):
-        g.add_node(s)
-
-    host = n_switches
-    hosts = []
-    for pod in range(k):
-        for c in range(k):
-            g.add_edge(agg_id(pod), core_id(c))
-        for e in range(k - 1):
-            g.add_edge(edge_id(pod, e), agg_id(pod))
-            for _ in range(half):
-                g.add_edge(edge_id(pod, e), host)
-                hosts.append(host)
-                host += 1
-
-    pods = tuple(
-        tuple(edge_id(p, e) for e in range(k - 1)) + (agg_id(p),)
-        for p in range(k)
-    )
-    return Topology(
-        kind=TopoKind.THREE_TIER,
-        k=k,
-        switches=tuple(range(n_switches)),
-        hosts=tuple(hosts),
-        adjacency=g.freeze(),
-        pods=pods,
-    )
+def gen_fat_tree(k: int) -> Topology:
+    """Standard k-ary fat-tree: k pods of k/2 edge and k/2 aggregate
+    switches, (k/2)^2 cores in k/2 groups of k/2; aggregate a of every
+    pod joins all cores of group a."""
+    half = k // 2
+    return _clos(TopoKind.FAT_TREE, k, half, half, half * half,
+                 lambda p, a: range(a * half, (a + 1) * half))
 
 
 def gen_f10(k: int) -> Topology:
     """F10 / AB-tree variant of the fat-tree: identical node counts and
-    edge-to-aggregate wiring, but odd-indexed pods connect aggregate a
-    to core group (a + k/4) mod (k/2), breaking the fat-tree symmetry.
+    edge-to-aggregate wiring, but odd-indexed pods join aggregate a to
+    core group (a + k/4) mod (k/2), breaking the fat-tree symmetry.
     """
     half, rot = k // 2, max(k // 4, 1)
-    return _fat_tree(k, TopoKind.F10,
-                     lambda pod, a: a if pod % 2 == 0 else (a + rot) % half)
+
+    def cores_of(p, a):
+        group = a if p % 2 == 0 else (a + rot) % half
+        return range(group * half, (group + 1) * half)
+
+    return _clos(TopoKind.F10, k, half, half, half * half, cores_of)
+
+
+def gen_three_tier(k: int) -> Topology:
+    """Canonical 3-tier: k pods of k-1 edge switches under one
+    aggregate (the pod includes the aggregate itself), every aggregate
+    joined to all k cores; each edge switch carries k/2 hosts."""
+    return _clos(TopoKind.THREE_TIER, k, k - 1, 1, k, lambda p, a: range(k))
 
 
 def gen_jellyfish(
@@ -207,31 +148,18 @@ def gen_jellyfish(
             remaining -= 1
         idx += 1
 
-    g = _GraphBuilder()
-    for s in range(n_switches):
-        g.add_node(s)
-    host = n_switches
-    hosts = []
+    adj = [set() for _ in range(n_switches)]
     for s in range(n_switches):
         for _ in range(hosts_of[s]):
-            g.add_edge(s, host)
-            hosts.append(host)
-            host += 1
+            adj[s].add(len(adj))
+            adj.append({s})
 
     free = [k - hosts_of[s] for s in range(n_switches)]
-    _random_pairing(rng, g, free, n_switches)
-
-    return Topology(
-        kind=TopoKind.JELLYFISH,
-        k=k,
-        switches=tuple(range(n_switches)),
-        hosts=tuple(hosts),
-        adjacency=g.freeze(),
-        pods=(),
-    )
+    _random_pairing(rng, adj, free, n_switches)
+    return _topology(TopoKind.JELLYFISH, k, n_switches, adj)
 
 
-def _random_pairing(rng, g, free, n_switches):
+def _random_pairing(rng, adj, free, n_switches):
     """Jellyfish wiring: repeatedly join two random non-adjacent switches
     with free ports; when stuck with >= 2 free ports on one switch,
     break a random existing switch link to make progress."""
@@ -239,10 +167,11 @@ def _random_pairing(rng, g, free, n_switches):
         open_sw = [s for s in range(n_switches) if free[s] > 0]
         if len(open_sw) < 2 and not any(free[s] >= 2 for s in open_sw):
             return
-        pair = _find_pair(rng, g, open_sw)
+        pair = _find_pair(rng, adj, open_sw)
         if pair is not None:
             u, v = pair
-            g.add_edge(u, v)
+            adj[u].add(v)
+            adj[v].add(u)
             free[u] -= 1
             free[v] -= 1
             continue
@@ -251,44 +180,45 @@ def _random_pairing(rng, g, free, n_switches):
         if not stuck:
             return
         s = rng.choice(stuck)
-        edge = _removable_edge(rng, g, s, n_switches)
+        edge = _removable_edge(rng, adj, s, n_switches)
         if edge is None:
             return
         u, v = edge
-        g.adj[u].discard(v)
-        g.adj[v].discard(u)
-        g.add_edge(s, u)
-        g.add_edge(s, v)
+        adj[u].discard(v)
+        adj[v].discard(u)
+        adj[s].update((u, v))
+        adj[u].add(s)
+        adj[v].add(s)
         free[s] -= 2
 
 
-def _find_pair(rng, g, open_sw):
+def _find_pair(rng, adj, open_sw):
     if len(open_sw) < 2:
         return None
     for _ in range(64):
         u, v = rng.sample(open_sw, 2)
-        if v not in g.adj[u]:
+        if v not in adj[u]:
             return (u, v)
     # random probing failed; scan exhaustively in seeded order
     shuffled = list(open_sw)
     rng.shuffle(shuffled)
     for i, u in enumerate(shuffled):
         for v in shuffled[i + 1:]:
-            if v not in g.adj[u]:
+            if v not in adj[u]:
                 return (u, v)
     return None
 
 
-def _removable_edge(rng, g, s, n_switches):
+def _removable_edge(rng, adj, s, n_switches):
     """Random switch-switch edge (u, v) with both ends non-adjacent to s."""
     candidates = []
     for u in range(n_switches):
-        if u == s or u in g.adj[s]:
+        if u == s or u in adj[s]:
             continue
-        for v in g.adj[u]:
+        for v in adj[u]:
             if v >= n_switches or v <= u:
                 continue
-            if v == s or v in g.adj[s]:
+            if v == s or v in adj[s]:
                 continue
             candidates.append((u, v))
     if not candidates:
@@ -319,7 +249,6 @@ def place_controllers(topo: Topology, seed: int = 0) -> PlacementResult:
 
 def _place_jellyfish(topo: Topology, seed: int) -> PlacementResult:
     count = topo.k // 2  # matches fat-tree pod pairing at equal k
-    sw = set(topo.switches)
     for attempt in range(_PLACE_RESTARTS):
         rng = random.Random(seed * _PLACE_RESTARTS + attempt)
         order = list(topo.hosts)
@@ -327,7 +256,7 @@ def _place_jellyfish(topo: Topology, seed: int) -> PlacementResult:
         chosen = []
         tors = []
         for h in order:
-            tor = next(n for n in topo.adjacency[h] if n in sw)
+            tor = topo.adjacency[h][0]  # a host's one neighbour
             if any(tor == t or tor in topo.adjacency[t] for t in tors):
                 continue
             chosen.append(h)
@@ -411,7 +340,9 @@ def generate(kind: TopoKind, k: int, seed: int = 0,
     if kind is TopoKind.F10:
         return gen_f10(k)
     if kind is TopoKind.JELLYFISH:
-        lo = hosts_min if hosts_min is not None else max(k // 6, 1)
+        # by default the mean, n_hosts // n_switches = (k^3/4) // (5k^2/4),
+        # which is k // 5, to one more
+        lo = hosts_min if hosts_min is not None else max(k // 5, 1)
         hi = hosts_max if hosts_max is not None else lo + 1
         return gen_jellyfish(k, lo, hi, seed)
     raise ValueError(f"unknown topology kind: {kind}")

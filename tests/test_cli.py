@@ -46,6 +46,14 @@ class TestTopo:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0].startswith("# kind=fat-tree k=4")
 
+    def test_jellyfish_default_host_range_builds(self, capsys):
+        # 1024 hosts over 320 switches: 3 or 4 each, so the default range
+        # must reach the mean of k/5 hosts per switch
+        code, out, err = run_cli(capsys, "topo", "--kind", "jellyfish",
+                                 "--k", "16", "--seed", "0")
+        assert code == 0, err
+        assert "switches=320 hosts=1024" in out
+
 
 class TestRun:
     def base_args(self, tmp_path, *extra):

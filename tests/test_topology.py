@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sdnsched.model import TopoKind, Topology
@@ -5,10 +7,12 @@ from sdnsched.topology import (
     PlacementResult,
     bfs_hops,
     derive_alpha,
+    dump_edge_list,
     gen_f10,
     gen_fat_tree,
     gen_jellyfish,
     gen_three_tier,
+    generate,
     hop_matrix,
     place_controllers,
 )
@@ -156,6 +160,86 @@ class TestJellyfish:
     def test_rejects_infeasible_hosts(self):
         with pytest.raises(ValueError):
             gen_jellyfish(8, 3, 3, seed=0)  # 240 host ports != 128
+
+    @pytest.mark.parametrize("k", [11, 16, 26])
+    def test_default_host_range_holds_the_mean(self, k):
+        # k/5 hosts per switch on average; a range of k // 6 and one more
+        # misses it from k = 11 on
+        t = generate(TopoKind.JELLYFISH, k, seed=0)
+        assert (t.n_switches, t.n_hosts) == (5 * k * k // 4, k ** 3 // 4)
+        per_switch = {sum(1 for n in t.adjacency[s] if n >= t.n_switches)
+                      for s in t.switches}
+        assert per_switch <= {k // 5, k // 5 + 1}
+
+    @pytest.mark.parametrize("k", [10, 15, 20])
+    def test_default_host_range_keeps_buildable_graphs(self, k):
+        old = max(k // 6, 1)
+        for seed in (0, 1):
+            assert (generate(TopoKind.JELLYFISH, k, seed).adjacency
+                    == gen_jellyfish(k, old, old + 1, seed).adjacency)
+
+
+def graph_digest(t, seed=0):
+    """sha256 of a topology's edge list, pods and controller hosts."""
+    h = hashlib.sha256(dump_edge_list(t).encode())
+    h.update(repr(t.pods).encode())
+    h.update(repr(place_controllers(t, seed).controller_hosts).encode())
+    return h.hexdigest()
+
+
+# recorded at the per-kind builders the Clos builder replaced; a change of
+# wiring, node order or controller placement changes a digest
+CLOS_DIGESTS = {
+    ("fat-tree", 4):
+        "b45c176107caffd69ba7e01b814f630d496d6906b24f0e18485830a9e951e302",
+    ("fat-tree", 6):
+        "50ac375f0832f123c18630fd218c9168430e3e05e5fc245f7f8d0f93b12772d6",
+    ("fat-tree", 8):
+        "a3b05e01c50cce95affee3a13b2f7281d91dd39a742d3cc0607e457482fabbd2",
+    ("f10", 4):
+        "94d73350ee1e8335d7c5f64187b9afe3a92a70be9ea382d0a643a0bbd98d1806",
+    ("f10", 6):
+        "4997b1e6f202f92669b7609efb994f94c8b9626dac724939e3d26263b87b71c4",
+    ("f10", 8):
+        "0a97efd81c462c4ffd0927ec4bac4773ae916780f766a74fc78267e5a99153c0",
+    ("three-tier", 4):
+        "b7cd1cd3f73a2a285f54f7ff99220a0e18a1f06b5cf10a7d0e62032931e174ec",
+    ("three-tier", 6):
+        "387361e3354eae9fc4bdeb68bc95b7e4aef890e8778929444c051228558f4cb9",
+    ("three-tier", 8):
+        "11bd2688245233595623e367948dcf818945959f8c3f024285bdd1d038572482",
+}
+# (k, seed); at k = 6 and 8 the leftover hosts fit in one pass over the
+# shuffle, so the host range 1..3 gives the default range's graph
+JELLYFISH_DIGESTS = {
+    (6, 0):
+        "8bed397717377a7377a60cd6438010979e42b29e8c1965c145473db58631ab08",
+    (6, 1):
+        "1eb249dc436225bf85622c3e004e3192b3b948142a7752c91eaca34d60ec5396",
+    (6, 2):
+        "5e4c6d13cd7862ad683b597052b00ca105a3a15a76eaf4ee9cdcd416580ff038",
+    (8, 0):
+        "3bcf6d7dffa88300b9d836c14bcde9dcb4dd989148d92cc6b42dc6f7830048f6",
+    (8, 1):
+        "df085b1a5b82c178c72f4e529e776cd1c2b41db9ac8a0e02c7ff9fa56f0753a6",
+    (8, 2):
+        "3d13d4ac84e3ae5880d779e5907139be2c4945bf221f87154cb2eca00a6ac96c",
+}
+
+
+class TestPinnedGraphs:
+    """Every generator's exact graph."""
+
+    @pytest.mark.parametrize("kind, k", CLOS_DIGESTS)
+    def test_clos(self, kind, k):
+        assert (graph_digest(generate(TopoKind(kind), k))
+                == CLOS_DIGESTS[kind, k])
+
+    @pytest.mark.parametrize("k, seed", JELLYFISH_DIGESTS)
+    def test_jellyfish(self, k, seed):
+        digest = JELLYFISH_DIGESTS[k, seed]
+        assert graph_digest(generate(TopoKind.JELLYFISH, k, seed), seed) == digest
+        assert graph_digest(gen_jellyfish(k, 1, 3, seed), seed) == digest
 
 
 class TestPlacement:
