@@ -362,7 +362,23 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
                 format_rational(row.total_cost),
                 format_rational(row.mean_backlog),
             ]) + "\n")
-    print(f"wrote {len(rows)} rows to {path}")
+    # the exact seed mean of each (scheme, V), in the order above; it is
+    # taken here because sweep.csv rounds
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.scheme.value, row.v), []).append(row)
+    mean_path = out_dir / "sweep.mean.csv"
+    with open(mean_path, "w") as fh:
+        fh.write("scheme,v,mean_total_cost,mean_backlog\n")
+        for (scheme, v), group in groups.items():
+            fh.write(",".join([
+                scheme, str(v),
+                format_rational(sum(r.total_cost for r in group) / len(group)),
+                format_rational(sum(r.mean_backlog for r in group)
+                                / len(group)),
+            ]) + "\n")
+    print(f"wrote {len(rows)} rows to {path} and {len(groups)} seed means "
+          f"to {mean_path}")
     return 0
 
 

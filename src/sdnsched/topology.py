@@ -22,9 +22,22 @@ class PlacementResult:
         return len(self.controller_hosts)
 
 
+# the most nodes (switches plus hosts) a topology may have: fat-tree and
+# Jellyfish k=98 (247303 nodes) and three-tier k=80 fit
+MAX_NODES = 2 ** 18
+
+
 def _check_k(k: int) -> None:
     if k < 4 or k % 2 != 0:
         raise ValueError(f"port count k must be even and >= 4, got {k}")
+
+
+def _check_nodes(kind: TopoKind, k: int, n_nodes: int) -> None:
+    """Reject a topology of more than MAX_NODES nodes before it is
+    built."""
+    if n_nodes > MAX_NODES:
+        raise ValueError(f"{kind.value} k={k} has {n_nodes} nodes, more "
+                         f"than the limit of {MAX_NODES}")
 
 
 def _topology(kind: TopoKind, k: int, n_switches: int, adj,
@@ -58,7 +71,9 @@ def _clos(kind: TopoKind, k: int, n_edge: int, n_agg: int, n_core: int,
     edges, aggs = k * n_edge, k * n_agg
     core0 = edges + aggs
     n_switches = core0 + n_core
-    adj = [[] for _ in range(n_switches + edges * half)]
+    n_nodes = n_switches + edges * half
+    _check_nodes(kind, k, n_nodes)
+    adj = [[] for _ in range(n_nodes)]
     pods = []
     for p in range(k):
         pod_edges = range(p * n_edge, (p + 1) * n_edge)
@@ -125,6 +140,7 @@ def gen_jellyfish(
             f"1 <= hosts_min <= hosts_max <= k-1 = {k - 1}")
     n_switches = 5 * k * k // 4
     n_hosts = k ** 3 // 4
+    _check_nodes(TopoKind.JELLYFISH, k, n_switches + n_hosts)
     lo, hi = hosts_per_switch_min, hosts_per_switch_max
     extra = n_hosts - lo * n_switches
     if extra < 0 or extra > (hi - lo) * n_switches:
@@ -163,8 +179,17 @@ def _random_pairing(rng, adj, free, n_switches):
     """Jellyfish wiring: repeatedly join two random non-adjacent switches
     with free ports; when stuck with >= 2 free ports on one switch,
     break a random existing switch link to make progress."""
+    # the switches with free ports, kept ascending (the seeded draws
+    # from it, so the graphs, depend on the order); a switch leaves when
+    # its last port is used
+    open_sw = [s for s in range(n_switches) if free[s] > 0]
+
+    def use(s, ports):
+        free[s] -= ports
+        if not free[s]:
+            open_sw.remove(s)
+
     while True:
-        open_sw = [s for s in range(n_switches) if free[s] > 0]
         if len(open_sw) < 2 and not any(free[s] >= 2 for s in open_sw):
             return
         pair = _find_pair(rng, adj, open_sw)
@@ -172,8 +197,8 @@ def _random_pairing(rng, adj, free, n_switches):
             u, v = pair
             adj[u].add(v)
             adj[v].add(u)
-            free[u] -= 1
-            free[v] -= 1
+            use(u, 1)
+            use(v, 1)
             continue
         # stuck: all open switches pairwise adjacent
         stuck = [s for s in open_sw if free[s] >= 2]
@@ -189,7 +214,7 @@ def _random_pairing(rng, adj, free, n_switches):
         adj[s].update((u, v))
         adj[u].add(s)
         adj[v].add(s)
-        free[s] -= 2
+        use(s, 2)
 
 
 def _find_pair(rng, adj, open_sw):

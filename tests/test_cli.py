@@ -1,11 +1,14 @@
 import json
 import shlex
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sdnsched import cli, engine, topology
 from sdnsched.cli import build_parser, cmd_sweep, main
+from sdnsched.metrics import format_rational
 from sdnsched.model import Devolution
 
 
@@ -31,6 +34,14 @@ class TestTopo:
         assert "switches=702" in out
         assert "controllers=13" in out
         assert "alpha=4.811966" in out
+
+    @pytest.mark.parametrize("kind", ["fat-tree", "jellyfish"])
+    def test_huge_k_rejected(self, capsys, kind):
+        # about 2e9 nodes, rejected before any is built
+        code, _, err = run_cli(capsys, "topo", "--kind", kind, "--k", "2000")
+        assert code == 1
+        assert (f"error: {kind} k=2000 has 2005000000 nodes, more than the "
+                f"limit of {topology.MAX_NODES}") in err
 
     def test_odd_k_rejected(self, capsys):
         code, _, err = run_cli(capsys, "topo", "--kind", "fat-tree",
@@ -498,6 +509,55 @@ class TestSweepEqualsRuns:
                 (tmp_path / "run" / "one.summary.json").read_text())
             assert values == [summary[key] for key in (
                 "f_bar", "g_bar", "total_cost", "mean_backlog")], row
+
+
+class TestSweepMeans:
+    """sweep.mean.csv holds the exact seed mean of each (scheme, V) of a
+    sweep.csv, in its order."""
+
+    COMMON = ["--kind", "fat-tree", "--k", "4", "--horizon", "30",
+              "--arrivals", "poisson:3", "--hot-spot-rate", "25",
+              "--controller-capacity", "30", "--switch-capacity", "3"]
+
+    @pytest.mark.parametrize("command, schemes, grid", [
+        ("sweep", ["greedy", "jsq"], "0,10,7/2"),
+        ("compare", ["greedy", "static", "random", "jsq"], "7/2"),
+    ])
+    def test_rows_equal_means_of_separate_runs(self, capsys, tmp_path,
+                                               command, schemes, grid):
+        flags = ["--schemes", ",".join(schemes)] if command == "sweep" else []
+        argv = [command, *self.COMMON, *flags, "--v-grid", grid,
+                "--seeds", "0,1,2", "--out-dir", str(tmp_path)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, *rows = (tmp_path / "sweep.mean.csv").read_text().splitlines()
+        assert header == "scheme,v,mean_total_cost,mean_backlog"
+        cfgs = cli.sweep_configs(cli._given(build_parser().parse_args(argv)),
+                                 schemes, [0, 1, 2])
+        expected = []
+        for scheme in schemes:
+            for v in grid.split(","):
+                results = [engine.run(replace(
+                    c, params=replace(c.params, v=Fraction(v))))
+                    for c in cfgs if c.scheme.value == scheme]
+                cost = sum(r.final.f_bar + r.final.g_bar for r in results)
+                backlog = sum(r.mean_backlog for r in results)
+                expected.append(",".join([
+                    scheme, v, format_rational(cost / len(results)),
+                    format_rational(backlog / len(results))]))
+        assert rows == expected
+
+    def test_one_seed_means_are_its_rows(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "sweep", *self.COMMON, "--schemes", "greedy,static",
+            "--v-grid", "1/3,10", "--seeds", "8", "--out-dir", str(tmp_path))
+        assert code == 0
+        _, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        _, *means = (tmp_path / "sweep.mean.csv").read_text().splitlines()
+        assert means == [
+            ",".join([scheme, v, total_cost, mean_backlog])
+            for scheme, _, v, _, _, total_cost, mean_backlog
+            in (row.split(",") for row in rows)]
 
 
 def test_seed_env_var(capsys, tmp_path, monkeypatch):

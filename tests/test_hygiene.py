@@ -1,6 +1,5 @@
-"""Every name a sdnsched module or a script under scripts/ imports is
-used in it or exported through its `__all__`, so a deletion cannot leave
-an import behind."""
+"""Every name a sdnsched module imports is used in it or exported
+through its `__all__`, so a deletion cannot leave an import behind."""
 
 import ast
 from pathlib import Path
@@ -10,8 +9,7 @@ import pytest
 import sdnsched
 
 PACKAGE = Path(sdnsched.__file__).resolve().parent
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-MODULES = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from sdnsched import topology
 from sdnsched.model import TopoKind, Topology
 from sdnsched.topology import (
     PlacementResult,
@@ -240,6 +241,21 @@ class TestPinnedGraphs:
         digest = JELLYFISH_DIGESTS[k, seed]
         assert graph_digest(generate(TopoKind.JELLYFISH, k, seed), seed) == digest
         assert graph_digest(gen_jellyfish(k, 1, 3, seed), seed) == digest
+
+
+class TestNodeLimit:
+    """No kind builds a topology of more than MAX_NODES nodes."""
+
+    @pytest.mark.parametrize("kind", list(TopoKind), ids=lambda k: k.value)
+    def test_built_at_limit_rejected_over_it(self, monkeypatch, kind):
+        n_nodes = len(generate(kind, 6).adjacency)
+        monkeypatch.setattr(topology, "MAX_NODES", n_nodes)
+        assert len(generate(kind, 6).adjacency) == n_nodes
+        monkeypatch.setattr(topology, "MAX_NODES", n_nodes - 1)
+        with pytest.raises(ValueError, match=(
+                f"^{kind.value} k=6 has {n_nodes} nodes, more than the "
+                f"limit of {n_nodes - 1}$")):
+            generate(kind, 6)
 
 
 class TestPlacement:
