@@ -320,14 +320,28 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _repeats(flag: str, tokens, values) -> list[str]:
+    """A problem naming each token of `flag` whose value an earlier
+    token already gave."""
+    seen = set()
+    problems = []
+    for token, value in zip(tokens, values):
+        if value in seen:
+            problems.append(f"duplicate {flag} value {token!r}")
+        seen.add(value)
+    return problems
+
+
 def _parse_grid(text: str):
+    tokens = [tok for tok in text.split(",") if tok]
     try:
-        values = [_parse_v(tok) for tok in text.split(",") if tok]
+        values = [_parse_v(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
         raise ConfigError([f"bad --v-grid value {text!r}: expected "
                            "comma-separated nonnegative V values"]) from None
-    if len(set(values)) != len(values):
-        raise ConfigError(["duplicate V values in grid"])
+    problems = _repeats("--v-grid", tokens, values)
+    if problems:
+        raise ConfigError(problems)
     if not values:
         raise ConfigError(["empty V grid"])
     return values
@@ -336,14 +350,20 @@ def _parse_grid(text: str):
 def cmd_sweep(args, fixed_schemes=None) -> int:
     grid = _parse_grid(args.v_grid)
     names = fixed_schemes or [s.strip() for s in args.schemes.split(",")]
+    tokens = args.seeds.split(",")
     try:
         # each seed is a run seed and a traffic seed
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = [int(s) for s in tokens]
         if min(seeds) < 0:
             raise ValueError
     except ValueError:
         raise ConfigError([f"bad --seeds value {args.seeds!r}: expected "
                            "comma-separated nonnegative integers"]) from None
+    # a repeated seed or scheme would run, write and average one run twice
+    problems = _repeats("--seeds", tokens, seeds) \
+        + _repeats("--schemes", names, names)
+    if problems:
+        raise ConfigError(problems)
     cfgs = sweep_configs(_given(args), names, seeds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,9 +43,12 @@ from .model import (
 from .scheduler import (
     GreedyKernel,
     lane_argmin,
+    mt19937_of,
     random_decide,
     static_decide,
 )
+
+RANDOM_BLOCK = 16  # slots of Random-lane targets drawn per random_decide call
 
 
 class Scheme(enum.Enum):
@@ -150,6 +153,9 @@ def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
         # lane l's queue k is entry l*width + k of the flat inflow
         joins += np.arange(0, lanes * width, width)[:, None]
         if arrivals.ndim == 1:
+            # one count per index: np.add.at with a 2-D index and a
+            # broadcast 1-D value array reads out-of-bounds memory on
+            # numpy 2.4.6, so the shared row is repeated for every lane
             counts = arrivals[None].repeat(lanes, 0).ravel()
     inflow = np.zeros((lanes, width), q.dtype)
     np.add.at(inflow.ravel(), joins.ravel(), counts)
@@ -195,8 +201,9 @@ class LaneGroup:
     devolution-off argmin at v = 0), which all decide in one
     lane_argmin call over their stacked K tables (one row per row class
     of the cost model, CostTables.row_class); then Static lanes,
-    a fixed target row each; then Random lanes, each drawing from its
-    own random.Random(run_seed) as a separate run would.
+    a fixed target row each; then Random lanes, each drawing from
+    mt19937_of(random.Random(run_seed)), the words a separate run's
+    per-slot randrange loop would take, RANDOM_BLOCK slots per call.
 
     The arrays are int64 while every lane's backlogs are within its int64
     queue limit, and object arrays of Python ints, for every lane and for
@@ -233,8 +240,11 @@ class LaneGroup:
         self.template = np.empty((len(cfgs), n_s), np.intp)
         if any(cfg.scheme is Scheme.STATIC for cfg in cfgs):
             self.template[:] = static_decide(cost).target
-        self.rngs = [random.Random(cfg.run_seed) for cfg in cfgs
+        self.bits = [mt19937_of(random.Random(cfg.run_seed)) for cfg in cfgs
                      if cfg.scheme is Scheme.RANDOM]
+        self.random_block = np.empty((len(self.bits), RANDOM_BLOCK * n_s),
+                                     np.intp)
+        self.decided = 0
         self.rows = list(rows)
         self.shared_row = rows[0] if len(set(rows)) == 1 else None
         self.t = 0
@@ -256,7 +266,12 @@ class LaneGroup:
 
     def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
         """The targets (L x n_s) for the pre-slot backlogs (L x n_s,
-        L x n_c), one row per lane."""
+        L x n_c), one row per lane: the group's next slot of decisions.
+
+        Random lanes read their slot from `random_block`, which every
+        RANDOM_BLOCK calls is refilled with one random_decide call per
+        lane; `decided` counts the calls, so the slots follow one another
+        whether or not `advance` runs."""
         n = self.n_argmin
         if n == len(self.template):
             return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve,
@@ -265,9 +280,15 @@ class LaneGroup:
         if n:
             target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
                                      self.n_devolve, self.row_class)
-        for row, rng in zip(target[len(target) - len(self.rngs):],
-                            self.rngs):
-            row[:] = random_decide(self.n_s, self.n_c, rng)
+        if self.bits:
+            at = self.decided % RANDOM_BLOCK
+            if not at:
+                for row, bits in zip(self.random_block, self.bits):
+                    row[:] = random_decide(RANDOM_BLOCK * self.n_s, self.n_c,
+                                           bits)
+            target[len(target) - len(self.bits):] = \
+                self.random_block[:, at * self.n_s:(at + 1) * self.n_s]
+            self.decided += 1
         return target
 
     def advance(self, rows, keep) -> list:

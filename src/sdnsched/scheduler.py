@@ -11,12 +11,14 @@ equality against them. For v = p/q, GreedyKernel's table is
 K = p*(d*W - d*alpha): p times the cost model's one integer scaling of
 the gap W - alpha (CostTables.gap, d = CostTables.scale), one row per
 row class of switches with equal gap rows. The engine stacks the K
-tables of its argmin lanes into one lane_argmin call and calls
-random_decide per Random lane, with numpy arrays, and gets target
-arrays back, one intp per switch. All arithmetic is exact
-(int / Fraction), so every comparison is an equality check. Ties break
-toward the lowest controller index everywhere; with that rule JSQ is the
-devolution-off argmin at v = 0.
+tables of its argmin lanes into one lane_argmin call, with numpy
+arrays, and gets target arrays back, one intp per switch. A Random
+lane draws from mt19937_of(random.Random(run_seed)): one random_decide
+call gives a block of slots' targets, with the values of a per-slot
+randrange loop. All arithmetic is exact (int / Fraction), so every
+comparison is an equality check. Ties break toward the lowest
+controller index everywhere; with that rule JSQ is the devolution-off
+argmin at v = 0.
 """
 
 from __future__ import annotations
@@ -107,27 +109,38 @@ def static_decide(cost: CostModel) -> Association:
     return Association(target=target)
 
 
-def random_decide(n_switches: int, n_controllers: int,
-                  rng: random.Random) -> np.ndarray:
-    """Uniform random controller per switch, redrawn every slot: the
-    target array.
+def mt19937_of(rng: random.Random) -> np.random.MT19937:
+    """A numpy MT19937 in rng's state: its random_raw() words are the
+    32-bit words rng's getrandbits(32) would return next. rng's 624-word
+    key and its position are copied once; rng itself is not advanced."""
+    _, state, _ = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(state[:624], np.uint32),
+                            "pos": state[624]}}
+    return bits
 
-    The values, and the state rng is left in, equal those of
+
+def random_decide(n_switches: int, n_controllers: int,
+                  bits: np.random.MT19937) -> np.ndarray:
+    """Uniform random controllers, one per switch: the target array.
+
+    With bits = mt19937_of(rng), the values, and the state bits is left
+    in, equal those of
     `[rng.randrange(n_controllers) for _ in range(n_switches)]`.
     randrange(n) takes the top k = n.bit_length() bits of one 32-bit
-    Mersenne Twister word and draws again while the value is >= n;
-    getrandbits(32 * m) returns the next m words, the first in the lowest
-    bits. So one call draws a whole slot's words, and each redraw draws
-    only the shortfall.
+    Mersenne Twister word and draws again while the value is >= n, so one
+    random_raw call draws every word, and each redraw draws only the
+    shortfall. Called with n_switches = B*n_s, it draws B slots of n_s
+    switches at once, slot after slot.
     """
     if not 1 <= n_controllers < 2 ** 32:
         raise ValueError("need between 1 and 2**32 - 1 controllers")
     shift = 32 - n_controllers.bit_length()
     parts, need = [], n_switches
     while need:
-        words = np.frombuffer(rng.getrandbits(32 * need)
-                              .to_bytes(4 * need, "little"), "<u4") >> shift
-        parts.append(words[words < n_controllers])
+        words = bits.random_raw(need) >> shift
+        parts.append(np.compress(words < n_controllers, words))
         need -= len(parts[-1])
     return np.concatenate(parts, dtype=np.intp) if parts \
         else np.zeros(0, np.intp)

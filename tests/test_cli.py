@@ -421,6 +421,43 @@ class TestSweep:
         assert code == 1
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("flag, value, repeated", [
+        ("--v-grid", "0,10,0", "0"), ("--v-grid", "1/2,3,0.5", "0.5"),
+        ("--seeds", "1,2,1", "1"), ("--seeds", "3,03", "03"),
+        ("--schemes", "greedy,static,greedy", "greedy"),
+        ("--schemes", "jsq, jsq", "jsq"),
+    ])
+    def test_duplicate_value_named(self, capsys, tmp_path, flag, value,
+                                   repeated):
+        args = {"--v-grid": "0", "--seeds": "0", "--schemes": "greedy",
+                flag: value}
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", *(x for kv in args.items() for x in kv),
+            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: duplicate {flag} value {repeated!r}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_duplicate_seeds_and_schemes_both_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "20", "--schemes", "greedy,greedy",
+            "--seeds", "1,1", "--v-grid", "0", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.splitlines() == ["error: duplicate --seeds value '1'",
+                                    "error: duplicate --schemes value "
+                                    "'greedy'"]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_compare_duplicate_seed_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "compare", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--v-grid", "0", "--seeds", "2,2",
+            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "duplicate --seeds value '2'" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "x"), ("--seeds", ""), ("--seeds", "-3"),
         ("--v-grid", "nan"), ("--v-grid", "1/0"), ("--v-grid", "-1"),

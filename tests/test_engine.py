@@ -188,6 +188,34 @@ class TestApplySlot:
             assert nq.q_s == tuple(base.q_s[p] for p in perm)
 
 
+    def test_lanes_share_one_arrivals_row(self):
+        # L lanes reading one 1-D arrivals row price and advance as L
+        # one-lane calls on that row
+        rng = random.Random(12)
+        cost = CostModel.uniform_alpha(
+            tuple(tuple(rng.randint(1, 5) for _ in range(3))
+                  for _ in range(4)), Fraction(5, 2))
+        w = cost.tables.w.astype(np.int64)
+        scaled_alpha = cost.tables.scaled_alpha.astype(np.int64)
+        for lanes in (2, 3, 5):
+            q = np.array([[rng.randint(0, 20) for _ in range(7)]
+                          for _ in range(lanes)], np.int64)
+            target = np.array([[rng.randint(LOCAL, 2) for _ in range(4)]
+                               for _ in range(lanes)], np.intp)
+            service = np.array([[rng.randint(0, 6) for _ in range(7)]
+                                for _ in range(lanes)], np.int64)
+            arrivals = np.array([rng.randint(0, 9) for _ in range(4)],
+                                np.int64)
+            together = engine.apply_lanes(q, target, arrivals, service, cost,
+                                          w, scaled_alpha)
+            alone = [engine.apply_lanes(q[l:l + 1], target[l:l + 1],
+                                        arrivals, service[l:l + 1], cost, w,
+                                        scaled_alpha)
+                     for l in range(lanes)]
+            for got, parts in zip(together, zip(*alone)):
+                assert got.tolist() == np.concatenate(parts).tolist()
+
+
 class TestRun:
     def test_single_slot_average(self):
         cfg = small_cfg(horizon=1, process=Constant(2))
@@ -477,6 +505,54 @@ class TestLanes:
         assert len(alone) == 2 and alone[0] > alone[1] > 0
         assert engine.run_lanes(cfgs) == separate
         assert widened[2:] == [alone[1]]
+
+    def test_random_lanes_draw_blocks(self, monkeypatch):
+        # a horizon that ends inside a block: every Random lane's targets
+        # equal the per-slot randrange loop of its own
+        # random.Random(run_seed), slot by slot, in an int64 group and in
+        # a group that starts on object arrays (a_max >= 2**62), and each
+        # lane draws once per RANDOM_BLOCK slots
+        horizon = 37
+        cost = CostModel.uniform_alpha(
+            ((1, 3, 2), (2, 2, 5), (4, 1, 1), (3, 3, 3), (5, 2, 4)), 2)
+
+        def cfg(scheme, seed, a_max=10 ** 6):
+            tcfg = TrafficConfig(
+                base_process=Poisson(3), n_switches=5, n_controllers=3,
+                controller_capacity=6, switch_capacity=2, a_max=a_max,
+                seed=seed)
+            return RunConfig(cost=cost, traffic=tcfg, scheme=scheme,
+                             params=SchedulerParams(v=10),
+                             horizon_slots=horizon, run_seed=seed)
+
+        # run_lanes groups by int64 limit, then lane_order: the int64
+        # group is (greedy, static, random 1, random 2) and the object
+        # group (greedy, random 3), so Random lanes are the last rows
+        cfgs = [cfg(Scheme.RANDOM, 1), cfg(Scheme.GREEDY, 4),
+                cfg(Scheme.RANDOM, 3, a_max=2 ** 62),
+                cfg(Scheme.STATIC, 5), cfg(Scheme.RANDOM, 2),
+                cfg(Scheme.GREEDY, 6, a_max=2 ** 62)]
+        targets, draws = [], []
+        apply_lanes, random_decide = engine.apply_lanes, engine.random_decide
+        monkeypatch.setattr(engine, "apply_lanes",
+                            lambda q, target, *a: targets.append(
+                                (q.dtype, target.copy()))
+                            or apply_lanes(q, target, *a))
+        monkeypatch.setattr(engine, "random_decide",
+                            lambda *a: draws.append(a[:2])
+                            or random_decide(*a))
+        engine.run_lanes(cfgs)
+        assert draws == [(16 * 5, 3)] * 3 * -(-horizon // 16)
+        assert len(targets) == 2 * horizon
+        for group, (dtype, seeds) in enumerate([(np.int64, (1, 2)),
+                                                (object, (3,))]):
+            slots = targets[group::2]
+            assert all(d == dtype for d, _ in slots)
+            for row, seed in enumerate(seeds, len(slots[0][1]) - len(seeds)):
+                spec = random.Random(seed)
+                assert [t[row].tolist() for _, t in slots] == \
+                    [[spec.randrange(3) for _ in range(5)]
+                     for _ in range(horizon)]
 
     def test_lanes_share_cost_and_horizon(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from sdnsched.scheduler import (
     brute_force_decide,
     greedy_decide,
     jsq_decide,
+    mt19937_of,
     omega,
     random_decide,
     slot_objective,
@@ -38,6 +39,12 @@ def ctx_of(w, alpha, qs, qc, arrivals, v, devolution=Devolution.ON):
         else CostModel(w=tuple(tuple(r) for r in w), alpha=alpha),
         params=SchedulerParams(v=v, devolution=devolution),
     )
+
+
+def mt_state(bits):
+    """An MT19937's key and position, as random.Random.getstate()[1]."""
+    state = bits.state["state"]
+    return (*state["key"].tolist(), state["pos"])
 
 
 def random_ctx(rng, max_s=6, max_c=4, v_choices=(0, 1, 10, 100)):
@@ -198,34 +205,42 @@ class TestBaselines:
                 assert assoc.target[s] == expected[p], (p, s)
 
     def test_random_single_controller(self):
-        target = random_decide(4, 1, random.Random(0))
+        target = random_decide(4, 1, mt19937_of(random.Random(0)))
         assert tuple(target.tolist()) == (0, 0, 0, 0)
 
     def test_random_uniform(self):
-        rng = random.Random(1)
+        bits = mt19937_of(random.Random(1))
         hits = [0, 0]
         n = 10 ** 5
         for _ in range(n):
-            hits[random_decide(1, 2, rng)[0]] += 1
+            hits[random_decide(1, 2, bits)[0]] += 1
         assert abs(hits[0] / n - 0.5) < 0.01
 
-    @pytest.mark.parametrize("n_c", [1, 2, 3, 12, 13, 32, 33])
+    @pytest.mark.parametrize("n_c", [1, 2, 3, 12, 13, 32, 33,
+                                     2 ** 31 + 1])
     def test_random_equals_randrange(self, n_c):
         # the vectorised draw gives randrange's values and consumes the
-        # same words, so the rng ends in the same state
-        rng, scalar = random.Random(n_c), random.Random(n_c)
+        # same words, so the generator ends in the rng's state
+        bits, scalar = mt19937_of(random.Random(n_c)), random.Random(n_c)
         for n_s in (0, 1, 5, 720, 3):
-            target = random_decide(n_s, n_c, rng)
+            target = random_decide(n_s, n_c, bits)
             assert tuple(target.tolist()) == \
                 tuple(scalar.randrange(n_c) for _ in range(n_s))
-            assert rng.getstate() == scalar.getstate()
+            assert mt_state(bits) == scalar.getstate()[1]
 
     def test_random_seeded_reproducible(self):
-        a = [random_decide(3, 4, random.Random(9)) for _ in range(1)]
-        r1, r2 = random.Random(9), random.Random(9)
+        r1, r2 = mt19937_of(random.Random(9)), mt19937_of(random.Random(9))
         for _ in range(50):
             assert random_decide(3, 4, r1).tolist() == \
                 random_decide(3, 4, r2).tolist()
+
+    def test_mt19937_of_leaves_rng(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        bits = mt19937_of(rng)
+        assert rng.getstate() == state
+        assert bits.random_raw(700).tolist() == \
+            [rng.getrandbits(32) for _ in range(700)]
 
     def test_jsq_unique_minimum(self):
         q = QueueState(q_s=(0, 0), q_c=(4, 1, 7))
@@ -418,7 +433,8 @@ def assert_row_classes_are_gap_rows(cost):
     gap = [tuple((w - a) * tables.scale for w in row)
            for row, a in zip(cost.w, cost.alpha)]
     row_class = tables.row_class.tolist()
-    assert row_class == [list(dict.fromkeys(gap)).index(row) for row in gap]
+    first = {row: c for c, row in enumerate(dict.fromkeys(gap))}
+    assert row_class == [first[row] for row in gap]
     assert [tuple(tables.gap[c]) for c in row_class] == gap
 
 
