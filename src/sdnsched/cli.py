@@ -409,21 +409,14 @@ def _add_run_flags(p):
     p.add_argument("--topo-seed", dest="topo_seed", type=int)
     p.add_argument("--hosts-min", dest="hosts_min", type=int)
     p.add_argument("--hosts-max", dest="hosts_max", type=int)
-    p.add_argument("--v")
     p.add_argument("--devolution", choices=["on", "off"])
     p.add_argument("--horizon", type=int)
-    p.add_argument("--run-seed", dest="run_seed", type=int)
-    p.add_argument("--traffic-seed", dest="traffic_seed", type=int)
     p.add_argument("--arrivals",
                    help="poisson:RATE | pareto:SHAPE,SCALE | constant:RATE | trace:PATH")
     p.add_argument("--hot-spot-rate", dest="hot_spot_rate", type=int)
     p.add_argument("--controller-capacity", dest="controller_capacity", type=int)
     p.add_argument("--switch-capacity", dest="switch_capacity", type=int)
     p.add_argument("--slot-length-us", dest="slot_length_us", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--log-lyapunov", dest="log_lyapunov", action="store_const",
-                   const=True)
-    p.add_argument("--name", help="basename for output files")
     p.add_argument("--out-dir", dest="out_dir", default="out")
 
 
@@ -447,10 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one simulation run")
     _add_run_flags(p_run)
+    # sweep and compare take V and the seeds from their grids, keep two
+    # records per run and write no per-run files, so only run takes these
     p_run.add_argument("--scheme", choices=[s.value for s in Scheme])
+    p_run.add_argument("--v")
+    p_run.add_argument("--run-seed", dest="run_seed", type=int)
+    p_run.add_argument("--traffic-seed", dest="traffic_seed", type=int)
+    p_run.add_argument("--stride", type=int)
+    p_run.add_argument("--log-lyapunov", dest="log_lyapunov",
+                       action="store_const", const=True)
+    p_run.add_argument("--name", help="basename for output files")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a V grid, one row per (V, scheme, seed)")
+    # no abbreviations, so that run's --v is not read as --v-grid
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="run a V grid, one row per (V, scheme, seed)")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--v-grid", dest="v_grid", required=True,
                          help="comma-separated V values")
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", default="0")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cmp = sub.add_parser("compare",
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
                            help="sweep all four schemes over a V grid")
     _add_run_flags(p_cmp)
     p_cmp.add_argument("--v-grid", dest="v_grid", required=True)

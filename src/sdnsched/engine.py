@@ -1,22 +1,21 @@
 """Slot-by-slot simulation loop and run orchestration.
 
-Runs advance in lock step as lanes, one row per run of the (L x n)
-slot arrays: each slot samples arrivals, snapshots queues, decides,
-prices the decision, updates queues and accounts for every lane at
-once. A `run` is the one-lane case of `run_lanes`, and a sweep or a
-CLI `sweep`/`compare` command is one run_lanes call over every
-(config, V) pair. Lanes with the same traffic config read one
-ArrivalState row per slot (common random numbers, each draw made once);
-greedy and JSQ lanes share one argmin, and pricing is one gather and
-one scatter for all lanes. A QueueState is built only for the records
-a lane keeps.
+Runs advance in lock step as lanes of one LaneGroup, one row per run of
+the (L x n) slot arrays. Each slot samples arrivals, decides, prices the
+decision and updates the queues (apply_slot), and accounts for every
+lane at once (metrics.Accumulator). A `run` is the one-lane case of
+`run_lanes`, and a sweep or a CLI `sweep`/`compare` command is one
+run_lanes call over every (config, V) pair. Lanes with the same traffic
+config read one ArrivalState row per slot (common random numbers, each
+draw made once); greedy and JSQ lanes share one argmin, and pricing is
+one gather and one scatter for all lanes. A QueueState and a
+MetricsRecord are built only for the records a lane keeps.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. Each lane derives one int64 queue limit up front;
-a group moves to object arrays of Python ints, for good, after the
-slot on which one lane's total backlog passes its limit, so no sum
-ever wraps, and lanes that cannot start on int64 run in a group of
-their own.
+the group starts on object arrays of Python ints when any lane's limit
+is negative, and otherwise moves to them, for good, after the slot on
+which one lane's total backlog passes its limit, so no sum ever wraps.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import traffic as tr
-from .metrics import MetricsRecord, controller_variance
+from .metrics import Accumulator, MetricsRecord
 from .model import (
     INT64_BOUND,
     LOCAL,
@@ -87,24 +86,13 @@ def lane_order(cfg: RunConfig) -> int:
     return {Scheme.JSQ: 1, Scheme.STATIC: 2, Scheme.RANDOM: 3}[cfg.scheme]
 
 
-def lane_kernel(cfg: RunConfig) -> GreedyKernel | None:
-    """The GreedyKernel of an argmin lane (greedy or JSQ); None for
-    Static and Random lanes, which take any backlog on int64."""
-    if cfg.scheme in (Scheme.STATIC, Scheme.RANDOM):
-        return None
-    # JSQ is the devolution-off argmin at v = 0
-    params = cfg.params if cfg.scheme is Scheme.GREEDY \
-        else SchedulerParams(v=0, devolution=Devolution.OFF)
-    return GreedyKernel(cfg.cost, params)
-
-
 def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
                       decide_top: int) -> int:
     """Largest backlog at which a slot can run on int64 arrays; negative
     when none can.
 
     With every arrival at most a_cap and every backlog at most the
-    limit, apply_lanes' sums stay below 2**62: the prices
+    limit, apply_slot's sums stay below 2**62: the prices
     n*weight*a_cap + backlog, the slot-end backlogs, and their total over
     all queues. `decide_top` is the largest backlog the decision rule
     takes on int64 (GreedyKernel.int64_top).
@@ -118,27 +106,22 @@ def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
                decide_top)
 
 
-def lane_limit(cfg: RunConfig, kernel: GreedyKernel | None) -> int:
-    """A lane's int64 queue limit, for its lane_kernel."""
-    t = cfg.traffic
-    return int64_queue_limit(cfg.cost, min(t.a_max, 2 ** 63 - 1),
-                             max(t.controller_capacity, t.switch_capacity),
-                             INT64_BOUND if kernel is None
-                             else kernel.int64_top)
-
-
-def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
-                service: np.ndarray, cost: CostModel, w: np.ndarray,
-                scaled_alpha: np.ndarray):
+def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
+               service: np.ndarray, cost: CostModel, w: np.ndarray,
+               scaled_alpha: np.ndarray):
     """Price L lanes' forced associations and advance their queues one
     slot, one row per lane: q and service are (L x (n_s + n_c)) arrays,
     each lane's switch queues then its controller queues; `target` is
-    (L x n_s); `arrivals` is (L x n_s) or one row that every lane
-    shares. `w` and `scaled_alpha` are cost.tables' arrays of the same
-    name, cast to q's dtype.
+    (L x n_s), an intp array with LOCAL for -1; `arrivals` is (L x n_s)
+    or one row that every lane shares. The arrays share one dtype: int64,
+    with every backlog within int64_queue_limit, or object arrays of
+    Python ints. `w` and `scaled_alpha` are cost.tables' arrays of the
+    same name, cast to that dtype.
 
     Returns (next_q, f, dg): f and dg = d*g are arrays of each lane's
-    slot costs. A lane's slot is priced on integer arrays:
+    slot costs, equal to slot_comm_cost and d * slot_comp_cost, and
+    next_q equals step_switch_queue / step_controller_queue applied queue
+    by queue. A lane's slot is priced on integer arrays:
     f = W[i, target_i] . A, where W is 0 for LOCAL, and
     d*g = (d*alpha) . A_local. Each switch's arrivals join one queue
     (CostTables.joins), so the inflow of every queue of every lane is one
@@ -164,66 +147,54 @@ def apply_lanes(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
     return np.maximum(q + inflow - service, 0), f, dg
 
 
-def apply_slot(q_s: np.ndarray, q_c: np.ndarray, target: np.ndarray,
-               arrivals: np.ndarray, ctrl_service: np.ndarray,
-               switch_service: np.ndarray, cost: CostModel):
-    """Price a forced association and advance the queues one slot: the
-    one-lane apply_lanes.
-
-    Returns (next_q_s, next_q_c, f_slot, g_slot), equal to
-    slot_comm_cost, slot_comp_cost and step_switch_queue /
-    step_controller_queue applied switch by switch. The arrays share one
-    dtype: int64, with every value within int64_queue_limit, or object
-    arrays of Python ints; `target` is an intp array with LOCAL for -1.
-    Pure; used by tests that force a specific association.
-    """
-    dtype = q_s.dtype
-    q, f, dg = apply_lanes(np.concatenate((q_s, q_c))[None], target[None],
-                           arrivals, np.concatenate((switch_service,
-                                                     ctrl_service)), cost,
-                           cost.tables.w.astype(dtype),
-                           cost.tables.scaled_alpha.astype(dtype))
-    n_s = cost.n_switches
-    return q[0, :n_s], q[0, n_s:], int(f[0]), \
-        Fraction(int(dg[0]), cost.tables.scale)
-
-
 class LaneGroup:
     """Lanes that advance in lock step on one dtype, one row per lane of
     each slot array: the backlogs q (L x (n_s + n_c)), each lane's switch
     queues then its controller queues, and their services; the stacked
     decision tables k and scale and the pricing tables w and
-    scaled_alpha; and each lane's exact running sums of f, d*g
-    (d = CostTables.scale) and the total backlog, as Python ints.
+    scaled_alpha. `acc` keeps each lane's exact running sums.
 
-    The lanes come in `lane_order`: greedy lanes with devolution on, then
-    the other argmin lanes (greedy with devolution off, and JSQ, the
-    devolution-off argmin at v = 0), which all decide in one
-    lane_argmin call over their stacked K tables (one row per row class
-    of the cost model, CostTables.row_class); then Static lanes,
-    a fixed target row each; then Random lanes, each drawing from
+    `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
+    `order[l]` is the index in `cfgs` of lane l: greedy lanes with
+    devolution on, then the other argmin lanes (greedy with devolution
+    off, and JSQ, the devolution-off argmin at v = 0), which all decide
+    in one lane_argmin call over their stacked K tables (one row per row
+    class of the cost model, CostTables.row_class); then Static lanes, a
+    fixed target row each; then Random lanes, each drawing from
     mt19937_of(random.Random(run_seed)), the words a separate run's
     per-slot randrange loop would take, RANDOM_BLOCK slots per call.
+    `rows[i]` is the index of config i's arrival row among the rows a
+    slot is given (`shared_row` when every lane reads the same one).
 
     The arrays are int64 while every lane's backlogs are within its int64
     queue limit, and object arrays of Python ints, for every lane and for
     good, from the slot after one lane's total backlog passes its limit:
     backlogs are nonnegative, so a lane's total bounds each of them. A
     group with a negative limit starts on object arrays.
-
-    `rows[l]` is the index of lane l's arrival row among the rows a slot
-    is given (`shared_row` when every lane reads the same one).
     """
 
-    def __init__(self, cfgs, kernels, limits, rows):
+    def __init__(self, cfgs, rows):
         cost = cfgs[0].cost
-        self.cfgs = list(cfgs)
+        self.order = sorted(range(len(cfgs)),
+                            key=lambda i: lane_order(cfgs[i]))
+        self.cfgs = [cfgs[i] for i in self.order]
         n_s, n_c = cost.n_switches, cost.n_controllers
         self.n_s, self.n_c = n_s, n_c
+        argmin, limits = [], []
+        for cfg in self.cfgs:
+            top = INT64_BOUND  # Static and Random take any backlog on int64
+            if cfg.scheme in (Scheme.GREEDY, Scheme.JSQ):
+                argmin.append(GreedyKernel(
+                    cost, cfg.params if cfg.scheme is Scheme.GREEDY
+                    else SchedulerParams(v=0, devolution=Devolution.OFF)))
+                top = argmin[-1].int64_top
+            t = cfg.traffic
+            limits.append(int64_queue_limit(
+                cost, min(t.a_max, 2 ** 63 - 1),
+                max(t.controller_capacity, t.switch_capacity), top))
         dtype = np.int64 if min(limits) >= 0 else object
         # an object group has no limit to check
-        self.limit = list(limits) if dtype is np.int64 else []
-        argmin = [k for k in kernels if k is not None]
+        self.limit = limits if dtype is np.int64 else []
         self.n_argmin = len(argmin)
         self.n_devolve = sum(k.devolve for k in argmin)
         self.k = np.array([k.k for k in argmin], object).astype(dtype)
@@ -235,22 +206,24 @@ class LaneGroup:
         self.q = np.zeros((len(cfgs), n_s + n_c), dtype)
         self.service = np.array(
             [[cfg.traffic.switch_capacity] * n_s
-             + [cfg.traffic.controller_capacity] * n_c for cfg in cfgs],
+             + [cfg.traffic.controller_capacity] * n_c for cfg in self.cfgs],
             dtype)
         self.template = np.empty((len(cfgs), n_s), np.intp)
         if any(cfg.scheme is Scheme.STATIC for cfg in cfgs):
             self.template[:] = static_decide(cost).target
-        self.bits = [mt19937_of(random.Random(cfg.run_seed)) for cfg in cfgs
-                     if cfg.scheme is Scheme.RANDOM]
+        self.bits = [mt19937_of(random.Random(cfg.run_seed))
+                     for cfg in self.cfgs if cfg.scheme is Scheme.RANDOM]
         self.random_block = np.empty((len(self.bits), RANDOM_BLOCK * n_s),
                                      np.intp)
         self.decided = 0
-        self.rows = list(rows)
+        self.rows = [rows[i] for i in self.order]
         self.shared_row = rows[0] if len(set(rows)) == 1 else None
-        self.t = 0
-        self.f_sum = [0] * len(cfgs)
-        self.dg_sum = [0] * len(cfgs)
-        self.backlog_sum = [0] * len(cfgs)
+        self.acc = Accumulator(len(cfgs), cost.tables.scale)
+
+    @property
+    def t(self) -> int:
+        """Slots advanced so far."""
+        return self.acc.t
 
     def widen(self) -> None:
         """Move every array onto object arrays of Python ints."""
@@ -306,20 +279,16 @@ class LaneGroup:
         n_s = self.n_s
         q = self.q
         target = self.decide(q[:, :n_s], q[:, n_s:])
-        self.q, f, dg = apply_lanes(q, target, arrivals, self.service, cost,
-                                    self.w, self.scaled_alpha)
+        self.q, f, dg = apply_slot(q, target, arrivals, self.service, cost,
+                                   self.w, self.scaled_alpha)
         backlog = self.q.sum(1).tolist()
         f, dg = f.tolist(), dg.tolist()
-        self.f_sum = list(map(operator.add, self.f_sum, f))
-        self.dg_sum = list(map(operator.add, self.dg_sum, dg))
-        self.backlog_sum = list(map(operator.add, self.backlog_sum, backlog))
-        t = self.t
-        self.t += 1
+        self.acc.update(f, dg, backlog)
         if any(map(operator.gt, backlog, self.limit)):
             self.widen()
         if not keep:
             return []
-        d = cost.tables.scale
+        d = self.acc.scale
         locals_ = (target == LOCAL).sum(1).tolist()
         kept = []
         for lane in keep:
@@ -331,19 +300,9 @@ class LaneGroup:
                 lyap = lyapunov(self.lane_queues(lane, q))
                 drift = lyapunov(next_q) - lyap \
                     + cfg.params.v * (f[lane] + g_slot)
-            kept.append((lane, MetricsRecord(
-                t=t,
-                f_slot=f[lane],
-                g_slot=g_slot,
-                f_bar=Fraction(self.f_sum[lane], t + 1),
-                g_bar=Fraction(self.dg_sum[lane], d * (t + 1)),
-                total_backlog=backlog[lane],
-                controller_backlog_variance=controller_variance(next_q.q_c),
-                uploads=n_s - locals_[lane],
-                locals_=locals_[lane],
-                lyapunov=lyap,
-                drift_penalty_sample=drift,
-            )))
+            kept.append((lane, self.acc.record(
+                lane, f[lane], g_slot, next_q, n_s - locals_[lane],
+                locals_[lane], lyap, drift)))
         return kept
 
 
@@ -355,15 +314,15 @@ class RunResult:
 
 
 def run_lanes(cfgs) -> list[RunResult]:
-    """Run every config in lock step, one lane each, and return what a
-    separate `run` of each returns, in the given order.
+    """Run every config in lock step, one lane each of one LaneGroup, and
+    return what a separate `run` of each returns, in the given order.
 
     The lanes share one cost model and one horizon. Lanes with the same
     traffic config read one ArrivalState row per slot, so their arrivals
-    are drawn once (common random numbers). Lanes whose int64 queue
-    limit is negative from the start form an object group of their own,
-    so the others stay on int64; each LaneGroup decides in one call and
-    prices in one apply_lanes call per slot. Each lane keeps one
+    are drawn once (common random numbers). Each slot the group decides
+    in one call, prices in one apply_slot call and accounts in one
+    Accumulator.update call. It runs on object arrays from the start
+    when any lane's int64 queue limit is negative. Each lane keeps one
     record per its stride plus the final slot.
     """
     cfgs = list(cfgs)
@@ -377,37 +336,23 @@ def run_lanes(cfgs) -> list[RunResult]:
     for cfg in cfgs:
         sources.setdefault(cfg.traffic, len(sources))
     arrival_states = [tr.ArrivalState(t) for t in sources]
-    kernels = [lane_kernel(cfg) for cfg in cfgs]
-    limits = list(map(lane_limit, cfgs, kernels))
-    groups = []
-    for wide in (False, True):
-        lanes = sorted((i for i, limit in enumerate(limits)
-                        if (limit < 0) == wide),
-                       key=lambda i: lane_order(cfgs[i]))
-        if not lanes:
-            continue
-        members = [cfgs[i] for i in lanes]
-        strides = {}
-        for pos, cfg in enumerate(members):
-            strides.setdefault(cfg.stride, []).append(pos)
-        groups.append((lanes, tuple(strides.items()), LaneGroup(
-            members, [kernels[i] for i in lanes], [limits[i] for i in lanes],
-            [sources[c.traffic] for c in members])))
-    records = [[] for _ in cfgs]
+    group = LaneGroup(cfgs, [sources[c.traffic] for c in cfgs])
+    strides = {}
+    for lane, cfg in enumerate(group.cfgs):
+        strides.setdefault(cfg.stride, []).append(lane)
+    strides = tuple(strides.items())
+    records = [[] for _ in cfgs]  # in lane order
     last = first.horizon_slots - 1
     for t in range(first.horizon_slots):
         rows = [a.next_row() for a in arrival_states]
-        for lanes, strides, group in groups:
-            keep = [pos for stride, at in strides
-                    if t % stride == 0 or t == last for pos in at]
-            for pos, rec in group.advance(rows, keep):
-                records[lanes[pos]].append(rec)
+        keep = [lane for stride, at in strides
+                if t % stride == 0 or t == last for lane in at]
+        for lane, rec in group.advance(rows, keep):
+            records[lane].append(rec)
     results = [None] * len(cfgs)
-    for lanes, _, group in groups:
-        for pos, lane in enumerate(lanes):
-            results[lane] = RunResult(
-                records=records[lane], final=records[lane][-1],
-                mean_backlog=Fraction(group.backlog_sum[pos], group.t))
+    for lane, i in enumerate(group.order):
+        results[i] = RunResult(records=records[lane], final=records[lane][-1],
+                               mean_backlog=group.acc.mean_backlog(lane))
     return results
 
 

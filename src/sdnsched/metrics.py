@@ -1,14 +1,14 @@
 """Per-slot statistics, exact running averages, and CSV export.
 
 Running averages are computed from exact running sums, so the identity
-f_bar(T) * T == sum of f_slot holds with no drift. The sums advance
-every slot; a record is built only for the slots a run keeps.
-Accumulator holds the sums of one run; the engine keeps the same sums
-per lane, with g summed as the integer d*g.
+f_bar(T) * T == sum of f_slot holds with no drift. An Accumulator holds
+the sums of every lane of a lane group; the engine updates it once per
+slot and asks it for a record only for the slots a lane keeps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,30 +35,34 @@ class MetricsRecord:
 
 
 class Accumulator:
-    """Exact running sums for one run."""
+    """Exact running sums of f, d*g and the total backlog, one of each
+    per lane. g is summed as the integer d*g, with d = `scale`, so every
+    sum of an engine run is an int."""
 
-    def __init__(self):
+    def __init__(self, lanes: int, scale: int):
         self.t = 0
-        self.f_sum = 0
-        self.g_sum = 0
-        self.backlog_sum = 0
+        self.scale = scale
+        self.f_sum = [0] * lanes
+        self.dg_sum = [0] * lanes
+        self.backlog_sum = [0] * lanes
 
-    def update(self, f_slot, g_slot, total_backlog: int) -> None:
-        self.f_sum += f_slot
-        self.g_sum += g_slot
-        self.backlog_sum += total_backlog
+    def update(self, f, dg, backlog) -> None:
+        """Add one slot: f, dg and backlog list each lane's value."""
+        self.f_sum = list(map(operator.add, self.f_sum, f))
+        self.dg_sum = list(map(operator.add, self.dg_sum, dg))
+        self.backlog_sum = list(map(operator.add, self.backlog_sum, backlog))
         self.t += 1
 
-    def record(self, f_slot, g_slot, queues, uploads, locals_,
+    def record(self, lane, f_slot, g_slot, queues, uploads, locals_,
                lyapunov=None, drift_penalty=None) -> MetricsRecord:
-        """The record of the slot last passed to update, whose slot-end
-        queues are `queues`."""
+        """Lane `lane`'s record of the slot last passed to update, whose
+        slot-end queues are `queues`."""
         return MetricsRecord(
             t=self.t - 1,
             f_slot=f_slot,
             g_slot=g_slot,
-            f_bar=Fraction(self.f_sum, self.t),
-            g_bar=Fraction(self.g_sum) / self.t,
+            f_bar=Fraction(self.f_sum[lane], self.t),
+            g_bar=Fraction(self.dg_sum[lane], self.scale * self.t),
             total_backlog=queues.total(),
             controller_backlog_variance=controller_variance(queues.q_c),
             uploads=uploads,
@@ -67,8 +71,9 @@ class Accumulator:
             drift_penalty_sample=drift_penalty,
         )
 
-    def mean_backlog(self) -> Fraction:
-        return Fraction(self.backlog_sum, self.t) if self.t else Fraction(0)
+    def mean_backlog(self, lane: int) -> Fraction:
+        return Fraction(self.backlog_sum[lane], self.t) if self.t \
+            else Fraction(0)
 
 
 def controller_variance(q_c: Sequence[int]) -> Fraction:

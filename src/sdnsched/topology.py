@@ -357,7 +357,13 @@ def build_cost_model(topo: Topology, placement: PlacementResult) -> CostModel:
 def generate(kind: TopoKind, k: int, seed: int = 0,
              hosts_min: int | None = None, hosts_max: int | None = None) -> Topology:
     """Build the topology of `kind` with port count k: the CLI's
-    dispatch."""
+    dispatch. Only Jellyfish takes a host range."""
+    given = [key for key, value in (("hosts_min", hosts_min),
+                                    ("hosts_max", hosts_max))
+             if value is not None]
+    if given and kind is not TopoKind.JELLYFISH:
+        raise ValueError(f"host range {', '.join(given)} given for "
+                         f"{kind.value}; only jellyfish takes one")
     if kind is TopoKind.FAT_TREE:
         return gen_fat_tree(k)
     if kind is TopoKind.THREE_TIER:

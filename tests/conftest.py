@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,21 +31,23 @@ def fig1_queues():
 
 def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
                       cost):
-    """engine.apply_slot called on the model's tuples as the engine calls
-    it: on int64 arrays when no backlog exceeds the engine's int64 queue
-    limit for these arrivals and services, else on object arrays of
-    Python ints. Returns (QueueState, f_slot, g_slot)."""
+    """engine.apply_slot called for one lane on the model's tuples as the
+    engine calls it: on int64 arrays when no backlog exceeds the engine's
+    int64 queue limit for these arrivals and services, else on object
+    arrays of Python ints. Returns (QueueState, f_slot, g_slot)."""
     limit = int64_queue_limit(cost, max(arrivals, default=0),
                               max((*ctrl_service, *switch_service), default=0),
                               INT64_BOUND)
     dtype = np.int64 if max(queues.q_s + queues.q_c) <= limit else object
-    q_s, q_c, f, g = apply_slot(
-        *(np.array(x, dtype) for x in (queues.q_s, queues.q_c)),
-        np.array(assoc.target, np.intp),
-        *(np.array(x, dtype) for x in (arrivals, ctrl_service,
-                                        switch_service)),
-        cost)
-    return QueueState(q_s=tuple(q_s.tolist()), q_c=tuple(q_c.tolist())), f, g
+    q, f, dg = apply_slot(
+        np.array([queues.q_s + queues.q_c], dtype),
+        np.array([assoc.target], np.intp), np.array(arrivals, dtype),
+        np.array([switch_service + ctrl_service], dtype), cost,
+        cost.tables.w.astype(dtype), cost.tables.scaled_alpha.astype(dtype))
+    row = q[0].tolist()
+    n_s = cost.n_switches
+    return (QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:])),
+            int(f[0]), Fraction(int(dg[0]), cost.tables.scale))
 
 
 def kernel_target(kernel, q_s, q_c):

@@ -31,3 +31,26 @@ def test_span_resolves_a_callable(span):
     found = [f"{module}:{path}" for name, module, path in layertrace.TARGETS
              if name == span and layertrace._resolve(module, path)]
     assert found, f"no target of span {span} resolves"
+
+
+def test_slot_spans_are_live(tmp_path):
+    # a command prices and accounts once per slot, whatever its lane
+    # count, and writes one CSV row per kept record
+    from sdnsched.cli import main
+
+    horizon = 5
+    common = ["--kind", "fat-tree", "--k", "4", "--horizon", str(horizon),
+              "--arrivals", "poisson:2", "--out-dir", str(tmp_path)]
+    tracer = layertrace.Tracer(layertrace.TARGETS)
+    for argv, rows in [
+            (["compare", *common, "--v-grid", "0,10", "--seeds", "1"], 0),
+            (["run", *common, "--scheme", "greedy", "--v", "10",
+              "--stride", "1", "--name", "live"], horizon)]:
+        with tracer.installed():
+            assert main(argv) == 0
+        calls = {name: stats[0] for name, stats in tracer.spans.items()}
+        assert calls["model.price_update"] == horizon, argv[0]
+        assert calls["metrics.account"] == horizon, argv[0]
+        assert calls["metrics.csv"] == rows, argv[0]
+    csv = (tmp_path / "live.csv").read_text().splitlines()
+    assert len(csv) == 1 + horizon

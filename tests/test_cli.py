@@ -65,6 +65,14 @@ class TestTopo:
         assert code == 0, err
         assert "switches=320 hosts=1024" in out
 
+    @pytest.mark.parametrize("kind", ["fat-tree", "f10", "three-tier"])
+    def test_host_range_outside_jellyfish_rejected(self, capsys, kind):
+        code, _, err = run_cli(capsys, "topo", "--kind", kind, "--k", "4",
+                               "--hosts-min", "0")
+        assert code == 1
+        assert (f"error: host range hosts_min given for {kind}; only "
+                "jellyfish takes one") in err
+
 
 class TestRun:
     def base_args(self, tmp_path, *extra):
@@ -170,6 +178,17 @@ class TestRun:
         assert f"host range {named} must satisfy " \
             "1 <= hosts_min <= hosts_max <= k-1 = 5" in err
         assert "Traceback" not in err
+
+    def test_host_range_outside_jellyfish_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--kind", "fat-tree", "--k",
+                               "4", "--scheme", "jsq", "--horizon", "3",
+                               "--hosts-min", "0", "--hosts-max", "-5",
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert ("error: host range hosts_min, hosts_max given for fat-tree; "
+                "only jellyfish takes one") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path):
         code, _, err = self.run_config(capsys, tmp_path, k="4")
@@ -351,6 +370,23 @@ class TestSweep:
         assert cmd_sweep(args, fixed_schemes=fixed) == 0
         capsys.readouterr()
         assert vars(args) == before
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("flag", [
+        ["--v", "10"], ["--run-seed", "1"], ["--traffic-seed", "1"],
+        ["--stride", "3"], ["--log-lyapunov"], ["--name", "foo"]],
+        ids=lambda flag: flag[0])
+    def test_run_only_flag_is_usage_error(self, capsys, tmp_path, command,
+                                          flag):
+        # V and the seeds come from --v-grid and --seeds, and neither
+        # command keeps per-slot records or names per-run files
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kind", "fat-tree", "--k", "4", "--horizon",
+                  "5", "--v-grid", "0", "--seeds", "1", *flag,
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_fabric_built_once_per_command(self, capsys, tmp_path,
                                            monkeypatch):

@@ -77,9 +77,7 @@ def spec_apply_slot(queues, assoc, arrivals, ctrl_service, switch_service,
 def one_lane(cfg):
     """A one-lane LaneGroup, built as run_lanes builds it: zero backlogs,
     with the lane's int64 queue limit."""
-    kernel = engine.lane_kernel(cfg)
-    return engine.LaneGroup([cfg], [kernel], [engine.lane_limit(cfg, kernel)],
-                            [0])
+    return engine.LaneGroup([cfg], [0])
 
 
 def decide_tuples(group, q):
@@ -206,11 +204,11 @@ class TestApplySlot:
                                 for _ in range(lanes)], np.int64)
             arrivals = np.array([rng.randint(0, 9) for _ in range(4)],
                                 np.int64)
-            together = engine.apply_lanes(q, target, arrivals, service, cost,
-                                          w, scaled_alpha)
-            alone = [engine.apply_lanes(q[l:l + 1], target[l:l + 1],
-                                        arrivals, service[l:l + 1], cost, w,
-                                        scaled_alpha)
+            together = engine.apply_slot(q, target, arrivals, service, cost,
+                                         w, scaled_alpha)
+            alone = [engine.apply_slot(q[l:l + 1], target[l:l + 1],
+                                       arrivals, service[l:l + 1], cost, w,
+                                       scaled_alpha)
                      for l in range(lanes)]
             for got, parts in zip(together, zip(*alone)):
                 assert got.tolist() == np.concatenate(parts).tolist()
@@ -525,34 +523,34 @@ class TestLanes:
                              params=SchedulerParams(v=10),
                              horizon_slots=horizon, run_seed=seed)
 
-        # run_lanes groups by int64 limit, then lane_order: the int64
-        # group is (greedy, static, random 1, random 2) and the object
-        # group (greedy, random 3), so Random lanes are the last rows
-        cfgs = [cfg(Scheme.RANDOM, 1), cfg(Scheme.GREEDY, 4),
-                cfg(Scheme.RANDOM, 3, a_max=2 ** 62),
-                cfg(Scheme.STATIC, 5), cfg(Scheme.RANDOM, 2),
-                cfg(Scheme.GREEDY, 6, a_max=2 ** 62)]
         targets, draws = [], []
-        apply_lanes, random_decide = engine.apply_lanes, engine.random_decide
-        monkeypatch.setattr(engine, "apply_lanes",
+        apply_slot, random_decide = engine.apply_slot, engine.random_decide
+        monkeypatch.setattr(engine, "apply_slot",
                             lambda q, target, *a: targets.append(
                                 (q.dtype, target.copy()))
-                            or apply_lanes(q, target, *a))
+                            or apply_slot(q, target, *a))
         monkeypatch.setattr(engine, "random_decide",
                             lambda *a: draws.append(a[:2])
                             or random_decide(*a))
-        engine.run_lanes(cfgs)
-        assert draws == [(16 * 5, 3)] * 3 * -(-horizon // 16)
-        assert len(targets) == 2 * horizon
-        for group, (dtype, seeds) in enumerate([(np.int64, (1, 2)),
-                                                (object, (3,))]):
-            slots = targets[group::2]
-            assert all(d == dtype for d, _ in slots)
-            for row, seed in enumerate(seeds, len(slots[0][1]) - len(seeds)):
+        # each group comes in lane_order, so Random lanes are the last
+        # rows: the int64 group is (greedy, static, random 1, random 2)
+        # and the object group (greedy, random 3)
+        for dtype, cfgs, seeds in [
+                (np.int64, [cfg(Scheme.RANDOM, 1), cfg(Scheme.GREEDY, 4),
+                            cfg(Scheme.STATIC, 5), cfg(Scheme.RANDOM, 2)],
+                 (1, 2)),
+                (object, [cfg(Scheme.RANDOM, 3, a_max=2 ** 62),
+                          cfg(Scheme.GREEDY, 6, a_max=2 ** 62)], (3,))]:
+            targets.clear()
+            engine.run_lanes(cfgs)
+            assert len(targets) == horizon
+            assert all(d == dtype for d, _ in targets)
+            for row, seed in enumerate(seeds, len(cfgs) - len(seeds)):
                 spec = random.Random(seed)
-                assert [t[row].tolist() for _, t in slots] == \
+                assert [t[row].tolist() for _, t in targets] == \
                     [[spec.randrange(3) for _ in range(5)]
                      for _ in range(horizon)]
+        assert draws == [(16 * 5, 3)] * 3 * -(-horizon // 16)
 
     def test_lanes_share_cost_and_horizon(self):
         with pytest.raises(ValueError):

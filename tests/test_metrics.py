@@ -15,24 +15,24 @@ from sdnsched.model import QueueState
 
 class TestAccumulator:
     def test_two_point_average(self):
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         q = QueueState.zeros(1, 1)
-        acc.update(2, 0, q.total())
-        acc.update(4, 0, q.total())
-        rec = acc.record(4, 0, q, 1, 0)
+        acc.update([2], [0], [q.total()])
+        acc.update([4], [0], [q.total()])
+        rec = acc.record(0, 4, 0, q, 1, 0)
         assert rec.f_bar == 3 and rec.t == 1
 
     def test_all_zero(self):
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         q = QueueState.zeros(1, 1)
         for _ in range(5):
-            acc.update(0, 0, q.total())
-        rec = acc.record(0, 0, q, 0, 1)
+            acc.update([0], [0], [q.total()])
+        rec = acc.record(0, 0, 0, q, 0, 1)
         assert rec.f_bar == 0 and rec.g_bar == 0 and rec.total_backlog == 0
 
     def test_recompute_from_scratch(self):
         rng = random.Random(6)
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         fs, gs = [], []
         q = QueueState(q_s=(1, 2), q_c=(3,))
         for _ in range(1000):
@@ -40,21 +40,21 @@ class TestAccumulator:
             g = Fraction(rng.randint(0, 50), rng.randint(1, 7))
             fs.append(f)
             gs.append(g)
-            acc.update(f, g, q.total())
-        rec = acc.record(f, g, q, 2, 0)
+            acc.update([f], [g], [q.total()])
+        rec = acc.record(0, f, g, q, 2, 0)
         assert rec.f_bar == Fraction(sum(fs), len(fs))
         assert rec.g_bar == sum(gs) / len(gs)
 
     def test_running_sum_identity(self):
         rng = random.Random(7)
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         total = 0
         q = QueueState.zeros(1, 1)
         for t in range(1, 200):
             f = rng.randint(0, 9)
             total += f
-            acc.update(f, 0, q.total())
-            assert acc.record(f, 0, q, 0, 1).f_bar * t == total
+            acc.update([f], [0], [q.total()])
+            assert acc.record(0, f, 0, q, 0, 1).f_bar * t == total
 
 
 class TestControllerVariance:
@@ -129,16 +129,16 @@ class TestFormatting:
         assert format_rational(Fraction(-1, 2)) == "-0.500000"
 
     def test_csv_row(self):
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         q = QueueState(q_s=(1,), q_c=(0, 2))
-        acc.update(2, Fraction(1, 2), q.total())
-        rec = acc.record(2, Fraction(1, 2), q, 1, 0)
+        acc.update([2], [Fraction(1, 2)], [q.total()])
+        rec = acc.record(0, 2, Fraction(1, 2), q, 1, 0)
         row = record_to_csv_row(rec)
         assert row == "0,2.000000,0.500000,2.000000,0.500000,3,1.000000,1,0"
 
     def test_uploads_plus_locals(self):
-        acc = Accumulator()
+        acc = Accumulator(1, 1)
         q = QueueState.zeros(4, 2)
-        acc.update(0, 0, q.total())
-        rec = acc.record(0, 0, q, 3, 1)
+        acc.update([0], [0], [q.total()])
+        rec = acc.record(0, 0, 0, q, 3, 1)
         assert rec.uploads + rec.locals_ == 4

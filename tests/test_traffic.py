@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsched import traffic
-from sdnsched.engine import LaneGroup, RunConfig, Scheme, lane_limit
+from sdnsched.engine import LaneGroup, RunConfig, Scheme
 from sdnsched.model import CostModel, SchedulerParams
 from sdnsched.traffic import (
     ArrivalState,
@@ -467,8 +467,7 @@ def lane_services(cfg):
                                    * cfg.n_switches, 1)
     run_cfg = RunConfig(cost=cost, traffic=cfg, scheme=Scheme.STATIC,
                         params=SchedulerParams(), horizon_slots=1)
-    [row] = LaneGroup([run_cfg], [None], [lane_limit(run_cfg, None)],
-                      [0]).service.tolist()
+    [row] = LaneGroup([run_cfg], [0]).service.tolist()
     return tuple(row[cfg.n_switches:]), tuple(row[:cfg.n_switches])
 
 
