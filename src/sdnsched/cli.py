@@ -273,15 +273,17 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
     csv_path = out_dir / f"{name}.csv"
     with open(csv_path, "w") as fh:
         fh.write(header + "\n")
-        for rec in result.records:
-            fh.write(record_to_csv_row(rec) + "\n")
+        lane = result.scale, result.n_controllers, result.v
+        for row in result.rows:
+            fh.write(record_to_csv_row(row, *lane) + "\n")
+    final = result.final
     summary = {
         "config": resolved,
-        "f_bar": format_rational(result.final.f_bar),
-        "g_bar": format_rational(result.final.g_bar),
-        "total_cost": format_rational(result.final.f_bar + result.final.g_bar),
+        "f_bar": format_rational(final.f_bar),
+        "g_bar": format_rational(final.g_bar),
+        "total_cost": format_rational(final.f_bar + final.g_bar),
         "mean_backlog": format_rational(result.mean_backlog),
-        "final_backlog": result.final.total_backlog,
+        "final_backlog": final.total_backlog,
     }
     with open(out_dir / f"{name}.summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -8,8 +8,10 @@ lane at once (metrics.Accumulator). A `run` is the one-lane case of
 run_lanes call over every (config, V) pair. Lanes with the same traffic
 config read one ArrivalState row per slot (common random numbers, each
 draw made once); greedy and JSQ lanes share one argmin, and pricing is
-one gather and one scatter for all lanes. A QueueState and a
-MetricsRecord are built only for the records a lane keeps.
+one gather and one scatter for all lanes. A slot a lane keeps adds one
+row of exact ints to the Accumulator; a RunResult builds MetricsRecords
+from those rows only when they are read, and the CLI formats its CSV
+from the ints.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. Each lane derives one int64 queue limit up front;
@@ -29,15 +31,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import traffic as tr
-from .metrics import Accumulator, MetricsRecord
+from .metrics import Accumulator, MetricsRecord, row_record
 from .model import (
     INT64_BOUND,
     LOCAL,
     CostModel,
     Devolution,
-    QueueState,
+    Rational,
     SchedulerParams,
-    lyapunov,
 )
 from .scheduler import (
     GreedyKernel,
@@ -231,12 +232,6 @@ class LaneGroup:
             setattr(self, name, getattr(self, name).astype(object))
         self.limit = []
 
-    def lane_queues(self, lane: int, q=None) -> QueueState:
-        """Lane `lane`'s queues, in this group or in backlogs `q`."""
-        row = (self.q if q is None else q)[lane].tolist()
-        return QueueState(q_s=tuple(row[:self.n_s]),
-                          q_c=tuple(row[self.n_s:]))
-
     def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
         """The targets (L x n_s) for the pre-slot backlogs (L x n_s,
         L x n_c), one row per lane: the group's next slot of decisions.
@@ -264,11 +259,12 @@ class LaneGroup:
             self.decided += 1
         return target
 
-    def advance(self, rows, keep) -> list:
+    def advance(self, rows, keep) -> None:
         """Advance every lane one slot: arrivals (lane l reads
         rows[self.rows[l]]), snapshot decision, costs, queue updates,
-        running sums. Returns (lane, record) for each lane index in
-        keep."""
+        running sums. Each lane index in `keep` keeps its row of the
+        slot in `acc` (Accumulator.keep); a slot that keeps none does
+        nothing more."""
         if self.shared_row is not None:
             arrivals = rows[self.shared_row]
         else:
@@ -286,31 +282,38 @@ class LaneGroup:
         self.acc.update(f, dg, backlog)
         if any(map(operator.gt, backlog, self.limit)):
             self.widen()
-        if not keep:
-            return []
-        d = self.acc.scale
-        locals_ = (target == LOCAL).sum(1).tolist()
-        kept = []
         for lane in keep:
-            cfg = self.cfgs[lane]
-            next_q = self.lane_queues(lane)
-            g_slot = Fraction(dg[lane], d)
-            lyap = drift = None
-            if cfg.log_lyapunov:
-                lyap = lyapunov(self.lane_queues(lane, q))
-                drift = lyapunov(next_q) - lyap \
-                    + cfg.params.v * (f[lane] + g_slot)
-            kept.append((lane, self.acc.record(
-                lane, f[lane], g_slot, next_q, n_s - locals_[lane],
-                locals_[lane], lyap, drift)))
-        return kept
+            locals_ = int(np.count_nonzero(target[lane] == LOCAL))
+            before = after = None
+            if self.cfgs[lane].log_lyapunov:
+                before, after = q[lane].tolist(), self.q[lane].tolist()
+            self.acc.keep(lane, f[lane], dg[lane], backlog[lane],
+                          self.q[lane, n_s:].tolist(), n_s - locals_,
+                          locals_, before, after)
 
 
 @dataclass(frozen=True)
 class RunResult:
-    records: list[MetricsRecord]
-    final: MetricsRecord
+    """A run's kept rows (metrics.Accumulator.kept) and the constants
+    that turn them into records: the g scale d, the controller count
+    and V. `records` and `final` build MetricsRecords from the rows
+    when read."""
+
+    rows: list[tuple[int, ...]]
+    scale: int
+    n_controllers: int
+    v: Rational
     mean_backlog: Fraction
+
+    @property
+    def records(self) -> list[MetricsRecord]:
+        return [row_record(row, self.scale, self.n_controllers, self.v)
+                for row in self.rows]
+
+    @property
+    def final(self) -> MetricsRecord:
+        return row_record(self.rows[-1], self.scale, self.n_controllers,
+                          self.v)
 
 
 def run_lanes(cfgs) -> list[RunResult]:
@@ -323,7 +326,7 @@ def run_lanes(cfgs) -> list[RunResult]:
     in one call, prices in one apply_slot call and accounts in one
     Accumulator.update call. It runs on object arrays from the start
     when any lane's int64 queue limit is negative. Each lane keeps one
-    record per its stride plus the final slot.
+    row per its stride plus the final slot.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -341,23 +344,23 @@ def run_lanes(cfgs) -> list[RunResult]:
     for lane, cfg in enumerate(group.cfgs):
         strides.setdefault(cfg.stride, []).append(lane)
     strides = tuple(strides.items())
-    records = [[] for _ in cfgs]  # in lane order
     last = first.horizon_slots - 1
     for t in range(first.horizon_slots):
         rows = [a.next_row() for a in arrival_states]
-        keep = [lane for stride, at in strides
-                if t % stride == 0 or t == last for lane in at]
-        for lane, rec in group.advance(rows, keep):
-            records[lane].append(rec)
+        group.advance(rows, [lane for stride, at in strides
+                             if t % stride == 0 or t == last for lane in at])
+    acc = group.acc
     results = [None] * len(cfgs)
     for lane, i in enumerate(group.order):
-        results[i] = RunResult(records=records[lane], final=records[lane][-1],
-                               mean_backlog=group.acc.mean_backlog(lane))
+        results[i] = RunResult(rows=acc.kept[lane], scale=acc.scale,
+                               n_controllers=group.n_c,
+                               v=group.cfgs[lane].params.v,
+                               mean_backlog=acc.mean_backlog(lane))
     return results
 
 
 def run(cfg: RunConfig) -> RunResult:
-    """Execute the full horizon: the one-lane run_lanes. Keeps one record
+    """Execute the full horizon: the one-lane run_lanes. Keeps one row
     per stride plus the final slot. Deterministic given (config,
     seeds)."""
     return run_lanes([cfg])[0]
@@ -381,7 +384,7 @@ def sweep(cfg, v_values) -> list[SweepRow]:
     config share their arrivals (common random numbers). Static, Random
     and JSQ lanes do not read V, so one lane serves every V of their
     config. A row reads only the final record and the mean backlog, so
-    each lane keeps records for its first and last slots alone."""
+    each lane keeps rows for its first and last slots alone."""
     if not v_values:
         raise ValueError("empty V grid")
     cfgs = [cfg] if isinstance(cfg, RunConfig) else cfg

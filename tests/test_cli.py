@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from dataclasses import replace
@@ -333,6 +334,31 @@ class TestRun:
         assert "warning: hot-spot rate 50 exceeds a_max 5" in err
         assert "warning: constant rate 9 exceeds a_max 5" in err
 
+    def test_capped_rates_in_warning(self, capsys, tmp_path):
+        # the 4 hot-spot switches get a_max = 10^6 arrivals a slot and the
+        # other 16 get 7: 4000112 a slot, not 4 * 5000000 + 16 * 7
+        code, _, err = run_cli(
+            capsys, "run", "--kind", "fat-tree", "--k", "4", "--scheme",
+            "greedy", "--horizon", "3", "--hot-spot-rate", "5000000",
+            "--arrivals", "constant:7", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert ("warning: supercritical: mean arrivals 4000112.00/slot >= "
+                "total capacity 1400") in err
+
+    def test_subcritical_once_capped_not_warned(self, capsys, tmp_path):
+        # capped, 4 * 10^6 + 16 * 5.88 arrivals a slot are below the total
+        # capacity 2 * 10^6 + 20 * 2 * 10^5, though not below the
+        # controllers' 2 * 10^6
+        code, _, err = run_cli(
+            capsys, "compare", "--kind", "fat-tree", "--k", "4", "--horizon",
+            "3", "--hot-spot-rate", "5000000", "--controller-capacity",
+            "1000000", "--switch-capacity", "200000", "--v-grid", "1",
+            "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "warning: supercritical:" not in err
+        assert ("warning: supercritical without devolution: mean arrivals "
+                "4000094.08/slot >= controller capacity 2000000") in err
+
     def test_jsq_equals_greedy_devolution_off_v0(self, capsys, tmp_path):
         common = ["--kind", "fat-tree", "--k", "4", "--horizon", "100",
                   "--arrivals", "poisson:3", "--controller-capacity", "25",
@@ -345,6 +371,39 @@ class TestRun:
         jsq = (tmp_path / "jsq_run.csv").read_bytes()
         greedy = (tmp_path / "greedy_run.csv").read_bytes()
         assert jsq == greedy
+
+
+class TestOutputDigests:
+    """sha256 of the CSV and summary bytes of runs that the benchmark
+    does not hash: a Lyapunov log at a fractional V and a stride whose
+    last row is the extra final slot, a group on object arrays from the
+    start (V = 10^30), and a plain stride-1 run."""
+
+    COMMON = ["run", "--kind", "fat-tree", "--k", "4",
+              "--arrivals", "poisson:2", "--controller-capacity", "14",
+              "--switch-capacity", "1", "--topo-seed", "1",
+              "--traffic-seed", "5", "--run-seed", "5", "--name", "pin"]
+
+    @pytest.mark.parametrize("flags, csv_digest, summary_digest", [
+        (["--v", "7/2", "--horizon", "20", "--stride", "3", "--log-lyapunov"],
+         "c7f4f316db91f7a0ec715b3487bd9278bcd4f469fc36f8b397eac983f124f2e0",
+         "b7bb345581d95a5cfd4834887a4fc38faf838a40744cb59f6a1140473ae70d01"),
+        (["--v", "1e30", "--horizon", "30", "--stride", "1",
+          "--log-lyapunov"],
+         "79fbe4fabef2335987eedb1ec6ffc494522258bd6b85f667db0a0f715f4caab7",
+         "505640f69ce7c7f38665265af5efd0cd256a714227e1c87568951309dfba925b"),
+        (["--v", "10", "--horizon", "50", "--stride", "1"],
+         "0882a65736503c4dfdb46ea1506353fe6155974a242851258e413b50b0a39904",
+         "98ff41a45d7d3308f717a717ae9443bf0b62e9cfed089183996756519f81be0c"),
+    ], ids=["lyapunov-stride-3", "object-arrays", "stride-1"])
+    def test_bytes_pinned(self, capsys, tmp_path, flags, csv_digest,
+                          summary_digest):
+        code, _, err = run_cli(capsys, *self.COMMON, "--scheme", "greedy",
+                               *flags, "--out-dir", str(tmp_path))
+        assert code == 0, err
+        digests = [hashlib.sha256((tmp_path / f"pin{ext}").read_bytes())
+                   .hexdigest() for ext in (".csv", ".summary.json")]
+        assert digests == [csv_digest, summary_digest]
 
 
 class TestSweep:

@@ -16,6 +16,7 @@ from sdnsched.engine import (
     run,
     sweep,
 )
+from sdnsched.metrics import controller_variance, row_record
 from sdnsched.model import (
     LOCAL,
     Association,
@@ -23,6 +24,7 @@ from sdnsched.model import (
     Devolution,
     QueueState,
     SchedulerParams,
+    lyapunov,
     slot_comm_cost,
     slot_comp_cost,
     step_controller_queue,
@@ -78,6 +80,12 @@ def one_lane(cfg):
     """A one-lane LaneGroup, built as run_lanes builds it: zero backlogs,
     with the lane's int64 queue limit."""
     return engine.LaneGroup([cfg], [0])
+
+
+def lane_queues(group, lane=0):
+    """Lane `lane`'s backlogs in a LaneGroup, as a QueueState."""
+    row = group.q[lane].tolist()
+    return QueueState(q_s=tuple(row[:group.n_s]), q_c=tuple(row[group.n_s:]))
 
 
 def decide_tuples(group, q):
@@ -236,7 +244,7 @@ class TestRun:
         tcfg = cfg.traffic
         services = ((tcfg.controller_capacity,) * tcfg.n_controllers,
                     (tcfg.switch_capacity,) * tcfg.n_switches)
-        q = group.lane_queues(0)
+        q = lane_queues(group)
         for rec in res.records:
             arrivals = tr.sample_slot_arrivals(arrival_state)
             assoc = decide_tuples(group, q)
@@ -312,7 +320,7 @@ class TestInvariants:
         ctrl_service = (tcfg.controller_capacity,) * tcfg.n_controllers
         switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
-            q = group.lane_queues(0)
+            q = lane_queues(group)
             group.advance([arrival_state.next_row()], [])
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
@@ -323,7 +331,7 @@ class TestInvariants:
             q_c = tuple(max(q.q_c[j] + sum(a for a, t in zip(arrivals, target)
                                            if t == j) - ctrl_service[j], 0)
                         for j in range(cfg.cost.n_controllers))
-            assert group.lane_queues(0) == QueueState(q_s=q_s, q_c=q_c)
+            assert lane_queues(group) == QueueState(q_s=q_s, q_c=q_c)
 
     @given(run_cases())
     @settings(max_examples=100, deadline=None)
@@ -341,8 +349,14 @@ class TestInvariants:
         ctrl_service = (tcfg.controller_capacity,) * tcfg.n_controllers
         switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
-            q = group.lane_queues(0)
-            [(_, rec)] = group.advance([arrival_state.next_row()], [0])
+            q = lane_queues(group)
+            group.advance([arrival_state.next_row()], [0])
+            rec = row_record(group.acc.kept[0][-1], group.acc.scale,
+                             group.n_c, cfg.params.v)
+            # the row's Lyapunov value and variance are the model's
+            assert rec.lyapunov == lyapunov(q)
+            assert rec.controller_backlog_variance == \
+                controller_variance(lane_queues(group).q_c)
             arrivals = tr.sample_slot_arrivals(replay)
             assoc = decide_tuples(replay_group, q)
             inflow = [a if t == LOCAL else 0

@@ -7,10 +7,19 @@ from hypothesis import given, settings, strategies as st
 from sdnsched.metrics import (
     Accumulator,
     controller_variance,
+    format_ratio,
     format_rational,
     record_to_csv_row,
+    row_record,
 )
 from sdnsched.model import QueueState
+
+
+def keep_record(acc, f, dg, q, uploads, locals_):
+    """Keep lane 0's row of the last slot, whose slot-end queues are
+    `q`, and return its record."""
+    acc.keep(0, f, dg, q.total(), q.q_c, uploads, locals_)
+    return row_record(acc.kept[0][-1], acc.scale, len(q.q_c), 0)
 
 
 class TestAccumulator:
@@ -19,7 +28,7 @@ class TestAccumulator:
         q = QueueState.zeros(1, 1)
         acc.update([2], [0], [q.total()])
         acc.update([4], [0], [q.total()])
-        rec = acc.record(0, 4, 0, q, 1, 0)
+        rec = keep_record(acc, 4, 0, q, 1, 0)
         assert rec.f_bar == 3 and rec.t == 1
 
     def test_all_zero(self):
@@ -27,7 +36,7 @@ class TestAccumulator:
         q = QueueState.zeros(1, 1)
         for _ in range(5):
             acc.update([0], [0], [q.total()])
-        rec = acc.record(0, 0, 0, q, 0, 1)
+        rec = keep_record(acc, 0, 0, q, 0, 1)
         assert rec.f_bar == 0 and rec.g_bar == 0 and rec.total_backlog == 0
 
     def test_recompute_from_scratch(self):
@@ -41,7 +50,7 @@ class TestAccumulator:
             fs.append(f)
             gs.append(g)
             acc.update([f], [g], [q.total()])
-        rec = acc.record(0, f, g, q, 2, 0)
+        rec = keep_record(acc, f, g, q, 2, 0)
         assert rec.f_bar == Fraction(sum(fs), len(fs))
         assert rec.g_bar == sum(gs) / len(gs)
 
@@ -54,7 +63,7 @@ class TestAccumulator:
             f = rng.randint(0, 9)
             total += f
             acc.update([f], [0], [q.total()])
-            assert acc.record(0, f, 0, q, 0, 1).f_bar * t == total
+            assert keep_record(acc, f, 0, q, 0, 1).f_bar * t == total
 
 
 class TestControllerVariance:
@@ -123,22 +132,66 @@ class TestFormatting:
     def test_ties_and_types(self, x, digits, text):
         assert format_rational(x, digits) == text == reference_format(x, digits)
 
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_ratio_equals_fraction(self, data):
+        # any int num over any den >= 1, in lowest terms or not, and
+        # exact ties (2k + 1) / (2 * 10**6) times m, whose half-even
+        # quotient is k, even or odd
+        big = st.integers(-2 ** 80, 2 ** 80)
+        if data.draw(st.booleans()):
+            num, den = data.draw(big), data.draw(st.integers(1, 2 ** 80))
+        else:
+            k = 2 * data.draw(big) + data.draw(st.sampled_from([0, 1]))
+            m = data.draw(st.integers(1, 10 ** 6))
+            num, den = (2 * k + 1) * m, 2 * 10 ** 6 * m
+        assert format_ratio(num, den) == format_rational(Fraction(num, den)) \
+            == reference_format(Fraction(num, den))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_row_formats_its_record(self, data):
+        # the integer CSV line of a kept row equals its record's values
+        # run through format_rational, Lyapunov columns included
+        ints = st.integers(0, 2 ** 70)
+        scale = data.draw(st.integers(1, 10 ** 6))
+        n_c = data.draw(st.integers(1, 12))
+        v = data.draw(st.sampled_from([0, 7, Fraction(7, 2), 10 ** 30,
+                                       Fraction(1, 3)]))
+        row = (data.draw(st.integers(0, 10 ** 5)),
+               *data.draw(st.tuples(*[ints] * 5)),
+               data.draw(st.integers(-2 ** 70, 2 ** 70)),
+               *data.draw(st.tuples(ints, ints)))
+        if data.draw(st.booleans()):
+            row += data.draw(st.tuples(ints, ints))
+        rec = row_record(row, scale, n_c, v)
+        expected = [str(rec.t), *map(format_rational, (
+            rec.f_slot, rec.g_slot, rec.f_bar, rec.g_bar)),
+            str(rec.total_backlog),
+            format_rational(rec.controller_backlog_variance),
+            str(rec.uploads), str(rec.locals_)]
+        if rec.lyapunov is not None:
+            expected += [format_rational(rec.lyapunov),
+                         format_rational(rec.drift_penalty_sample)]
+        assert record_to_csv_row(row, scale, n_c, v) == ",".join(expected)
+
     def test_six_digits(self):
         assert format_rational(Fraction(1, 3)) == "0.333333"
         assert format_rational(3) == "3.000000"
         assert format_rational(Fraction(-1, 2)) == "-0.500000"
 
     def test_csv_row(self):
-        acc = Accumulator(1, 1)
+        # g = d*g / d = 1/2
+        acc = Accumulator(1, 2)
         q = QueueState(q_s=(1,), q_c=(0, 2))
-        acc.update([2], [Fraction(1, 2)], [q.total()])
-        rec = acc.record(0, 2, Fraction(1, 2), q, 1, 0)
-        row = record_to_csv_row(rec)
+        acc.update([2], [1], [q.total()])
+        acc.keep(0, 2, 1, q.total(), q.q_c, 1, 0)
+        row = record_to_csv_row(acc.kept[0][-1], 2, 2, 0)
         assert row == "0,2.000000,0.500000,2.000000,0.500000,3,1.000000,1,0"
 
     def test_uploads_plus_locals(self):
         acc = Accumulator(1, 1)
         q = QueueState.zeros(4, 2)
         acc.update([0], [0], [q.total()])
-        rec = acc.record(0, 0, 0, q, 3, 1)
+        rec = keep_record(acc, 0, 0, q, 3, 1)
         assert rec.uploads + rec.locals_ == 4

@@ -501,3 +501,13 @@ class TestMeanRate:
         cfg = make_cfg(Poisson(5.88), n_switches=2,
                        hot_spot_switches=frozenset({1}), hot_spot_rate=200)
         assert mean_arrival_rates(cfg) == [5.88, 200]
+
+    def test_fixed_rates_capped_at_a_max(self):
+        # as ArrivalState caps them: switch 1 is a hot spot
+        cfg = make_cfg(Constant(9), n_switches=2, a_max=5,
+                       hot_spot_switches=frozenset({1}), hot_spot_rate=50)
+        assert mean_arrival_rates(cfg) == [5, 5] \
+            == ArrivalState(cfg).next_row().tolist()
+        cfg = make_cfg(Constant(4), n_switches=2, a_max=5,
+                       hot_spot_switches=frozenset({1}), hot_spot_rate=50)
+        assert mean_arrival_rates(cfg) == [4, 5]
