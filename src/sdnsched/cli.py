@@ -45,9 +45,18 @@ def _default_seed() -> int:
                          "integer") from None
 
 
+#: Largest decimal exponent, either sign, of a V: Fraction("1e10000000")
+#: takes seconds, and larger exponents hang.
+MAX_V_EXPONENT = 1000
+
+
 def _parse_v(text: str) -> int | Fraction:
-    """A nonnegative V, written p/q or as a decimal; an int when whole."""
-    v = Fraction(text) if "/" in text else Fraction(str(float(text)))
+    """A nonnegative V, written p/q or as a decimal, read exactly (never
+    through a float); an int when whole."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > MAX_V_EXPONENT:
+        raise ValueError(f"V exponent {exponent} beyond {MAX_V_EXPONENT}")
+    v = Fraction(text)
     if v < 0:
         raise ValueError("V must be nonnegative")
     return v.numerator if v.denominator == 1 else v
@@ -168,7 +177,8 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
                      problem=f"unknown scheme {cfg['scheme']!r}")
     v = attempt(_parse_v, str(cfg.get("v", "0")),
                 problem=f"bad v value {cfg.get('v')!r}: expected a "
-                        "nonnegative number or p/q")
+                        "nonnegative number or p/q, with a decimal exponent "
+                        f"within +-{MAX_V_EXPONENT}")
     devolution = attempt(Devolution, cfg.get("devolution", "on"),
                          problem="devolution must be 'on' or 'off'")
     process = attempt(_parse_process, cfg.get("arrivals", "poisson:5.88"))

@@ -14,15 +14,17 @@ from those rows only when they are read, and the CLI formats its CSV
 from the ints.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
-tables in one dtype. Each lane derives one int64 queue limit up front;
-the group starts on object arrays of Python ints when any lane's limit
-is negative, and otherwise moves to them, for good, after the slot on
-which one lane's total backlog passes its limit, so no sum ever wraps.
+tables in one dtype. int64_queue_limit alone decides whether a lane may
+run on int64, by giving it a queue limit up front; the group starts on
+object arrays of Python ints when any lane's limit is negative, and
+otherwise moves to them, for good, after the slot on which one lane's
+total backlog passes its limit, so no sum ever wraps.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -33,7 +35,6 @@ import numpy as np
 from . import traffic as tr
 from .metrics import Accumulator, MetricsRecord, row_record
 from .model import (
-    INT64_BOUND,
     LOCAL,
     CostModel,
     Devolution,
@@ -49,6 +50,9 @@ from .scheduler import (
 )
 
 RANDOM_BLOCK = 16  # slots of Random-lane targets drawn per random_decide call
+
+#: Integer arrays stay in int64 while every sum is below this bound.
+INT64_BOUND = 2 ** 62
 
 
 class Scheme(enum.Enum):
@@ -87,24 +91,28 @@ def lane_order(cfg: RunConfig) -> int:
     return {Scheme.JSQ: 1, Scheme.STATIC: 2, Scheme.RANDOM: 3}[cfg.scheme]
 
 
-def int64_queue_limit(cost: CostModel, a_cap: int, service_top: int,
-                      decide_top: int) -> int:
-    """Largest backlog at which a slot can run on int64 arrays; negative
-    when none can.
+def int64_queue_limit(cfg: RunConfig, kernel: GreedyKernel | None = None
+                      ) -> int:
+    """Largest backlog at which a lane's slot can run on int64 arrays;
+    negative when none can.
 
-    With every arrival at most a_cap and every backlog at most the
-    limit, apply_slot's sums stay below 2**62: the prices
-    n*weight*a_cap + backlog, the slot-end backlogs, and their total over
-    all queues. `decide_top` is the largest backlog the decision rule
-    takes on int64 (GreedyKernel.int64_top).
+    With every arrival at most a_max and every backlog at most the
+    limit, apply_slot's sums stay below INT64_BOUND: the prices
+    n_s*weight*a_max + backlog, the slot-end backlogs, and their total
+    over all queues; so do lane_argmin's sums max|K| + scale*backlog for
+    the `kernel` a greedy or JSQ lane decides with. Services need no
+    term: TrafficConfig caps them at MAX_CAPACITY.
     """
-    weight = cost.tables.weight
+    cost, a_max = cfg.cost, cfg.traffic.a_max
     n_s = cost.n_switches
-    if weight >= INT64_BOUND or service_top >= INT64_BOUND:
+    limit = min(INT64_BOUND - 1 - n_s * cost.tables.weight * a_max,
+                (INT64_BOUND - 1) // (n_s + cost.n_controllers) - n_s * a_max)
+    if kernel is None:
+        return limit
+    if kernel.scale >= INT64_BOUND:
         return -1
-    return min(INT64_BOUND - 1 - n_s * weight * a_cap,
-               (INT64_BOUND - 1) // (n_s + cost.n_controllers) - n_s * a_cap,
-               decide_top)
+    top = abs(kernel.k).max(initial=0)
+    return min(limit, (INT64_BOUND - 1 - top) // kernel.scale)
 
 
 def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
@@ -181,18 +189,14 @@ class LaneGroup:
         self.cfgs = [cfgs[i] for i in self.order]
         n_s, n_c = cost.n_switches, cost.n_controllers
         self.n_s, self.n_c = n_s, n_c
-        argmin, limits = [], []
-        for cfg in self.cfgs:
-            top = INT64_BOUND  # Static and Random take any backlog on int64
-            if cfg.scheme in (Scheme.GREEDY, Scheme.JSQ):
-                argmin.append(GreedyKernel(
-                    cost, cfg.params if cfg.scheme is Scheme.GREEDY
-                    else SchedulerParams(v=0, devolution=Devolution.OFF)))
-                top = argmin[-1].int64_top
-            t = cfg.traffic
-            limits.append(int64_queue_limit(
-                cost, min(t.a_max, 2 ** 63 - 1),
-                max(t.controller_capacity, t.switch_capacity), top))
+        jsq = SchedulerParams(v=0, devolution=Devolution.OFF)
+        argmin = [GreedyKernel(cost, jsq if cfg.scheme is Scheme.JSQ
+                               else cfg.params)
+                  for cfg in self.cfgs
+                  if cfg.scheme in (Scheme.GREEDY, Scheme.JSQ)]
+        # argmin lanes come first, so the other lanes pair with no kernel
+        limits = [int64_queue_limit(cfg, kernel) for cfg, kernel
+                  in itertools.zip_longest(self.cfgs, argmin)]
         dtype = np.int64 if min(limits) >= 0 else object
         # an object group has no limit to check
         self.limit = limits if dtype is np.int64 else []

@@ -22,9 +22,6 @@ Rational = Union[int, Fraction]
 #: Sentinel target meaning "process locally on the switch".
 LOCAL = -1
 
-#: Integer arrays stay in int64 while every sum is below this bound.
-INT64_BOUND = 2 ** 62
-
 
 class TopoKind(enum.Enum):
     FAT_TREE = "fat-tree"
@@ -126,16 +123,16 @@ class CostTables:
 
     `scaled_alpha` is d*alpha, where d is alpha's common denominator
     `scale`. `w` and `scaled_alpha` are object arrays of Python ints;
-    `weight` bounds every entry of both, so a caller that knows its sums
-    stay within int64 casts them (engine.LaneGroup does, once per lane
-    group).
+    `weight` bounds every entry of both, so engine.int64_queue_limit can
+    bound a lane's prices, and engine.LaneGroup casts both to int64 once
+    per lane group when every lane's limit allows it.
 
     `gap` is the decision rule's cost term in the same scale,
     d*W[i][j] - d*alpha_i, as an object array of Python ints with one
     row per row class: switches whose gap rows are equal share a class,
     numbered in order of first appearance, and `row_class` (intp, one
     entry per switch) maps each switch to its class, so switch i's gap
-    row is gap[row_class[i]]. `gap_max` is max|gap|.
+    row is gap[row_class[i]].
     """
 
     w: np.ndarray
@@ -146,7 +143,6 @@ class CostTables:
     joins: np.ndarray
     gap: np.ndarray
     row_class: np.ndarray
-    gap_max: int
 
     @classmethod
     def build(cls, cost: "CostModel") -> "CostTables":
@@ -173,8 +169,7 @@ class CostTables:
         gap = np.array(list(classes), object).reshape(len(classes), n_c)
         return cls(w=w, scaled_alpha=scaled, scale=scale, weight=weight,
                    cells=np.arange(n_s) * (n_c + 1) + 1,
-                   joins=joins.ravel(), gap=gap, row_class=row_class,
-                   gap_max=abs(gap).max(initial=0))
+                   joins=joins.ravel(), gap=gap, row_class=row_class)
 
 
 @dataclass(frozen=True)

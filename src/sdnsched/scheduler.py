@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from .model import (
-    INT64_BOUND,
     LOCAL,
     Association,
     CostModel,
@@ -226,11 +225,10 @@ class GreedyKernel:
     (p = 0, K = 0) it equals jsq_decide.
 
     `k` is K as a (classes x n_c) object array of Python ints, exact at
-    any size. While no backlog exceeds `int64_top`,
-    max|K| + scale*max(Q) < 2**62, so a caller may cast K to int64 and
-    run lane_argmin on int64 backlogs without a sum wrapping; the engine
-    casts the stacked K tables of a lane group once, and moves them back
-    to object arrays when it widens.
+    any size. The engine casts the stacked K tables of a lane group to
+    int64 while every lane's backlogs are within its
+    engine.int64_queue_limit, which bounds max|K| + scale*max(Q), and
+    moves them back to object arrays when it widens.
     """
 
     def __init__(self, cost: CostModel, params: SchedulerParams):
@@ -240,11 +238,6 @@ class GreedyKernel:
         self.row_class = tables.row_class
         self.scale = v.denominator * tables.scale
         self.devolve = params.devolution is Devolution.ON
-        # largest backlog the int64 path accepts (none when the scale
-        # itself is too large for int64)
-        self.int64_top = \
-            (INT64_BOUND - 1 - v.numerator * tables.gap_max) // self.scale \
-            if self.scale < INT64_BOUND else -1
 
 
 def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
@@ -255,12 +248,12 @@ def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
     class, and `row_class` (n_s, intp) maps each switch to its class, a
     map every lane shares. `scale` is the lanes' scales d as an (L x 1)
     column (or one int for all lanes), and q_s, q_c are the pre-slot
-    backlogs (L x n_s, L x n_c), int64 within every lane's int64_top or
-    object arrays. Each lane takes the argmin over j of K[c, j] + d*Qc_j
-    and its minimum once per class c, and hands both to every switch of
-    the class; the first `n_devolve` lanes send switch i LOCAL where its
-    minimum exceeds d*Qs_i. Lanes never mix, so each row is its own
-    lane's decision.
+    backlogs (L x n_s, L x n_c), int64 within every lane's
+    engine.int64_queue_limit or object arrays. Each lane takes the
+    argmin over j of K[c, j] + d*Qc_j and its minimum once per class c,
+    and hands both to every switch of the class; the first `n_devolve`
+    lanes send switch i LOCAL where its minimum exceeds d*Qs_i. Lanes
+    never mix, so each row is its own lane's decision.
     """
     m = k + (q_c * scale)[:, None, :]
     argmin = m.argmin(2)

@@ -446,18 +446,15 @@ def cap_warnings(cfg: TrafficConfig) -> list[str]:
 
 def mean_arrival_rates(cfg: TrafficConfig) -> list[Fraction | float]:
     """Expected arrivals per slot for each switch, used by capacity
-    checks. A fixed (hot-spot or constant) rate counts as at most a_max,
-    as ArrivalState caps it."""
+    checks, each at most a_max: ArrivalState caps every draw at a_max,
+    and E[min(X, a_max)] <= min(E[X], a_max)."""
     p = cfg.base_process
-    if isinstance(p, Constant):
-        base = min(p.rate, cfg.a_max)
-    elif isinstance(p, Poisson):
+    if isinstance(p, (Constant, Poisson)):
         base = p.rate
     elif isinstance(p, Pareto):
         base = float("inf") if p.shape <= 1 \
             else p.shape * p.scale / (p.shape - 1)
     else:
         base = trace_events_per_slot(cfg, load_interarrival_cdf(p.path))
-    hot = min(cfg.hot_spot_rate, cfg.a_max)
-    return [hot if i in cfg.hot_spot_switches else base
-            for i in range(cfg.n_switches)]
+    return [min(cfg.hot_spot_rate if i in cfg.hot_spot_switches else base,
+                cfg.a_max) for i in range(cfg.n_switches)]

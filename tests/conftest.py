@@ -3,15 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdnsched.engine import apply_slot, int64_queue_limit
-from sdnsched.model import (
+from sdnsched.engine import (
     INT64_BOUND,
+    RunConfig,
+    Scheme,
+    apply_slot,
+    int64_queue_limit,
+)
+from sdnsched.model import (
     LOCAL,
     Association,
     CostModel,
     QueueState,
+    SchedulerParams,
 )
 from sdnsched.scheduler import lane_argmin
+from sdnsched.traffic import Poisson, TrafficConfig
 
 # Worked three-switch / two-controller example: controllers serve 2,
 # switches serve 1, alpha = 2, arrivals (3, 2, 2). Hop counts not pinned
@@ -33,19 +40,27 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
                       cost):
     """engine.apply_slot called for one lane on the model's tuples as the
     engine calls it: on int64 arrays when no backlog exceeds the engine's
-    int64 queue limit for these arrivals and services, else on object
-    arrays of Python ints. Returns (QueueState, f_slot, g_slot)."""
-    limit = int64_queue_limit(cost, max(arrivals, default=0),
-                              max((*ctrl_service, *switch_service), default=0),
-                              INT64_BOUND)
-    dtype = np.int64 if max(queues.q_s + queues.q_c) <= limit else object
+    int64 queue limit for a lane whose a_max is the largest arrival, else
+    on object arrays of Python ints. Returns (QueueState, f_slot,
+    g_slot)."""
+    n_s, n_c = cost.n_switches, cost.n_controllers
+    lane = RunConfig(
+        cost=cost, traffic=TrafficConfig(
+            base_process=Poisson(0), n_switches=n_s, n_controllers=n_c,
+            a_max=max((1, *arrivals))),
+        scheme=Scheme.STATIC, params=SchedulerParams(), horizon_slots=1)
+    # TrafficConfig caps a run's services at MAX_CAPACITY; these tests
+    # also price services beyond int64, which only object arrays hold
+    services = (*ctrl_service, *switch_service)
+    fits = max(queues.q_s + queues.q_c) <= int64_queue_limit(lane) \
+        and max(services, default=0) < INT64_BOUND
+    dtype = np.int64 if fits else object
     q, f, dg = apply_slot(
         np.array([queues.q_s + queues.q_c], dtype),
         np.array([assoc.target], np.intp), np.array(arrivals, dtype),
         np.array([switch_service + ctrl_service], dtype), cost,
         cost.tables.w.astype(dtype), cost.tables.scaled_alpha.astype(dtype))
     row = q[0].tolist()
-    n_s = cost.n_switches
     return (QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:])),
             int(f[0]), Fraction(int(dg[0]), cost.tables.scale))
 
@@ -53,9 +68,12 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
 def kernel_target(kernel, q_s, q_c):
     """scheduler.lane_argmin run for one GreedyKernel lane on backlog
     tuples as the engine runs it: on kernel.k cast to int64 and int64
-    arrays when no backlog exceeds kernel.int64_top, else on kernel.k and
-    object arrays of Python ints. Returns the target tuple."""
-    dtype = np.int64 if max(q_s + q_c) <= kernel.int64_top else object
+    arrays when the scale and max|K| + scale*max(Q) are below
+    INT64_BOUND, else on kernel.k and object arrays of Python ints.
+    Returns the target tuple."""
+    top = abs(kernel.k).max(initial=0) + kernel.scale * max(q_s + q_c)
+    fits = kernel.scale < INT64_BOUND and top < INT64_BOUND
+    dtype = np.int64 if fits else object
     return tuple(lane_argmin(kernel.k[None].astype(dtype), kernel.scale,
                              np.array([q_s], dtype), np.array([q_c], dtype),
                              int(kernel.devolve), kernel.row_class)[0]

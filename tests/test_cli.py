@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import shlex
+import tempfile
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnsched import cli, engine, topology
 from sdnsched.cli import build_parser, cmd_sweep, main
@@ -359,6 +364,24 @@ class TestRun:
         assert ("warning: supercritical without devolution: mean arrivals "
                 "4000094.08/slot >= controller capacity 2000000") in err
 
+    @pytest.mark.parametrize("a_max, warned", [(5, None), (7, "140.00")])
+    def test_capped_random_rates_in_warning(self, capsys, tmp_path, a_max,
+                                            warned):
+        # ArrivalState caps each Poisson(100) draw at a_max, so the 20
+        # switches get at most 20 * a_max arrivals a slot: 100 is below
+        # the controllers' 2 * 60, and 140 is not
+        code, _, err = self.run_config(
+            capsys, tmp_path, scheme="jsq", horizon=200,
+            arrivals="poisson:100", a_max=a_max, controller_capacity=60,
+            hot_spot_rate=0)
+        assert code == 0
+        if warned is None:
+            assert err == ""
+        else:
+            assert err == (f"warning: supercritical without devolution: mean "
+                           f"arrivals {warned}/slot >= controller capacity "
+                           "120\n")
+
     def test_jsq_equals_greedy_devolution_off_v0(self, capsys, tmp_path):
         common = ["--kind", "fat-tree", "--k", "4", "--horizon", "100",
                   "--arrivals", "poisson:3", "--controller-capacity", "25",
@@ -518,6 +541,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, value, repeated", [
         ("--v-grid", "0,10,0", "0"), ("--v-grid", "1/2,3,0.5", "0.5"),
+        ("--v-grid", "1,1.0", "1.0"),
         ("--seeds", "1,2,1", "1"), ("--seeds", "3,03", "03"),
         ("--schemes", "greedy,static,greedy", "greedy"),
         ("--schemes", "jsq, jsq", "jsq"),
@@ -690,6 +714,66 @@ class TestSweepMeans:
             ",".join([scheme, v, total_cost, mean_backlog])
             for scheme, _, v, _, _, total_cost, mean_backlog
             in (row.split(",") for row in rows)]
+
+
+class TestParseV:
+    """V is read exactly, from --v, a config's "v" and --v-grid."""
+
+    RUN = ("--kind", "fat-tree", "--k", "4", "--horizon", "2")
+
+    def written_v(self, capsys, tmp_path, how, text):
+        """The V a command given `text` writes, as its output names it."""
+        if how == "grid":
+            code, _, err = run_cli(capsys, "sweep", *self.RUN, "--v-grid",
+                                   text, "--out-dir", str(tmp_path))
+            assert code == 0, err
+            row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
+            return row.split(",")[2]
+        args = ["--v", text]
+        if how == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({"v": text}))
+            args = ["--config", str(tmp_path / "cfg.json")]
+        code, _, err = run_cli(capsys, "run", *self.RUN, "--scheme", "greedy",
+                               *args, "--name", "run",
+                               "--out-dir", str(tmp_path))
+        assert code == 0, err
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        return summary["config"]["v"]
+
+    @pytest.mark.parametrize("how", ["flag", "config", "grid"])
+    @pytest.mark.parametrize("text, v", [
+        ("1e-400", Fraction(1, 10 ** 400)),
+        ("123456789012345678901234567890", 123456789012345678901234567890),
+        ("2.5e-3", Fraction(1, 400)),
+    ])
+    def test_decimal_read_exactly(self, capsys, tmp_path, how, text, v):
+        assert self.written_v(capsys, tmp_path, how, text) == str(v)
+
+    @pytest.mark.parametrize("text", ["1e99999999", "1e-1001", "nan", "inf",
+                                      "-inf", "snan", "1e"])
+    def test_non_finite_or_huge_exponent_rejected(self, capsys, tmp_path,
+                                                  text):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "run", *self.RUN, "--scheme", "greedy",
+                               f"--v={text}", "--out-dir", str(tmp_path))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert f"error: bad v value {text!r}" in err
+
+    @given(st.one_of(
+        st.from_regex(r"\A[ +-]?[0-9_]{0,4}(\.[0-9]{0,3})?"
+                      r"([eE][+-]?[0-9]{1,9})?(/[0-9]{0,3})?\Z"),
+        st.text(alphabet="0123456789.eE+-/_ nafiNIs", max_size=8),
+        st.text(max_size=4),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_any_v_text_exits_0_or_1(self, text):
+        with tempfile.TemporaryDirectory() as out_dir, \
+                contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", *self.RUN, "--scheme", "greedy",
+                         f"--v={text}", "--out-dir", out_dir])
+        assert code in (0, 1)
 
 
 def test_seed_env_var(capsys, tmp_path, monkeypatch):

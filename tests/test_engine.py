@@ -10,6 +10,7 @@ from sdnsched import engine
 from sdnsched import traffic as tr
 from sdnsched.cli import main
 from sdnsched.engine import (
+    INT64_BOUND,
     RunConfig,
     Scheme,
     capacity_check,
@@ -30,6 +31,7 @@ from sdnsched.model import (
     step_controller_queue,
     step_switch_queue,
 )
+from sdnsched.scheduler import GreedyKernel
 from sdnsched.traffic import Constant, Pareto, Poisson, TrafficConfig
 
 from conftest import (
@@ -452,9 +454,76 @@ class TestInt64Limit:
 
     def test_limit_covers_a_max_and_services(self):
         cost = CostModel.uniform_alpha(((1, 3), (2, 2)), 2)
-        assert engine.int64_queue_limit(cost, 2 ** 63 - 1, 10, 10 ** 18) < 0
-        assert engine.int64_queue_limit(cost, 10, 2 ** 62, 10 ** 18) < 0
-        assert engine.int64_queue_limit(cost, 10, 10, 7) == 7
+
+        def lane(a_max, v=0):
+            tcfg = TrafficConfig(base_process=Poisson(1), n_switches=2,
+                                 n_controllers=2, a_max=a_max)
+            return RunConfig(cost=cost, traffic=tcfg, scheme=Scheme.GREEDY,
+                             params=SchedulerParams(v=v), horizon_slots=1)
+
+        for a_max in (2 ** 63 - 1, 2 ** 70):
+            assert engine.int64_queue_limit(lane(a_max)) < 0
+        # max|K| = V = INT64_BOUND - 8 at scale 1 leaves 7
+        cfg = lane(10, v=INT64_BOUND - 8)
+        assert engine.int64_queue_limit(
+            cfg, GreedyKernel(cost, cfg.params)) == 7
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_limit_keeps_sums_in_int64(self, data):
+        # with every backlog at the limit and every arrival at a_max, each
+        # sum a slot takes on int64 stays below INT64_BOUND, and one
+        # reaches it at limit + 1; the limit is negative exactly when the
+        # kernel's scale, or one of the sums at backlog 0, reaches it
+        draw = data.draw
+        n_s, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        w_top = draw(st.sampled_from([6, 2 ** 40]))
+        # alpha's one denominator sets the scale, which may pass
+        # INT64_BOUND while the weight stays small
+        den = draw(st.one_of(st.integers(1, 12), st.sampled_from(
+            [10 ** 12, 2 ** 62, 2 ** 70 + 1])))
+        cost = CostModel(
+            w=tuple(tuple(draw(st.lists(st.integers(1, w_top), min_size=n_c,
+                                        max_size=n_c))) for _ in range(n_s)),
+            alpha=tuple(Fraction(draw(st.integers(0, 10 ** 6)), den)
+                        for _ in range(n_s)))
+        a_max = draw(st.sampled_from([1, 10, 10 ** 6, 2 ** 62]))
+        v = draw(st.sampled_from([0, Fraction(7, 3), 50, 2 ** 63]))
+        cfg = RunConfig(
+            cost=cost, traffic=TrafficConfig(
+                base_process=Poisson(1), n_switches=n_s, n_controllers=n_c,
+                a_max=a_max),
+            scheme=draw(st.sampled_from(Scheme)),
+            params=SchedulerParams(
+                v=v, devolution=draw(st.sampled_from(Devolution))),
+            horizon_slots=1)
+        kernel = None  # as LaneGroup builds it
+        if cfg.scheme is Scheme.GREEDY:
+            kernel = GreedyKernel(cost, cfg.params)
+        elif cfg.scheme is Scheme.JSQ:
+            kernel = GreedyKernel(cost, SchedulerParams(
+                v=0, devolution=Devolution.OFF))
+        weight = cost.tables.weight
+
+        def sums(backlog):
+            out = [n_s * weight * a_max + backlog,
+                   (n_s + n_c) * (backlog + n_s * a_max)]
+            if kernel is not None:
+                # max|K| is scale * max|v*(W - alpha)|, v = 0 for JSQ
+                kv = v if cfg.scheme is Scheme.GREEDY else 0
+                top = kernel.scale * max(abs(kv * (w - a))
+                                         for row, a in zip(cost.w, cost.alpha)
+                                         for w in row)
+                out += [top + kernel.scale * backlog, kernel.scale * backlog]
+            return out
+
+        limit = engine.int64_queue_limit(cfg, kernel)
+        if limit >= 0:
+            assert max(sums(limit)) < INT64_BOUND
+            assert max(sums(limit + 1)) >= INT64_BOUND
+        scale_too_large = kernel is not None and kernel.scale >= INT64_BOUND
+        assert (limit < 0) == \
+            (scale_too_large or max(sums(0)) >= INT64_BOUND)
 
 
 @st.composite

@@ -511,3 +511,11 @@ class TestMeanRate:
         cfg = make_cfg(Constant(4), n_switches=2, a_max=5,
                        hot_spot_switches=frozenset({1}), hot_spot_rate=50)
         assert mean_arrival_rates(cfg) == [4, 5]
+
+    @pytest.mark.parametrize("process", [Pareto(shape=1, scale=2),
+                                         Pareto(shape=0.5, scale=3),
+                                         Poisson(100)])
+    def test_random_rates_capped_at_a_max(self, process):
+        # every draw is capped at a_max, so a mean is at most a_max, an
+        # infinite Pareto mean included
+        assert mean_arrival_rates(make_cfg(process, a_max=7)) == [7]
