@@ -3,7 +3,7 @@
 Configuration comes from an optional JSON file plus flag overrides;
 every run's summary embeds the fully resolved config so output can be
 reproduced byte for byte. Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+2 usage error (from argparse) or runtime failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def _default_seed() -> int:
 #: takes seconds, and larger exponents hang.
 MAX_V_EXPONENT = 1000
 
+#: Most decimal digits in V's numerator or its denominator: the summary
+#: and the sweep rows print V exactly, and Python converts no int of
+#: more than 4300 digits to text. Twice the exponent bound leaves room
+#: for a long mantissa on top of the largest exponent.
+MAX_V_DIGITS = 2 * MAX_V_EXPONENT
+
 
 def _parse_v(text: str) -> int | Fraction:
     """A nonnegative V, written p/q or as a decimal, read exactly (never
@@ -59,6 +65,9 @@ def _parse_v(text: str) -> int | Fraction:
     v = Fraction(text)
     if v < 0:
         raise ValueError("V must be nonnegative")
+    if max(v.numerator, v.denominator) >= 10 ** MAX_V_DIGITS:
+        raise ValueError(f"V has more than {MAX_V_DIGITS} digits in its "
+                         "numerator or denominator")
     return v.numerator if v.denominator == 1 else v
 
 
@@ -178,7 +187,9 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
     v = attempt(_parse_v, str(cfg.get("v", "0")),
                 problem=f"bad v value {cfg.get('v')!r}: expected a "
                         "nonnegative number or p/q, with a decimal exponent "
-                        f"within +-{MAX_V_EXPONENT}")
+                        f"within +-{MAX_V_EXPONENT} and at most "
+                        f"{MAX_V_DIGITS} digits in its numerator and "
+                        "denominator")
     devolution = attempt(Devolution, cfg.get("devolution", "on"),
                          problem="devolution must be 'on' or 'off'")
     process = attempt(_parse_process, cfg.get("arrivals", "poisson:5.88"))
@@ -191,7 +202,9 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
     topo_seed, run_seed = seed("topo_seed"), seed("run_seed")
     traffic_seed = seed("traffic_seed")
     if traffic_seed < 0:
-        # numpy seeds the per-switch streams, and takes no negative seed
+        # TrafficConfig rejects a negative seed as `seed`; this names the
+        # key or variable that gave it, and 0 stands in below, so that
+        # the problem is reported once
         name = "traffic_seed" if "traffic_seed" in cfg else "SDND_SEED"
         problems.append(f"{name} must be >= 0, got {traffic_seed}")
     # the switch count, which bounds the hot-spot ids, and the traffic
@@ -220,7 +233,7 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
         controller_capacity=cfg.get("controller_capacity", 600),
         switch_capacity=cfg.get("switch_capacity", 10),
         a_max=cfg.get("a_max", 10 ** 6),
-        seed=traffic_seed,
+        seed=max(traffic_seed, 0),
     )
     if problems:
         raise ConfigError(problems)

@@ -4,6 +4,10 @@ Pareto, constant), hot-spot overrides, and constant service capacities.
 Every switch owns an independent PRNG stream derived from
 (seed, switch index), so changing one switch's mode never perturbs
 the others and A/B comparisons between schemes share random numbers.
+Switch i's stream is numpy's default_rng([seed, i]), state for state.
+switch_streams builds every stream of a run at once: it runs numpy's
+SeedSequence hash for all the switches in one vectorised numpy pass and
+seeds each PCG64 from its switch's hashed state.
 
 ArrivalState samples all switches at once, with no per-switch Python
 work per slot: Poisson and Pareto switches draw a block of slots per
@@ -28,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 _BLOCK = 512  # slots of draws (or trace gaps) buffered per switch
 _REFILL = 8192  # trace gaps mapped per inverse-CDF call when refilling
@@ -39,6 +45,88 @@ POISSON_MAX_RATE = float(np.iinfo(np.int64).max
 
 #: Largest controller or switch service capacity, requests per slot.
 MAX_CAPACITY = 10 ** 6
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, filled and mixed with the constants A, then read
+# out with the constants B. The words are held in int64 and masked to 32
+# bits after each product, whose low 32 bits are the uint32 product's.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n+1 values of SeedSequence's hash constant, init·mult^k
+    mod 2^32, as a column; they do not depend on the data."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK)
+    return np.array(consts, np.int64)[:, None]
+
+
+def _hashmix(value, consts: np.ndarray):
+    """SeedSequence's hashmix of each row of value, row r with constant
+    r and r+1 of `consts`."""
+    value = (value ^ consts[:-1]) * consts[1:] & _MASK
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of x with y, elementwise."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK
+    return result ^ (result >> 16)
+
+
+class _SeedState(ISeedSequence):
+    """A seed source for PCG64 that hands over one state computed in
+    bulk by switch_streams: the (4,) uint64 array that PCG64 asks for
+    with generate_state(4, np.uint64)."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def switch_streams(seed: int, switches) -> list[Generator]:
+    """One generator per switch index i in `switches` (each in
+    [0, 2^32)), each in the state of default_rng([seed, i]),
+    so it draws the same values. That state is SeedSequence's hash of
+    seed's little-endian 32-bit words followed by i; it runs here for
+    every switch at once, one switch per column, and each PCG64 is
+    seeded from its column."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK)
+    entropy = np.zeros((max(len(words) + 1, _POOL), len(switches)), np.int64)
+    entropy[:len(words)] = np.array(words, np.int64)[:, None]
+    entropy[len(words)] = switches
+    # mix_entropy: hash the first words into the pool, mix every pool
+    # word into every other, then mix in each word past the pool
+    extra = len(entropy) - _POOL
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    pool = _hashmix(entropy[:_POOL], a[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[k:k + _POOL + 1]))
+        k += _POOL
+    # generate_state(4, np.uint64): eight hashed words, cycling through
+    # the pool, paired low word first
+    state = _hashmix(np.tile(pool, (2, 1)),
+                     _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
+    states = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T
+                                  ).view(np.uint64)
+    return [Generator(PCG64(_SeedState(row))) for row in states]
 
 
 @dataclass(frozen=True)
@@ -101,7 +189,8 @@ class TrafficConfig:
         negative = [f"{name} must be >= 0, got {value}" for name, value in
                     (("hot_spot_rate", self.hot_spot_rate),
                      ("controller_capacity", self.controller_capacity),
-                     ("switch_capacity", self.switch_capacity)) if value < 0]
+                     ("switch_capacity", self.switch_capacity),
+                     ("seed", self.seed)) if value < 0]
         if negative:
             raise ValueError("; ".join(negative))
         if self.slot_length_us <= 0:
@@ -276,8 +365,7 @@ class ArrivalState:
         cols = [] if isinstance(base, Constant) \
             else [i for i in range(cfg.n_switches) if i not in hot]
         self.cols = np.array(cols, np.intp)
-        # seeded from Python ints: a numpy int seed is slower to hash
-        self.rngs = [np.random.default_rng([cfg.seed, i]) for i in cols]
+        self.rngs = switch_streams(cfg.seed, cols)
         self.cap = min(cfg.a_max, 2 ** 63 - 1)  # int64 draws never exceed it
         self.block_len = _BLOCK
         self.block = None  # (block_len x n_switches) counts, Poisson/Pareto

@@ -760,6 +760,26 @@ class TestParseV:
         assert code == 1
         assert f"error: bad v value {text!r}" in err
 
+    @pytest.mark.parametrize("text", [
+        "9" * 4000 + "e1000",                 # 5000 digits, Python's limit
+        f"{10 ** cli.MAX_V_DIGITS}",
+        f"1/{10 ** cli.MAX_V_DIGITS}",
+        "0." + "1" * cli.MAX_V_DIGITS,
+    ], ids=["4000-nines-e1000", "numerator", "denominator", "decimal"])
+    def test_too_many_digits_named(self, capsys, tmp_path, text):
+        code, _, err = run_cli(capsys, "run", *self.RUN, "--scheme", "greedy",
+                               f"--v={text}", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"error: bad v value {text!r}" in err
+        assert f"at most {cli.MAX_V_DIGITS} digits" in err
+        assert "integer string conversion" not in err
+
+    @pytest.mark.parametrize("how", ["flag", "config", "grid"])
+    def test_most_digits_read_exactly(self, capsys, tmp_path, how):
+        top = 10 ** cli.MAX_V_DIGITS - 1
+        text = f"{top}/{top - 2}"
+        assert self.written_v(capsys, tmp_path, how, text) == text
+
     @given(st.one_of(
         st.from_regex(r"\A[ +-]?[0-9_]{0,4}(\.[0-9]{0,3})?"
                       r"([eE][+-]?[0-9]{1,9})?(/[0-9]{0,3})?\Z"),

@@ -452,6 +452,19 @@ class TestBlockSampler:
             assert sampled_rows(cfg, n_slots, block) == \
                 reference_rows(cfg, n_slots)
 
+    @pytest.mark.parametrize("process", [Poisson(5.88), Pareto(0.9, 2.0),
+                                         "trace"])
+    def test_seed_past_the_pool_equals_reference(self, tmp_path, process):
+        # a seed of 2^96 or more is four words, so each switch's entropy
+        # runs past SeedSequence's pool of four
+        if process == "trace":
+            process = TraceCdf(write_cdf(tmp_path, "0 0.25\n900 1.0\n"))
+        cfg = make_cfg(process, n_switches=4, slot_length_us=1000,
+                       seed=2 ** 100 + 12345,
+                       hot_spot_switches=frozenset({2}), hot_spot_rate=4)
+        n_slots = traffic._BLOCK + 77
+        assert sampled_rows(cfg, n_slots) == reference_rows(cfg, n_slots)
+
     def test_sample_array_matches_sample(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(
             tmp_path, "0 0.1\n10 0.35\n250.5 0.6\n251 0.9\n9000 1.0\n"))
@@ -469,6 +482,52 @@ def lane_services(cfg):
                         params=SchedulerParams(), horizon_slots=1)
     [row] = LaneGroup([run_cfg], [0]).service.tolist()
     return tuple(row[cfg.n_switches:]), tuple(row[:cfg.n_switches])
+
+
+# seeds of one to ten 32-bit words: from 2^96 on, a switch's entropy
+# (the seed's words, then its index) runs past SeedSequence's pool of four
+SEEDS = st.one_of(
+    st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 96, 2 ** 300]),
+    st.integers(0, 300).flatmap(lambda bits: st.integers(0, 2 ** bits)))
+
+
+def assert_default_rng_streams(seed, ids):
+    streams = traffic.switch_streams(seed, ids)
+    assert len(streams) == len(ids)
+    for rng, i in zip(streams, ids):
+        reference = np.random.default_rng([seed, i])
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+        assert rng.poisson(5.88, 3).tolist() == \
+            reference.poisson(5.88, 3).tolist()
+
+
+class TestSwitchStreams:
+    """switch_streams(seed, ids) is default_rng([seed, i]) for each i."""
+
+    @pytest.mark.parametrize("ids", [
+        [],
+        # fat-tree k=4 without its hot pod, switches 0, 1, 8 and 9
+        [2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+        list(range(720)),                # fat-tree k=24
+    ], ids=["empty", "gap", "720"])
+    @given(seed=SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_equal_default_rng(self, ids, seed):
+        assert_default_rng_streams(seed, ids)
+
+    @given(seed=SEEDS, ids=st.lists(st.integers(0, 2 ** 32 - 1), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_any_ids_equal_default_rng(self, seed, ids):
+        assert_default_rng_streams(seed, ids)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            traffic.switch_streams(-1, [0])
+
+    def test_traffic_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_cfg(Poisson(5.88), seed=-1)
 
 
 class TestServices:
