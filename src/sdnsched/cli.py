@@ -329,17 +329,36 @@ def cmd_topo(args) -> int:
     return 0
 
 
+def _check_run_name(out_dir: Path, name: str, default: bool) -> None:
+    """Reject, before the run, a run name whose longest output file name,
+    <name>.summary.json, exceeds the file-name limit of out_dir (or of
+    its nearest existing parent, when out_dir is yet to be made)."""
+    file_name = f"{name}.summary.json"
+    directory = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
+    limit = os.pathconf(directory, "PC_NAME_MAX")
+    size = len(os.fsencode(file_name))
+    if size > limit:
+        which = ("the default run name, which embeds V," if default
+                 else "--name")
+        raise ConfigError([
+            f"{which} makes the output file name {name[:40]}....summary.json "
+            f"{size} bytes long, over the output directory's file-name "
+            f"limit of {limit} bytes; pass a shorter --name"])
+
+
 def cmd_run(args) -> int:
     run_cfg, resolved = resolve(_given(args))
-    for warning in engine.capacity_check(run_cfg):
-        print(f"warning: {warning}", file=sys.stderr)
-    result = engine.run(run_cfg)
     name = resolved.get("name") or (
         f"{resolved['kind']}_k{resolved['k']}_{resolved['scheme']}"
         f"_v{resolved['v'].replace('/', 'over')}_seed{resolved['run_seed']}"
     )
+    out_dir = Path(args.out_dir)
+    _check_run_name(out_dir, name, default=not resolved.get("name"))
+    for warning in engine.capacity_check(run_cfg):
+        print(f"warning: {warning}", file=sys.stderr)
+    result = engine.run(run_cfg)
     csv_path, summary = _write_run_output(
-        run_cfg, resolved, result, Path(args.out_dir), name)
+        run_cfg, resolved, result, out_dir, name)
     print(f"{name}: total_cost={summary['total_cost']} "
           f"mean_backlog={summary['mean_backlog']} csv={csv_path}")
     return 0

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -69,6 +70,13 @@ class Topology:
         return out
 
 
+def _distinct(alpha):
+    """alpha's distinct objects, keyed by id: a uniform-alpha model
+    repeats one alpha object, so the Fraction work on it is done once
+    (hashing a Fraction per switch would cost as much as the work)."""
+    return {id(a): a for a in alpha}.values()
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Hop-count matrix W (switch x controller) and per-switch alpha."""
@@ -77,14 +85,14 @@ class CostModel:
     alpha: tuple[Rational, ...]
 
     def __post_init__(self):
-        for i, row in enumerate(self.w):
-            for j, hops in enumerate(row):
-                if hops < 1:
-                    raise ValueError(
-                        f"w[{i}][{j}]={hops}: controllers sit on hosts, "
-                        "so every switch is at least one hop away"
-                    )
-        if any(a < 0 for a in self.alpha):
+        if min(chain.from_iterable(self.w), default=1) < 1:
+            i, j = next((i, j) for i, row in enumerate(self.w)
+                        for j, hops in enumerate(row) if hops < 1)
+            raise ValueError(
+                f"w[{i}][{j}]={self.w[i][j]}: controllers sit on hosts, "
+                "so every switch is at least one hop away"
+            )
+        if any(a < 0 for a in _distinct(self.alpha)):
             raise ValueError("alpha entries must be nonnegative")
         if len(self.alpha) != len(self.w):
             raise ValueError("alpha length must match w row count")
@@ -147,13 +155,9 @@ class CostTables:
     @classmethod
     def build(cls, cost: "CostModel") -> "CostTables":
         n_s, n_c = cost.n_switches, cost.n_controllers
-        # a uniform-alpha model repeats one alpha object, so the Fraction
-        # work is done once per distinct object, keyed by id (hashing a
-        # Fraction per switch would cost as much as the work)
-        alpha = {id(a): a for a in cost.alpha}
-        scale = math.lcm(*(Fraction(a).denominator for a in alpha.values()))
-        scaled_of = {key: int(Fraction(a) * scale)
-                     for key, a in alpha.items()}
+        alpha = _distinct(cost.alpha)
+        scale = math.lcm(*(Fraction(a).denominator for a in alpha))
+        scaled_of = {id(a): int(Fraction(a) * scale) for a in alpha}
         w = np.array([[0, *row] for row in cost.w], dtype=object) \
             .reshape(n_s * (n_c + 1))
         scaled = np.array([scaled_of[id(a)] for a in cost.alpha],

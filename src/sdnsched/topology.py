@@ -1,7 +1,8 @@
 """Deterministic construction of the four evaluation topologies (the
-fat-tree, F10 and three-tier through one Clos builder), controller
-placement, BFS hop-count matrices (one switch-graph BFS per
-controller ToR), and the derived computation cost alpha."""
+fat-tree, F10 and three-tier through one Clos builder that writes each
+node's sorted neighbour tuple directly), controller placement, BFS
+hop-count matrices (one bit-parallel BFS over the switch-only graph for
+every controller at once), and the derived computation cost alpha."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .model import CostModel, TopoKind, Topology
 
@@ -42,15 +45,15 @@ def _check_nodes(kind: TopoKind, k: int, n_nodes: int) -> None:
 
 def _topology(kind: TopoKind, k: int, n_switches: int, adj,
               pods=()) -> Topology:
-    """Freeze `adj`, the neighbours of each node id in turn, into a
-    Topology whose first n_switches nodes are the switches and the rest
-    the hosts."""
+    """Freeze `adj`, the sorted neighbour tuple of each node id in turn,
+    into a Topology whose first n_switches nodes are the switches and the
+    rest the hosts."""
     return Topology(
         kind=kind,
         k=k,
         switches=tuple(range(n_switches)),
         hosts=tuple(range(n_switches, len(adj))),
-        adjacency={n: tuple(sorted(nbrs)) for n, nbrs in enumerate(adj)},
+        adjacency=dict(enumerate(adj)),
         pods=pods,
     )
 
@@ -60,11 +63,15 @@ def _clos(kind: TopoKind, k: int, n_edge: int, n_agg: int, n_core: int,
     """Layered Clos fabric: k pods of n_edge edge and n_agg aggregate
     switches over n_core cores, k/2 hosts per edge switch. Every edge
     switch joins every aggregate of its pod; aggregate a of pod p joins
-    the cores cores_of(p, a), numbered 0..n_core-1.
+    the cores in the range cores_of(p, a) of core numbers 0..n_core-1.
 
     Switch ids run edges pod-major, then aggregates pod-major, then
     cores; hosts follow in edge-switch order. A pod is its edges, then
     its aggregates.
+
+    Each node's sorted neighbour tuple is written directly: an edge
+    switch's aggregates come before its hosts, an aggregate's edges
+    before its cores, and a core meets its aggregates in id order.
     """
     _check_k(k)
     half = k // 2
@@ -73,23 +80,26 @@ def _clos(kind: TopoKind, k: int, n_edge: int, n_agg: int, n_core: int,
     n_switches = core0 + n_core
     n_nodes = n_switches + edges * half
     _check_nodes(kind, k, n_nodes)
-    adj = [[] for _ in range(n_nodes)]
+    edge_adj, agg_adj, host_adj = [], [], []
+    core_adj = [[] for _ in range(n_core)]
     pods = []
     for p in range(k):
-        pod_edges = range(p * n_edge, (p + 1) * n_edge)
-        pod_aggs = range(edges + p * n_agg, edges + (p + 1) * n_agg)
+        pod_edges = tuple(range(p * n_edge, (p + 1) * n_edge))
+        pod_aggs = tuple(range(edges + p * n_agg, edges + (p + 1) * n_agg))
         for e in pod_edges:
-            tor_hosts = range(n_switches + e * half, n_switches + (e + 1) * half)
-            adj[e].extend(pod_aggs)
-            adj[e].extend(tor_hosts)
-            for n in (*pod_aggs, *tor_hosts):
-                adj[n].append(e)
+            host0 = n_switches + e * half
+            edge_adj.append(pod_aggs + tuple(range(host0, host0 + half)))
+            host_adj.extend([(e,)] * half)
         for a, agg in enumerate(pod_aggs):
-            for c in cores_of(p, a):
-                adj[agg].append(core0 + c)
-                adj[core0 + c].append(agg)
-        pods.append((*pod_edges, *pod_aggs))
-    return _topology(kind, k, n_switches, adj, tuple(pods))
+            cores = cores_of(p, a)
+            agg_adj.append(pod_edges + tuple(range(core0 + cores.start,
+                                                   core0 + cores.stop)))
+            for c in cores:
+                core_adj[c].append(agg)
+        pods.append(pod_edges + pod_aggs)
+    return _topology(kind, k, n_switches,
+                     edge_adj + agg_adj + list(map(tuple, core_adj))
+                     + host_adj, tuple(pods))
 
 
 def gen_fat_tree(k: int) -> Topology:
@@ -172,7 +182,8 @@ def gen_jellyfish(
 
     free = [k - hosts_of[s] for s in range(n_switches)]
     _random_pairing(rng, adj, free, n_switches)
-    return _topology(TopoKind.JELLYFISH, k, n_switches, adj)
+    return _topology(TopoKind.JELLYFISH, k, n_switches,
+                     [tuple(sorted(nbrs)) for nbrs in adj])
 
 
 def _random_pairing(rng, adj, free, n_switches):
@@ -313,32 +324,57 @@ def hop_matrix(topo: Topology, placement: PlacementResult):
     Hosts are leaves, so no shortest path between switches passes
     through one: the hop count from a switch to a host is 1 plus its
     distance to the host's ToR in the switch-only graph. So this runs
-    one BFS per controller over the switches alone, from its ToR at 1,
-    and equals bfs_hops from the host.
+    one level-synchronous BFS over the switches alone for every
+    controller at once, from each controller's ToR at 1, and equals
+    bfs_hops from each host.
+
+    Each switch holds one bit per controller, in 64-bit words, set once
+    that controller has reached it. Each switch's segment of the
+    switch-only CSR starts with the switch itself, so no segment is
+    empty and one level is one gather of the words over the CSR and one
+    bitwise-or per segment. A switch's hop count to controller c is the
+    level at which bit c first appears: 1 plus the number of levels that
+    lack it.
     """
-    n_s = topo.n_switches
-    links = [[v for v in topo.adjacency[s] if v < n_s] for s in topo.switches]
-    columns = []
-    for host in placement.controller_hosts:
-        dist = [0] * n_s
-        frontier = list(topo.adjacency[host])
-        hops = 1
-        for s in frontier:
-            dist[s] = hops
-        while frontier:
-            hops += 1
-            reached = []
-            for u in frontier:
-                for v in links[u]:
-                    if not dist[v]:
-                        dist[v] = hops
-                        reached.append(v)
-            frontier = reached
-        if 0 in dist:
-            raise ValueError(f"switch {topo.switches[dist.index(0)]} cannot "
-                             f"reach controller host {host}")
-        columns.append(dist)
-    return tuple(zip(*columns))
+    n_s, hosts = topo.n_switches, placement.controller_hosts
+    adjacency = topo.adjacency
+    # switch s's segment: s - n_s, which marks the segment's start by
+    # being negative and which numpy reads as row s, then the switch
+    # neighbours of s (its hosts are dropped)
+    flat = []
+    for s in topo.switches:
+        flat.append(s - n_s)
+        flat.extend(adjacency[s])
+    ends = np.fromiter(flat, np.intp, len(flat))
+    indices = ends[ends < n_s]
+    starts = np.flatnonzero(indices < 0)
+    # switch s's little-endian words start at byte 8*words*s, so its bit
+    # c is bit c%8 of byte 8*words*s + c//8
+    words = (len(hosts) + 63) // 64
+    tors = bytearray(8 * words * n_s)
+    for c, host in enumerate(hosts):
+        for s in adjacency[host]:
+            tors[8 * words * s + c // 8] |= 1 << c % 8
+    reached = np.frombuffer(tors, "<u8").reshape(n_s, words)
+    levels = [reached]
+    while True:
+        grown = np.bitwise_or.reduceat(reached.take(indices, axis=0), starts)
+        if grown.tobytes() == reached.tobytes():  # no switch gained a bit
+            break
+        levels.append(grown)
+        reached = grown
+    # bits[l, s, c] is 1 once controller c has reached switch s at hop
+    # count l + 1
+    bits = np.unpackbits(np.array(levels, "<u8").view(np.uint8), axis=-1,
+                         count=len(hosts), bitorder="little")
+    if np.count_nonzero(bits[-1]) != bits[-1].size:
+        # the first controller missing a switch, and its first such switch
+        c = int(np.argmin(bits[-1].all(axis=0)))
+        s = int(np.argmin(bits[-1, :, c]))
+        raise ValueError(f"switch {topo.switches[s]} cannot reach "
+                         f"controller host {hosts[c]}")
+    hops = len(levels) + 1 - bits.sum(axis=0, dtype=np.intp)
+    return tuple(map(tuple, hops.tolist()))
 
 
 def derive_alpha(w) -> Fraction:

@@ -27,6 +27,7 @@ the arrivals are bit-identical to that scalar specification
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +49,8 @@ MAX_CAPACITY = 10 ** 6
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
 # four 32-bit words, filled and mixed with the constants A, then read
-# out with the constants B. The words are held in int64 and masked to 32
-# bits after each product, whose low 32 bits are the uint32 product's.
+# out with the constants B. The words are uint32 arrays, whose products
+# and differences wrap mod 2^32 as the hash's do.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -57,25 +58,29 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK = 0xFFFFFFFF
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     """The first n+1 values of SeedSequence's hash constant, init·mult^k
-    mod 2^32, as a column; they do not depend on the data."""
+    mod 2^32, as a read-only column; they do not depend on the data, so
+    each length is computed once per process."""
     consts = [init]
     for _ in range(n):
         consts.append(consts[-1] * mult & _MASK)
-    return np.array(consts, np.int64)[:, None]
+    column = np.array(consts, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hashmix(value, consts: np.ndarray):
     """SeedSequence's hashmix of each row of value, row r with constant
     r and r+1 of `consts`."""
-    value = (value ^ consts[:-1]) * consts[1:] & _MASK
+    value = (value ^ consts[:-1]) * consts[1:]
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
     """SeedSequence's mix of x with y, elementwise."""
-    result = (_MIX_L * x - _MIX_R * y) & _MASK
+    result = _MIX_L * x - _MIX_R * y
     return result ^ (result >> 16)
 
 
@@ -104,8 +109,8 @@ def switch_streams(seed: int, switches) -> list[Generator]:
     while seed >> 32:
         seed >>= 32
         words.append(seed & _MASK)
-    entropy = np.zeros((max(len(words) + 1, _POOL), len(switches)), np.int64)
-    entropy[:len(words)] = np.array(words, np.int64)[:, None]
+    entropy = np.zeros((max(len(words) + 1, _POOL), len(switches)), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
     entropy[len(words)] = switches
     # mix_entropy: hash the first words into the pool, mix every pool
     # word into every other, then mix in each word past the pool
@@ -123,9 +128,9 @@ def switch_streams(seed: int, switches) -> list[Generator]:
     # generate_state(4, np.uint64): eight hashed words, cycling through
     # the pool, paired low word first
     state = _hashmix(np.tile(pool, (2, 1)),
-                     _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
-    states = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T
-                                  ).view(np.uint64)
+                     _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+                     ).astype(np.uint64)
+    states = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
     return [Generator(PCG64(_SeedState(row))) for row in states]
 
 

@@ -796,6 +796,46 @@ class TestParseV:
         assert code in (0, 1)
 
 
+class TestRunNameLength:
+    """A run whose output file name would exceed the output directory's
+    file-name limit is rejected before it runs."""
+
+    RUN = ("run", "--kind", "fat-tree", "--k", "4", "--horizon", "2",
+           "--scheme", "greedy", "--run-seed", "0")
+
+    def test_default_name_too_long_rejected_before_the_run(
+            self, capsys, tmp_path, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("engine.run called")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, *self.RUN, "--v", "1e216",
+                               "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: the default run name, which embeds V,")
+        assert "--name" in err
+        assert "256 bytes long" in err
+        assert not out_dir.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_name_at_the_limit_runs(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.RUN, "--v", "1e215",
+                               "--out-dir", str(tmp_path))
+        assert code == 0, err
+        name = f"fat-tree_k4_greedy_v1{'0' * 215}_seed0.summary.json"
+        assert len(name) == 255
+        assert (tmp_path / name).is_file()
+
+    def test_given_name_too_long_named(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.RUN, "--name", "x" * 243,
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: --name makes the output file name")
+        assert "embeds V" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_seed_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SDND_SEED", "77")
     code, out, _ = run_cli(capsys, "run", "--kind", "fat-tree", "--k", "4",

@@ -130,9 +130,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             CostModel.uniform_alpha(((0, 2),), 1)
 
+    def test_first_cell_under_one_hop_named(self):
+        with pytest.raises(ValueError, match=r"^w\[1\]\[2\]=0: "):
+            CostModel.uniform_alpha(((3, 2, 1), (1, 1, 0), (0, 1, 1)), 1)
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             CostModel(w=((1,),), alpha=(-1,))
+
+    def test_rejects_negative_alpha_among_repeated_objects(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="alpha entries"):
+            CostModel(w=((1,),) * 4,
+                      alpha=(half, half, Fraction(-1, 3), half))
 
     def test_rejects_negative_queue(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,55 @@ class TestPinnedGraphs:
         assert graph_digest(gen_jellyfish(k, 1, 3, seed), seed) == digest
 
 
+def reference_clos(kind, k, n_edge, n_agg, n_core, cores_of):
+    """The specification of topology._clos: one neighbour list per node,
+    grown link by link and then sorted."""
+    topology._check_k(k)
+    half = k // 2
+    edges, aggs = k * n_edge, k * n_agg
+    core0 = edges + aggs
+    n_switches = core0 + n_core
+    n_nodes = n_switches + edges * half
+    topology._check_nodes(kind, k, n_nodes)
+    adj = [[] for _ in range(n_nodes)]
+    pods = []
+    for p in range(k):
+        pod_edges = range(p * n_edge, (p + 1) * n_edge)
+        pod_aggs = range(edges + p * n_agg, edges + (p + 1) * n_agg)
+        for e in pod_edges:
+            tor_hosts = range(n_switches + e * half,
+                              n_switches + (e + 1) * half)
+            adj[e].extend(pod_aggs)
+            adj[e].extend(tor_hosts)
+            for n in (*pod_aggs, *tor_hosts):
+                adj[n].append(e)
+        for a, agg in enumerate(pod_aggs):
+            for c in cores_of(p, a):
+                adj[agg].append(core0 + c)
+                adj[core0 + c].append(agg)
+        pods.append((*pod_edges, *pod_aggs))
+    return Topology(kind=kind, k=k, switches=tuple(range(n_switches)),
+                    hosts=tuple(range(n_switches, n_nodes)),
+                    adjacency={n: tuple(sorted(nbrs))
+                               for n, nbrs in enumerate(adj)},
+                    pods=tuple(pods))
+
+
+CLOS_KINDS = [TopoKind.FAT_TREE, TopoKind.F10, TopoKind.THREE_TIER]
+
+
+class TestClosBuilder:
+    """The tuple-built Clos fabrics equal the list-and-sort specification,
+    each kind with its own pod sizes and core wiring."""
+
+    @pytest.mark.parametrize("k", range(4, 17, 2))
+    @pytest.mark.parametrize("kind", CLOS_KINDS, ids=lambda k: k.value)
+    def test_equals_reference(self, monkeypatch, kind, k):
+        built = generate(kind, k)
+        monkeypatch.setattr(topology, "_clos", reference_clos)
+        assert built == generate(kind, k)
+
+
 class TestNodeLimit:
     """No kind builds a topology of more than MAX_NODES nodes."""
 
@@ -320,15 +369,26 @@ class TestHopMatrix:
             for j, h in enumerate(p.controller_hosts):
                 assert w[i][j] == fwd[h]
 
-    @pytest.mark.parametrize("make", [
-        lambda: gen_fat_tree(4),
-        lambda: gen_fat_tree(8),
-        lambda: gen_f10(8),
-        lambda: gen_three_tier(6),
-    ], ids=["fat-tree-4", "fat-tree-8", "f10-8", "three-tier-6"])
-    def test_equals_bfs_from_each_controller_host(self, make):
-        t = make()
+    @pytest.mark.parametrize("kind, k", [
+        pytest.param(kind, k, id=f"{kind.value}-{k}")
+        for kind in CLOS_KINDS for k in range(4, 13, 2)])
+    def test_equals_bfs_from_each_controller_host(self, kind, k):
+        t = generate(kind, k)
         assert_hop_matrix_is_host_bfs(t, place_controllers(t))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_jellyfish_default_range_equals_bfs(self, k, seed):
+        t = generate(TopoKind.JELLYFISH, k, seed)
+        assert_hop_matrix_is_host_bfs(t, place_controllers(t, seed=seed))
+
+    def test_second_word_equals_bfs(self):
+        # 70 controllers need a second 64-bit word per switch; hosts
+        # 6 apart share some ToRs and spread over every pod
+        t = gen_fat_tree(12)
+        p = PlacementResult(controller_hosts=t.hosts[::6][:70])
+        assert len(p.controller_hosts) == 70
+        assert_hop_matrix_is_host_bfs(t, p)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k, lo, hi", [(6, 1, 2), (6, 1, 3), (8, 1, 2),
@@ -347,6 +407,19 @@ class TestHopMatrix:
         with pytest.raises(ValueError,
                            match="switch 3 cannot reach controller host 4"):
             hop_matrix(t, PlacementResult(controller_hosts=(4,)))
+
+    def test_unreachable_in_second_word_named(self):
+        # switches 0-1 with 65 hosts on switch 1 and host 67 on no switch:
+        # controllers 0-64 reach both switches, and controller 65 (bit 1
+        # of the second word) reaches none, so switch 0 is named for it
+        hosts = tuple(range(2, 68))
+        adjacency = {0: (1,), 1: (0, *hosts[:65]), 67: ()}
+        adjacency.update((h, (1,)) for h in hosts[:65])
+        t = Topology(kind=TopoKind.JELLYFISH, k=4, switches=(0, 1),
+                     hosts=hosts, adjacency=adjacency, pods=())
+        with pytest.raises(ValueError,
+                           match="^switch 0 cannot reach controller host 67$"):
+            hop_matrix(t, PlacementResult(controller_hosts=hosts))
 
 
 def assert_hop_matrix_is_host_bfs(t, p):
