@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,13 +101,41 @@ def _parse_process(text: str):
         raise ValueError(f"bad arrival process {text!r}: {exc}") from None
 
 
-_RUN_FIELDS = {
-    "kind": str, "k": int, "topo_seed": int, "hosts_min": int, "hosts_max": int,
-    "scheme": str, "v": str, "devolution": str, "horizon": int,
-    "run_seed": int, "arrivals": str, "hot_spot_rate": int,
-    "hot_spot_switches": list, "controller_capacity": int,
-    "switch_capacity": int, "a_max": int, "traffic_seed": int,
-    "slot_length_us": int, "stride": int, "log_lyapunov": bool, "name": str,
+RUN_COMMANDS = ("run", "sweep", "compare")
+#: A run key's type; default (a value, REQUIRED, or None where the code
+#: computes it); the commands that take it as a flag; flag choices, help
+RunKey = namedtuple("RunKey", "type default commands choices help",
+                    defaults=(None, RUN_COMMANDS, None, None))
+REQUIRED = object()
+_TRAFFIC = {f.name: f.default for f in fields(traffic.TrafficConfig)}
+#: Every run key, in flag order. Sweep and compare take V and the seeds
+#: from their grids, keep two records per run and write no per-run
+#: files, so only run takes those keys as flags.
+RUN_KEYS = {
+    "kind": RunKey(str, REQUIRED, choices=TopoKind),
+    "k": RunKey(int, REQUIRED),
+    "topo_seed": RunKey(int),
+    "hosts_min": RunKey(int),
+    "hosts_max": RunKey(int),
+    "scheme": RunKey(str, REQUIRED, ("run",), choices=Scheme),
+    "v": RunKey(str, "0", ("run",)),
+    "devolution": RunKey(str, "on", choices=Devolution),
+    "horizon": RunKey(int, REQUIRED),
+    "run_seed": RunKey(int, None, ("run",)),
+    "arrivals": RunKey(str, "poisson:5.88", help="poisson:RATE | "
+                       "pareto:SHAPE,SCALE | constant:RATE | trace:PATH"),
+    # the CLI always has a hot set, so its rate of 0 is what turns the hot
+    # spot off; TrafficConfig's 200 is the rate of a set a caller names
+    "hot_spot_rate": RunKey(int, 0),
+    "hot_spot_switches": RunKey(list, None, ()),
+    "controller_capacity": RunKey(int, _TRAFFIC["controller_capacity"]),
+    "switch_capacity": RunKey(int, _TRAFFIC["switch_capacity"]),
+    "a_max": RunKey(int, _TRAFFIC["a_max"], ()),
+    "traffic_seed": RunKey(int, None, ("run",)),
+    "slot_length_us": RunKey(int, _TRAFFIC["slot_length_us"]),
+    "stride": RunKey(int, None, ("run",)),
+    "log_lyapunov": RunKey(bool, False, ("run",)),
+    "name": RunKey(str, None, ("run",), help="basename for output files"),
 }
 
 
@@ -118,16 +147,16 @@ def _has_type(value, want: type) -> bool:
 
 def _key_problems(cfg: dict) -> list[str]:
     """Missing, unknown and mistyped run keys."""
-    problems = [f"missing required field: {key}" for key in
-                ("kind", "k", "scheme", "horizon") if key not in cfg]
-    unknown = set(cfg) - set(_RUN_FIELDS)
+    problems = [f"missing required field: {name}" for name in RUN_KEYS
+                if RUN_KEYS[name].default is REQUIRED and name not in cfg]
+    unknown = set(cfg) - set(RUN_KEYS)
     if unknown:
         problems.append(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        want = _RUN_FIELDS.get(key)
-        if want is not None and not _has_type(value, want):
-            problems.append(f"config key {key!r} must be {want.__name__}, "
-                            f"got {value!r}")
+    for name, value in cfg.items():
+        key = RUN_KEYS.get(name)
+        if key is not None and not _has_type(value, key.type):
+            problems.append(f"config key {name!r} must be "
+                            f"{key.type.__name__}, got {value!r}")
     hot = cfg.get("hot_spot_switches")
     if isinstance(hot, list) and not all(_has_type(s, int) for s in hot):
         problems.append(f"config key 'hot_spot_switches' must list switch "
@@ -141,16 +170,18 @@ def _given(args) -> dict:
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError([f"{args.config}: {exc}"]) from None
         if not isinstance(cfg, dict):
             raise ConfigError([f"{args.config}: expected a JSON object of "
                                "config keys"])
-    return {**cfg, **{name: getattr(args, name) for name in _RUN_FIELDS
+    return {**cfg, **{name: getattr(args, name) for name in RUN_KEYS
                       if getattr(args, name, None) is not None}}
 
 
-def _fabric(kind: TopoKind, k: int, seed: int, hosts_min=None,
-            hosts_max=None):
+def _fabric(kind: TopoKind, k: int, seed: int, hosts_min, hosts_max):
     """The topology of `kind` and its cost model, with controllers placed
     from `seed`."""
     topo = topology.generate(kind, k, seed=seed, hosts_min=hosts_min,
@@ -175,6 +206,9 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
         except (ValueError, ZeroDivisionError) as exc:
             problems.append(problem or str(exc))
 
+    def value(key):
+        return cfg.get(key, RUN_KEYS[key].default)
+
     def seed(key):
         # SDND_SEED is read only when it supplies the seed; 0 stands in
         # for a bad value, so that the other checks still run
@@ -184,15 +218,15 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
                    problem=f"unknown topology kind {cfg['kind']!r}")
     scheme = attempt(Scheme, cfg["scheme"],
                      problem=f"unknown scheme {cfg['scheme']!r}")
-    v = attempt(_parse_v, str(cfg.get("v", "0")),
+    v = attempt(_parse_v, str(value("v")),
                 problem=f"bad v value {cfg.get('v')!r}: expected a "
                         "nonnegative number or p/q, with a decimal exponent "
                         f"within +-{MAX_V_EXPONENT} and at most "
                         f"{MAX_V_DIGITS} digits in its numerator and "
                         "denominator")
-    devolution = attempt(Devolution, cfg.get("devolution", "on"),
+    devolution = attempt(Devolution, value("devolution"),
                          problem="devolution must be 'on' or 'off'")
-    process = attempt(_parse_process, cfg.get("arrivals", "poisson:5.88"))
+    process = attempt(_parse_process, value("arrivals"))
     horizon = cfg["horizon"]
     if horizon < 1:
         problems.append("horizon must be >= 1")
@@ -214,55 +248,40 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
     if fabric is None:
         raise ConfigError(problems)
     topo, cost = fabric
-    hot = cfg.get("hot_spot_switches")
-    if hot is None:
-        hot = _default_hot_spot(topo)
+    hot = cfg.get("hot_spot_switches", _default_hot_spot(topo))
     outside = sorted(s for s in hot if not 0 <= s < topo.n_switches)
     if outside:
         problems.append(f"hot_spot_switches {outside} outside "
                         f"[0, {topo.n_switches})")
-    hot_rate = cfg.get("hot_spot_rate", 0)
+    hot_rate = value("hot_spot_rate")
     tcfg = attempt(
-        traffic.TrafficConfig,
-        base_process=process,
-        n_switches=topo.n_switches,
-        n_controllers=cost.n_controllers,
-        slot_length_us=cfg.get("slot_length_us", 10_000),
+        traffic.TrafficConfig, base_process=process,
+        n_switches=topo.n_switches, n_controllers=cost.n_controllers,
+        slot_length_us=value("slot_length_us"),
         hot_spot_switches=frozenset(hot) if hot_rate > 0 else frozenset(),
         hot_spot_rate=hot_rate,
-        controller_capacity=cfg.get("controller_capacity", 600),
-        switch_capacity=cfg.get("switch_capacity", 10),
-        a_max=cfg.get("a_max", 10 ** 6),
-        seed=max(traffic_seed, 0),
-    )
+        controller_capacity=value("controller_capacity"),
+        switch_capacity=value("switch_capacity"), a_max=value("a_max"),
+        seed=max(traffic_seed, 0))
     if problems:
         raise ConfigError(problems)
 
     run_cfg = RunConfig(
-        cost=cost,
-        traffic=tcfg,
-        scheme=scheme,
+        cost=cost, traffic=tcfg, scheme=scheme,
         params=SchedulerParams(v=v, devolution=devolution),
-        horizon_slots=horizon,
-        run_seed=run_seed,
-        stride=stride,
-        log_lyapunov=cfg.get("log_lyapunov", False),
-    )
+        horizon_slots=horizon, run_seed=run_seed, stride=stride,
+        log_lyapunov=value("log_lyapunov"))
     resolved = {
-        **cfg,
-        "kind": kind.value, "scheme": scheme.value,
-        "v": str(v), "devolution": devolution.value,
-        "topo_seed": topo_seed,
-        "traffic_seed": traffic_seed, "run_seed": run_seed,
-        "stride": stride,
+        **cfg, "kind": kind.value, "scheme": scheme.value, "v": str(v),
+        "devolution": devolution.value, "topo_seed": topo_seed,
+        "traffic_seed": traffic_seed, "run_seed": run_seed, "stride": stride,
         "n_switches": topo.n_switches, "n_hosts": topo.n_hosts,
         "n_controllers": cost.n_controllers,
         "alpha": format_rational(cost.alpha[0]),
         "hot_spot_switches": sorted(tcfg.hot_spot_switches),
         "hot_spot_rate": hot_rate,
         "controller_capacity": tcfg.controller_capacity,
-        "switch_capacity": tcfg.switch_capacity,
-    }
+        "switch_capacity": tcfg.switch_capacity}
     return run_cfg, resolved
 
 
@@ -318,11 +337,9 @@ def cmd_topo(args) -> int:
     kind = TopoKind(args.kind)
     seed = args.seed if args.seed is not None else _default_seed()
     topo, cost = _fabric(kind, args.k, seed, args.hosts_min, args.hosts_max)
-    stats = (
-        f"kind={kind.value} k={args.k} switches={topo.n_switches} "
-        f"hosts={topo.n_hosts} controllers={cost.n_controllers} "
-        f"alpha={format_rational(cost.alpha[0])}"
-    )
+    stats = (f"kind={kind.value} k={args.k} switches={topo.n_switches} "
+             f"hosts={topo.n_hosts} controllers={cost.n_controllers} "
+             f"alpha={format_rational(cost.alpha[0])}")
     if args.out:
         Path(args.out).write_text(topology.dump_edge_list(topo))
     print(stats)
@@ -350,8 +367,7 @@ def cmd_run(args) -> int:
     run_cfg, resolved = resolve(_given(args))
     name = resolved.get("name") or (
         f"{resolved['kind']}_k{resolved['k']}_{resolved['scheme']}"
-        f"_v{resolved['v'].replace('/', 'over')}_seed{resolved['run_seed']}"
-    )
+        f"_v{resolved['v'].replace('/', 'over')}_seed{resolved['run_seed']}")
     out_dir = Path(args.out_dir)
     _check_run_name(out_dir, name, default=not resolved.get("name"))
     for warning in engine.capacity_check(run_cfg):
@@ -446,70 +462,54 @@ def cmd_sweep(args, fixed_schemes=None) -> int:
     return 0
 
 
-def _add_run_flags(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--kind", choices=[k.value for k in TopoKind])
-    p.add_argument("--k", type=int)
-    p.add_argument("--topo-seed", dest="topo_seed", type=int)
-    p.add_argument("--hosts-min", dest="hosts_min", type=int)
-    p.add_argument("--hosts-max", dest="hosts_max", type=int)
-    p.add_argument("--devolution", choices=["on", "off"])
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--arrivals",
-                   help="poisson:RATE | pareto:SHAPE,SCALE | constant:RATE | trace:PATH")
-    p.add_argument("--hot-spot-rate", dest="hot_spot_rate", type=int)
-    p.add_argument("--controller-capacity", dest="controller_capacity", type=int)
-    p.add_argument("--switch-capacity", dest="switch_capacity", type=int)
-    p.add_argument("--slot-length-us", dest="slot_length_us", type=int)
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+#: Each run key's flag and argparse keywords, and the keys flagged by each
+#: set of commands: built at import, not by every build_parser call
+_FLAGS = {name: ("--" + name.replace("_", "-"), {"help": key.help} | (
+    {"action": "store_const", "const": True} if key.type is bool else
+    {"type": key.type, "choices": key.choices and
+     [choice.value for choice in key.choices]}))
+    for name, key in RUN_KEYS.items()}
+_FLAGGED = {commands: [name for name, key in RUN_KEYS.items()
+                       if key.commands == commands]
+            for commands in {key.commands for key in RUN_KEYS.values()}}
+
+
+def _add_flags(parser, names, **extra):
+    for name in names:
+        parser.add_argument(_FLAGS[name][0], **_FLAGS[name][1], **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdnsched",
-        description="Dynamic switch-controller association and control "
-                    "devolution simulator",
-    )
+    parser = argparse.ArgumentParser(prog="sdnsched", description=(
+        "Dynamic switch-controller association and control devolution "
+        "simulator"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_topo = sub.add_parser("topo", help="generate and dump a topology")
-    p_topo.add_argument("--kind", required=True,
-                        choices=[k.value for k in TopoKind])
-    p_topo.add_argument("--k", type=int, required=True)
+    _add_flags(p_topo, ("kind", "k"), required=True)
     p_topo.add_argument("--seed", type=int)
-    p_topo.add_argument("--hosts-min", dest="hosts_min", type=int)
-    p_topo.add_argument("--hosts-max", dest="hosts_max", type=int)
+    _add_flags(p_topo, ("hosts_min", "hosts_max"))
     p_topo.add_argument("--out", help="write the edge list to this file")
     p_topo.set_defaults(func=cmd_topo)
 
     p_run = sub.add_parser("run", help="execute one simulation run")
-    _add_run_flags(p_run)
-    # sweep and compare take V and the seeds from their grids, keep two
-    # records per run and write no per-run files, so only run takes these
-    p_run.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p_run.add_argument("--v")
-    p_run.add_argument("--run-seed", dest="run_seed", type=int)
-    p_run.add_argument("--traffic-seed", dest="traffic_seed", type=int)
-    p_run.add_argument("--stride", type=int)
-    p_run.add_argument("--log-lyapunov", dest="log_lyapunov",
-                       action="store_const", const=True)
-    p_run.add_argument("--name", help="basename for output files")
     p_run.set_defaults(func=cmd_run)
-
     # no abbreviations, so that run's --v is not read as --v-grid
     p_sweep = sub.add_parser("sweep", allow_abbrev=False,
                              help="run a V grid, one row per (V, scheme, seed)")
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument("--v-grid", dest="v_grid", required=True,
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
+                           help="sweep all four schemes over a V grid")
+    for command, p in (("run", p_run), ("sweep", p_sweep), ("compare", p_cmp)):
+        p.add_argument("--config", help="JSON config file")
+        _add_flags(p, _FLAGGED[RUN_COMMANDS])
+        p.add_argument("--out-dir", default="out")
+        _add_flags(p, _FLAGGED.get((command,), ()))
+    p_sweep.add_argument("--v-grid", required=True,
                          help="comma-separated V values")
     p_sweep.add_argument("--schemes", default="greedy")
     p_sweep.add_argument("--seeds", default="0")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", allow_abbrev=False,
-                           help="sweep all four schemes over a V grid")
-    _add_run_flags(p_cmp)
-    p_cmp.add_argument("--v-grid", dest="v_grid", required=True)
+    p_cmp.add_argument("--v-grid", required=True)
     p_cmp.add_argument("--seeds", default="0")
     p_cmp.set_defaults(func=lambda a: cmd_sweep(
         a, fixed_schemes=["greedy", "static", "random", "jsq"]))
@@ -518,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

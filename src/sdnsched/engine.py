@@ -225,11 +225,6 @@ class LaneGroup:
         self.shared_row = rows[0] if len(set(rows)) == 1 else None
         self.acc = Accumulator(len(cfgs), cost.tables.scale)
 
-    @property
-    def t(self) -> int:
-        """Slots advanced so far."""
-        return self.acc.t
-
     def widen(self) -> None:
         """Move every array onto object arrays of Python ints."""
         for name in ("q", "service", "k", "scale", "w", "scaled_alpha"):

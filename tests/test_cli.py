@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import shlex
 import tempfile
@@ -131,6 +132,25 @@ class TestRun:
                                "--out-dir", str(tmp_path))
         assert code == 1
         assert "nope" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text, problem", [
+        (b'{"kind": "fat-tree",', "Expecting property name enclosed in "
+         "double quotes: line 1 column 21 (char 20)"),
+        (b"\xff{}", None),
+    ], ids=["truncated", "not-utf-8"])
+    def test_malformed_config_named(self, capsys, tmp_path, command, text,
+                                    problem):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        grid = ["--v-grid", "0"] if command == "sweep" else []
+        code, _, err = run_cli(capsys, command, "--config", str(path), *grid,
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        if problem:
+            assert err == f"error: {path}: {problem}\n"
+        assert not (tmp_path / "out").exists()
 
     def run_config(self, capsys, tmp_path, **overrides):
         cfg = {"kind": "fat-tree", "k": 4, "scheme": "greedy", "horizon": 5,
@@ -394,6 +414,47 @@ class TestRun:
         jsq = (tmp_path / "jsq_run.csv").read_bytes()
         greedy = (tmp_path / "greedy_run.csv").read_bytes()
         assert jsq == greedy
+
+
+class TestFlagEqualsKey:
+    """A run key's flag does what the key does in a --config file: the
+    same CSV and summary bytes, for every key that has a flag. The summary
+    embeds every key given, so a flag that is dropped fails too."""
+
+    BASE = {"kind": "jellyfish", "k": 10, "scheme": "greedy", "horizon": 12,
+            "arrivals": "poisson:3", "controller_capacity": 30, "name": "eq"}
+    # each differs from its default and from BASE
+    VALUES = {
+        "kind": "fat-tree", "k": 8, "topo_seed": 3, "hosts_min": 1,
+        "hosts_max": 4, "scheme": "random", "v": "7/2", "devolution": "off",
+        "horizon": 9, "run_seed": 4, "arrivals": "pareto:2,1.5",
+        "hot_spot_rate": 20, "controller_capacity": 25, "switch_capacity": 2,
+        "traffic_seed": 6, "slot_length_us": 5000, "stride": 4,
+        "log_lyapunov": True, "name": "other",
+    }
+
+    def output(self, capsys, out_dir, cfg, *flags):
+        out_dir.mkdir()
+        path = out_dir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", "--config", str(path), *flags,
+                               "--out-dir", str(out_dir))
+        assert code == 0, err
+        name = cfg.get("name", self.VALUES["name"])
+        return [(out_dir / f"{name}{ext}").read_bytes()
+                for ext in (".csv", ".summary.json")]
+
+    @pytest.mark.parametrize("key", [name for name, key in
+                                     cli.RUN_KEYS.items() if key.commands])
+    def test_flag_equals_config_key(self, capsys, tmp_path, key):
+        value = self.VALUES[key]
+        base = {name: v for name, v in self.BASE.items() if name != key}
+        flag = ["--" + key.replace("_", "-")]
+        if value is not True:
+            flag.append(str(value))
+        by_flag = self.output(capsys, tmp_path / "flag", base, *flag)
+        assert by_flag == self.output(capsys, tmp_path / "key",
+                                      {**base, key: value})
 
 
 class TestOutputDigests:
@@ -890,6 +951,37 @@ def readme_commands():
     return [shlex.split(line)[1:]
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("sdnsched ")]
+
+
+def readme_key_table():
+    """The rows of README's table of run keys, as lists of cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("| key | type | default | flag in |\n", 1)[1] \
+        .splitlines()[1:]
+    return [[cell.strip() for cell in line[1:-1].split(" | ")] for line in
+            itertools.takewhile(lambda line: line.startswith("| "), lines)]
+
+
+def test_readme_key_table_matches_cli():
+    # every run key, in the table's order, with its type, default and
+    # flag commands: a value default is its JSON text, a computed one
+    # says what it is worked out from
+    types = {int: "integer", str: "string", bool: "boolean",
+             list: "list of switch ids"}
+    rows = readme_key_table()
+    assert [row[0] for row in rows] == [f"`{name}`" for name in cli.RUN_KEYS]
+    for (_, kind, default, flags), key in zip(rows, cli.RUN_KEYS.values()):
+        assert kind == ("one of " + ", ".join(f"`{c.value}`" for c in
+                                              key.choices)
+                        if key.choices else types[key.type])
+        if key.default is cli.REQUIRED:
+            assert default == "required"
+        elif key.default is None:
+            assert default.startswith("from ")
+        else:
+            assert default == f"`{json.dumps(key.default)}`"
+        assert flags == (", ".join(f"`{c}`" for c in key.commands)
+                         if key.commands else "none")
 
 
 def test_readme_commands_run(capsys, tmp_path):

@@ -404,7 +404,7 @@ class TestInt64Limit:
         widened = []
         widen = engine.LaneGroup.widen
         monkeypatch.setattr(engine.LaneGroup, "widen",
-                            lambda group: widened.append(group.t) or
+                            lambda group: widened.append(group.acc.t) or
                             widen(group))
 
         def output(out_dir):
@@ -426,7 +426,7 @@ class TestInt64Limit:
         widened = []
         widen = engine.LaneGroup.widen
         monkeypatch.setattr(engine.LaneGroup, "widen",
-                            lambda group: widened.append(group.t) or
+                            lambda group: widened.append(group.acc.t) or
                             widen(group))
 
         def output(name):
@@ -576,7 +576,7 @@ class TestLanes:
         widened = []
         widen = engine.LaneGroup.widen
         monkeypatch.setattr(engine.LaneGroup, "widen",
-                            lambda group: widened.append(group.t) or
+                            lambda group: widened.append(group.acc.t) or
                             widen(group))
         cfgs = [small_cfg(scheme=Scheme.JSQ, horizon=60, seed=1,
                           process=Constant(rate), a_max=rate)
