@@ -7,7 +7,6 @@ from .model import (
     Association,
     CostModel,
     Devolution,
-    QueueState,
     SchedulerParams,
     TopoKind,
     Topology,
@@ -18,7 +17,6 @@ __all__ = [
     "Association",
     "CostModel",
     "Devolution",
-    "QueueState",
     "SchedulerParams",
     "TopoKind",
     "Topology",

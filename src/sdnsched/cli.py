@@ -22,6 +22,8 @@ from .engine import RunConfig, Scheme
 from .metrics import (
     CSV_HEADER,
     CSV_HEADER_LYAP,
+    cost_means,
+    format_ratio,
     format_rational,
     record_to_csv_row,
 )
@@ -172,7 +174,8 @@ def _given(args) -> dict:
         with open(args.config) as fh:
             try:
                 cfg = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            # not JSON, not UTF-8, or nested deeper than the recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError([f"{args.config}: {exc}"]) from None
         if not isinstance(cfg, dict):
             raise ConfigError([f"{args.config}: expected a JSON object of "
@@ -318,14 +321,15 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
         lane = result.scale, result.n_controllers, result.v
         for row in result.rows:
             fh.write(record_to_csv_row(row, *lane) + "\n")
-    final = result.final
+    final = result.rows[-1]
+    f_bar, g_bar, total_cost = cost_means(final, result.scale)
     summary = {
         "config": resolved,
-        "f_bar": format_rational(final.f_bar),
-        "g_bar": format_rational(final.g_bar),
-        "total_cost": format_rational(final.f_bar + final.g_bar),
+        "f_bar": format_ratio(*f_bar),
+        "g_bar": format_ratio(*g_bar),
+        "total_cost": format_ratio(*total_cost),
         "mean_backlog": format_rational(result.mean_backlog),
-        "final_backlog": final.total_backlog,
+        "final_backlog": final[5],  # the row's total backlog
     }
     with open(out_dir / f"{name}.summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

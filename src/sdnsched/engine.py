@@ -9,9 +9,8 @@ run_lanes call over every (config, V) pair. Lanes with the same traffic
 config read one ArrivalState row per slot (common random numbers, each
 draw made once); greedy and JSQ lanes share one argmin, and pricing is
 one gather and one scatter for all lanes. A slot a lane keeps adds one
-row of exact ints to the Accumulator; a RunResult builds MetricsRecords
-from those rows only when they are read, and the CLI formats its CSV
-from the ints.
+row of exact ints to the Accumulator; a run returns those rows, and the
+CLI formats its CSV and summary, and a sweep its rows, from the ints.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. int64_queue_limit alone decides whether a lane may
@@ -33,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import traffic as tr
-from .metrics import Accumulator, MetricsRecord, row_record
+from .metrics import Accumulator, cost_means
 from .model import (
     LOCAL,
     CostModel,
@@ -128,9 +127,10 @@ def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
     same name, cast to that dtype.
 
     Returns (next_q, f, dg): f and dg = d*g are arrays of each lane's
-    slot costs, equal to slot_comm_cost and d * slot_comp_cost, and
-    next_q equals step_switch_queue / step_controller_queue applied queue
-    by queue. A lane's slot is priced on integer arrays:
+    slot costs, equal to reference.slot_comm_cost and d *
+    reference.slot_comp_cost, and next_q equals the reference
+    step_switch_queue / step_controller_queue applied queue by queue. A
+    lane's slot is priced on integer arrays:
     f = W[i, target_i] . A, where W is 0 for LOCAL, and
     d*g = (d*alpha) . A_local. Each switch's arrivals join one queue
     (CostTables.joins), so the inflow of every queue of every lane is one
@@ -293,26 +293,15 @@ class LaneGroup:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's kept rows (metrics.Accumulator.kept) and the constants
-    that turn them into records: the g scale d, the controller count
-    and V. `records` and `final` build MetricsRecords from the rows
-    when read."""
+    """A run's kept rows (metrics.Accumulator.kept), the constants that
+    turn them into CSV lines (metrics.record_to_csv_row), which are the
+    g scale d, the controller count and V, and its mean backlog."""
 
     rows: list[tuple[int, ...]]
     scale: int
     n_controllers: int
     v: Rational
     mean_backlog: Fraction
-
-    @property
-    def records(self) -> list[MetricsRecord]:
-        return [row_record(row, self.scale, self.n_controllers, self.v)
-                for row in self.rows]
-
-    @property
-    def final(self) -> MetricsRecord:
-        return row_record(self.rows[-1], self.scale, self.n_controllers,
-                          self.v)
 
 
 def run_lanes(cfgs) -> list[RunResult]:
@@ -382,8 +371,9 @@ def sweep(cfg, v_values) -> list[SweepRow]:
     run is a lane of one run_lanes call, so lanes with the same traffic
     config share their arrivals (common random numbers). Static, Random
     and JSQ lanes do not read V, so one lane serves every V of their
-    config. A row reads only the final record and the mean backlog, so
-    each lane keeps rows for its first and last slots alone."""
+    config. A row reads only the final kept row's cost_means and the
+    mean backlog, so each lane keeps rows for its first and last
+    slots alone."""
     if not v_values:
         raise ValueError("empty V grid")
     cfgs = [cfg] if isinstance(cfg, RunConfig) else cfg
@@ -398,13 +388,15 @@ def sweep(cfg, v_values) -> list[SweepRow]:
     rows = []
     for c, v, key in pairs:
         res = results[key]
+        f_bar, g_bar, total_cost = (
+            Fraction(*mean) for mean in cost_means(res.rows[-1], res.scale))
         rows.append(SweepRow(
             v=v,
             scheme=c.scheme,
             run_seed=c.run_seed,
-            f_bar=res.final.f_bar,
-            g_bar=res.final.g_bar,
-            total_cost=res.final.f_bar + res.final.g_bar,
+            f_bar=f_bar,
+            g_bar=g_bar,
+            total_cost=total_cost,
             mean_backlog=res.mean_backlog,
         ))
     return rows

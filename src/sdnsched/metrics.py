@@ -4,36 +4,21 @@ Running averages are computed from exact running sums, so the identity
 f_bar(T) * T == sum of f_slot holds with no drift. An Accumulator holds
 the sums of every lane of a lane group; the engine updates it once per
 slot and, for the slots a lane keeps, has it keep a row of exact ints.
-A row becomes a MetricsRecord (row_record) only when a caller reads one,
-and a CSV line (record_to_csv_row) from integer divmods alone.
+A row becomes a CSV line (record_to_csv_row) from integer divmods
+alone, and cost_means gives its run means as pairs of ints; tests hold
+both to the row's exact reference.row_record.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import Rational
 
 CSV_HEADER = "t,f_slot,g_slot,f_bar,g_bar,total_backlog,ctrl_var,uploads,locals"
 CSV_HEADER_LYAP = CSV_HEADER + ",lyapunov,drift_penalty"
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    t: int
-    f_slot: Rational
-    g_slot: Rational
-    f_bar: Fraction
-    g_bar: Fraction
-    total_backlog: int
-    controller_backlog_variance: Fraction
-    uploads: int
-    locals_: int
-    lyapunov: Optional[Fraction] = None
-    drift_penalty_sample: Optional[Rational] = None
 
 
 class Accumulator:
@@ -79,32 +64,13 @@ class Accumulator:
             else Fraction(0)
 
 
-def row_record(row, scale: int, n_controllers: int, v: Rational) \
-        -> MetricsRecord:
-    """The MetricsRecord of a kept row (Accumulator.kept) of a lane with
-    g scale d = `scale`, `n_controllers` controllers and parameter V =
-    `v`: its Lyapunov value is Sum q^2 / 2 at the slot's start, and its
-    drift-plus-penalty sample L(Q(t+1)) - L(Q(t)) + V*(f + g)."""
-    t, f, dg, f_sum, dg_sum, backlog, var, uploads, locals_, *squares = row
-    g = Fraction(dg, scale)
-    lyap = drift = None
-    if squares:
-        before, after = squares
-        lyap = Fraction(before, 2)
-        drift = Fraction(after - before, 2) + v * (f + g)
-    return MetricsRecord(
-        t=t,
-        f_slot=f,
-        g_slot=g,
-        f_bar=Fraction(f_sum, t + 1),
-        g_bar=Fraction(dg_sum, scale * (t + 1)),
-        total_backlog=backlog,
-        controller_backlog_variance=Fraction(var, n_controllers ** 2),
-        uploads=uploads,
-        locals_=locals_,
-        lyapunov=lyap,
-        drift_penalty_sample=drift,
-    )
+def cost_means(row, scale: int):
+    """f_bar, g_bar and their sum through a kept row's slot, each as a
+    (numerator, denominator) pair of ints from the row's running sums,
+    for a lane with g scale d = `scale`."""
+    t, _, _, f_sum, dg_sum = row[:5]
+    n = scale * (t + 1)
+    return (f_sum, t + 1), (dg_sum, n), (scale * f_sum + dg_sum, n)
 
 
 def sum_squares(xs: Sequence[int]) -> int:
@@ -117,14 +83,6 @@ def scaled_variance(q_c: Sequence[int]) -> int:
     integer n*Sum x^2 - (Sum x)^2."""
     total = sum(q_c)
     return len(q_c) * sum_squares(q_c) - total * total
-
-
-def controller_variance(q_c: Sequence[int]) -> Fraction:
-    """Population variance of the per-controller backlogs."""
-    n = len(q_c)
-    if n < 1:
-        raise ValueError("need at least one controller")
-    return Fraction(scaled_variance(q_c), n * n)
 
 
 def format_ratio(num: int, den: int, digits: int = 6) -> str:
@@ -153,7 +111,7 @@ def format_rational(x, digits: int = 6) -> str:
 def record_to_csv_row(row, scale: int, n_controllers: int,
                       v: Rational) -> str:
     """The CSV line of a kept row (Accumulator.kept), with the columns
-    of row_record(row, scale, n_controllers, v) formatted by
+    of reference.row_record(row, scale, n_controllers, v) formatted by
     format_ratio from the row's integers: no Fraction is built."""
     t, f, dg, f_sum, dg_sum, backlog, var, uploads, locals_, *squares = row
     n = t + 1

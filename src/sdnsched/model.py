@@ -1,9 +1,10 @@
-"""Core domain types and per-slot queue/cost mathematics.
+"""Core domain types: topologies, cost models with their one integer
+scaling, associations and scheduler parameters.
 
-Everything here is a pure function of its inputs. Queue backlogs and
-request counts are nonnegative integers; costs stay exact (int or
+Request counts are nonnegative integers; costs stay exact (int or
 Fraction) so that scheduler comparisons are equality checks, never
-tolerance checks.
+tolerance checks. The queue updates, slot cost functions and Lyapunov
+function that the engine's pricing is tested against are in reference.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -177,25 +178,6 @@ class CostTables:
 
 
 @dataclass(frozen=True)
-class QueueState:
-    """Per-switch and per-controller request backlogs."""
-
-    q_s: tuple[int, ...]
-    q_c: tuple[int, ...]
-
-    def __post_init__(self):
-        if min(self.q_s, default=0) < 0 or min(self.q_c, default=0) < 0:
-            raise ValueError("queue backlogs must be nonnegative")
-
-    @classmethod
-    def zeros(cls, n_switches: int, n_controllers: int) -> "QueueState":
-        return cls(q_s=(0,) * n_switches, q_c=(0,) * n_controllers)
-
-    def total(self) -> int:
-        return sum(self.q_s) + sum(self.q_c)
-
-
-@dataclass(frozen=True)
 class Association:
     """Per-slot decision: each switch maps to LOCAL or one controller
     (one target per switch)."""
@@ -211,37 +193,3 @@ class SchedulerParams:
     def __post_init__(self):
         if self.v < 0:
             raise ValueError("v must be nonnegative")
-
-
-def step_switch_queue(q: int, routed_local: int, service: int) -> int:
-    """Next switch backlog: service applies to backlog plus same-slot
-    arrivals routed locally."""
-    return max(q + routed_local - service, 0)
-
-
-def step_controller_queue(q: int, routed_in: int, service: int) -> int:
-    """Next controller backlog after receiving uploaded arrivals."""
-    return max(q + routed_in - service, 0)
-
-
-def slot_comm_cost(assoc: Association, arrivals: Sequence[int], cost: CostModel):
-    """Communication cost of one slot: sum of W[i][j] * A_i over uploads."""
-    total = 0
-    for i, t in enumerate(assoc.target):
-        if t != LOCAL:
-            total += cost.w[i][t] * arrivals[i]
-    return total
-
-
-def slot_comp_cost(assoc: Association, arrivals: Sequence[int], cost: CostModel):
-    """Computation cost of one slot: alpha_i * A_i over local switches."""
-    total = 0
-    for i, t in enumerate(assoc.target):
-        if t == LOCAL:
-            total += cost.alpha[i] * arrivals[i]
-    return total
-
-
-def lyapunov(q: QueueState) -> Fraction:
-    """Quadratic potential: half the sum of squared backlogs."""
-    return Fraction(sum(x * x for x in q.q_c) + sum(x * x for x in q.q_s), 2)

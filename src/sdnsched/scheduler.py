@@ -1,105 +1,30 @@
-"""Per-slot decision rules: the greedy drift-plus-penalty rule, the
-Static/Random/JSQ baselines, the per-slot objective, a brute-force
-oracle that certifies per-slot optimality by exhaustive enumeration,
-and the one fast decider the engine runs: GreedyKernel's tables read
-by lane_argmin.
+"""Per-slot decision rules that the engine runs: the Static target,
+the Random draws, and the one fast decider for every scheme that
+decides from queues: GreedyKernel's tables read by lane_argmin.
 
-The per-switch functions (greedy_decide, association_only_decide,
-jsq_decide, static_decide, brute_force_decide, slot_objective) are the
-specification; lane_argmin over GreedyKernel tables is tested for
-equality against them. For v = p/q, GreedyKernel's table is
-K = p*(d*W - d*alpha): p times the cost model's one integer scaling of
-the gap W - alpha (CostTables.gap, d = CostTables.scale), one row per
-row class of switches with equal gap rows. The engine stacks the K
-tables of its argmin lanes into one lane_argmin call, with numpy
-arrays, and gets target arrays back, one intp per switch. A Random
-lane draws from mt19937_of(random.Random(run_seed)): one random_decide
-call gives a block of slots' targets, with the values of a per-slot
-randrange loop. All arithmetic is exact (int / Fraction), so every
-comparison is an equality check. Ties break toward the lowest
-controller index everywhere; with that rule JSQ is the devolution-off
-argmin at v = 0.
+lane_argmin over GreedyKernel tables is tested for equality against the
+per-switch rules and the brute-force oracle in reference. For v = p/q,
+GreedyKernel's table is K = p*(d*W - d*alpha): p times the cost model's
+one integer scaling of the gap W - alpha (CostTables.gap, d =
+CostTables.scale), one row per row class of switches with equal gap
+rows. The engine stacks the K tables of its argmin lanes into one
+lane_argmin call, with numpy arrays, and gets target arrays back, one
+intp per switch. A Random lane draws from
+mt19937_of(random.Random(run_seed)): one random_decide call gives a
+block of slots' targets, with the values of a per-slot randrange loop.
+All arithmetic is exact, so every comparison is an equality check. Ties
+break toward the lowest controller index everywhere; with that rule JSQ
+is the devolution-off argmin at v = 0.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .model import (
-    LOCAL,
-    Association,
-    CostModel,
-    Devolution,
-    QueueState,
-    Rational,
-    SchedulerParams,
-)
-
-BRUTE_FORCE_LIMIT = 10 ** 7
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    q: QueueState
-    arrivals: tuple[int, ...]
-    cost: CostModel
-    params: SchedulerParams
-
-    def __post_init__(self):
-        n_s, n_c = self.cost.n_switches, self.cost.n_controllers
-        if len(self.q.q_s) != n_s or len(self.arrivals) != n_s \
-                or len(self.q.q_c) != n_c:
-            raise ValueError("context dimensions are inconsistent")
-
-
-def omega(i: int, j: int, ctx: DecisionContext) -> Rational:
-    """Greedy decision weight: v*(W[i][j] - alpha_i) + (Qc_j - Qs_i).
-
-    Non-positive values mark controller j as upload-eligible for
-    switch i.
-    """
-    v = ctx.params.v
-    return v * (ctx.cost.w[i][j] - ctx.cost.alpha[i]) \
-        + (ctx.q.q_c[j] - ctx.q.q_s[i])
-
-
-def greedy_decide(ctx: DecisionContext) -> Association:
-    """Per-switch drift-plus-penalty minimizer.
-
-    Each switch independently uploads to the controller with the most
-    negative weight, or goes LOCAL when every weight is positive.
-    Switches with zero arrivals still get a decision; it routes nothing.
-    """
-    n_c = ctx.cost.n_controllers
-    target = []
-    for i in range(ctx.cost.n_switches):
-        best_j, best_w = LOCAL, 0
-        for j in range(n_c):
-            w = omega(i, j, ctx)
-            if w <= 0 and (best_j == LOCAL or w < best_w):
-                best_j, best_w = j, w
-        target.append(best_j)
-    return Association(target=tuple(target))
-
-
-def association_only_decide(ctx: DecisionContext) -> Association:
-    """Devolution-off kernel: each switch picks argmin_j v*W[i][j] + Qc_j.
-
-    Equivalent to greedy with a prohibitively large alpha, which makes
-    every controller upload-eligible and leaves only this argmin.
-    """
-    v = ctx.params.v
-    target = []
-    for i in range(ctx.cost.n_switches):
-        scores = [v * ctx.cost.w[i][j] + ctx.q.q_c[j]
-                  for j in range(ctx.cost.n_controllers)]
-        target.append(min(range(len(scores)), key=lambda j: (scores[j], j)))
-    return Association(target=tuple(target))
+from .model import LOCAL, Association, CostModel, Devolution, SchedulerParams
 
 
 def static_decide(cost: CostModel) -> Association:
@@ -145,64 +70,6 @@ def random_decide(n_switches: int, n_controllers: int,
         else np.zeros(0, np.intp)
 
 
-def jsq_decide(q: QueueState, n_switches: int) -> Association:
-    """Join-the-shortest-queue: every switch picks the controller with
-    the smallest backlog in the same pre-slot snapshot."""
-    j = min(range(len(q.q_c)), key=lambda c: (q.q_c[c], c))
-    return Association(target=(j,) * n_switches)
-
-
-def slot_objective(assoc: Association, ctx: DecisionContext) -> Rational:
-    """Full per-slot objective, including the association-independent
-    first term: sum_i (v*alpha_i + Qs_i)*A_i plus the weight of every
-    upload."""
-    v = ctx.params.v
-    total = 0
-    for i, t in enumerate(assoc.target):
-        a = ctx.arrivals[i]
-        total += (v * ctx.cost.alpha[i] + ctx.q.q_s[i]) * a
-        if t != LOCAL:
-            total += omega(i, t, ctx) * a
-    return total
-
-
-def brute_force_decide(ctx: DecisionContext) -> Association:
-    """Exhaustive per-slot oracle.
-
-    Enumerates every feasible association (each switch LOCAL or one
-    controller) in lexicographic target order and returns the first
-    one attaining the minimum objective. The per-switch cost tables are
-    built straight from the objective definition, independently of the
-    greedy weight decomposition.
-    """
-    n_s, n_c = ctx.cost.n_switches, ctx.cost.n_controllers
-    if (n_c + 1) ** n_s > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"instance too large for exhaustive search: "
-            f"({n_c}+1)^{n_s} > {BRUTE_FORCE_LIMIT}"
-        )
-    v = ctx.params.v
-    # contribution of switch i under each choice, LOCAL first
-    tables = []
-    for i in range(n_s):
-        a = ctx.arrivals[i]
-        row = [(v * ctx.cost.alpha[i] + ctx.q.q_s[i]) * a]
-        row.extend((v * ctx.cost.w[i][j] + ctx.q.q_c[j]) * a
-                   for j in range(n_c))
-        tables.append(row)
-    choices = [LOCAL] + list(range(n_c))
-    best_val = None
-    best = None
-    for combo in itertools.product(*([range(n_c + 1)] * n_s)):
-        val = 0
-        for i, c in enumerate(combo):
-            val += tables[i][c]
-        if best_val is None or val < best_val:
-            best_val = val
-            best = combo
-    return Association(target=tuple(choices[c] for c in best))
-
-
 class GreedyKernel:
     """The tables of the vectorised, integer-scaled greedy decider: the
     fast path for every scheme that decides from queues.
@@ -219,10 +86,11 @@ class GreedyKernel:
     its row: switches of one class share their argmin and its minimum in
     every slot, and only the LOCAL test below reads the switch's own
     backlog. With devolution on, switch i goes LOCAL where
-    M[i, j] > scale*Qs_i, so decisions equal greedy_decide exactly. With
-    devolution off that test is skipped; alpha_i is constant along a
-    row, so the argmin equals association_only_decide, and at v = 0
-    (p = 0, K = 0) it equals jsq_decide.
+    M[i, j] > scale*Qs_i, so decisions equal reference.greedy_decide
+    exactly. With devolution off that test is skipped; alpha_i is
+    constant along a row, so the argmin equals
+    reference.association_only_decide, and at v = 0 (p = 0, K = 0) it
+    equals reference.jsq_decide.
 
     `k` is K as a (classes x n_c) object array of Python ints, exact at
     any size. The engine casts the stacked K tables of a lane group to

@@ -7,7 +7,6 @@ every controller at once), and the derived computation cost alpha."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -305,19 +304,6 @@ def _place_jellyfish(topo: Topology, seed: int) -> PlacementResult:
     )
 
 
-def bfs_hops(adjacency: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
-    """Unweighted shortest-path hop counts from one source node."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def hop_matrix(topo: Topology, placement: PlacementResult):
     """w[i][j] = hop count from switch i to controller host j.
 
@@ -326,7 +312,7 @@ def hop_matrix(topo: Topology, placement: PlacementResult):
     distance to the host's ToR in the switch-only graph. So this runs
     one level-synchronous BFS over the switches alone for every
     controller at once, from each controller's ToR at 1, and equals
-    bfs_hops from each host.
+    reference.bfs_hops from each host.
 
     Each switch holds one bit per controller, in 64-bit words, set once
     that controller has reached it. Each switch's segment of the

@@ -22,7 +22,7 @@ for the switches still inside the slot. numpy's Generator gives the same
 values whatever the block size, and the trace arithmetic is the same
 float operations in the same order as drawing one event at a time, so
 the arrivals are bit-identical to that scalar specification
-(tests/test_traffic.py).
+(tests/test_traffic.py, over reference.inverse_cdf).
 """
 
 from __future__ import annotations
@@ -247,16 +247,6 @@ class EmpiricalCdf:
             m += (p1 - p0) * (x0 + x1) / 2.0
         return m
 
-    def sample(self, u: float) -> float:
-        """Inverse CDF at u in [0, 1)."""
-        if u <= self.ps[0]:
-            return self.xs[0]
-        for (x0, p0), (x1, p1) in zip(zip(self.xs, self.ps),
-                                      zip(self.xs[1:], self.ps[1:])):
-            if u <= p1:
-                return x0 + (x1 - x0) * (u - p0) / (p1 - p0)
-        return self.xs[-1]
-
     def _build_search(self):
         """Tables for sample_array. Segment k >= 1 runs from point k - 1
         to point k; segment 0 is the point mass at xs[0] (dx = 0, dp = 1,
@@ -283,8 +273,8 @@ class EmpiricalCdf:
         return m, start, steps, ps, x0, dx, p0, dp
 
     def sample_array(self, u: np.ndarray) -> np.ndarray:
-        """`sample` at every element of u, with the same float
-        expression, so each result has the same bits. The segment of u
+        """reference.inverse_cdf at every element of u, with the same
+        float expression, so each result has the same bits. The segment of u
         is k = #{ps < u}: a bucket table gives a lower bound and a fixed
         number of steps `k += ps[k] < u` makes it exact."""
         if self._search is None:

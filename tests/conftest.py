@@ -14,9 +14,9 @@ from sdnsched.model import (
     LOCAL,
     Association,
     CostModel,
-    QueueState,
     SchedulerParams,
 )
+from sdnsched.reference import QueueState, row_record
 from sdnsched.scheduler import lane_argmin
 from sdnsched.traffic import Poisson, TrafficConfig
 
@@ -63,6 +63,13 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
     row = q[0].tolist()
     return (QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:])),
             int(f[0]), Fraction(int(dg[0]), cost.tables.scale))
+
+
+def records(res):
+    """The reference.MetricsRecord of each of an engine.RunResult's kept
+    rows."""
+    return [row_record(row, res.scale, res.n_controllers, res.v)
+            for row in res.rows]
 
 
 def kernel_target(kernel, q_s, q_c):

@@ -9,14 +9,10 @@ import pytest
 
 from sdnsched import engine, traffic
 from sdnsched.engine import RunConfig, Scheme, run
-from sdnsched.model import (
-    CostModel,
-    Devolution,
-    QueueState,
-    SchedulerParams,
-)
-from sdnsched.scheduler import (
+from sdnsched.model import CostModel, Devolution, SchedulerParams
+from sdnsched.reference import (
     DecisionContext,
+    QueueState,
     association_only_decide,
     brute_force_decide,
     greedy_decide,
@@ -42,6 +38,7 @@ from conftest import (
     FIG1_X1,
     FIG1_X2,
     apply_slot_tuples,
+    records,
 )
 
 DESK_SEEDS = [0, 1, 2, 3, 4]
@@ -201,14 +198,14 @@ def test_criterion_5_tradeoff_trends(desk_sweep_results):
 
 def test_criterion_6_stability_and_static_divergence():
     res = run(desk_config(Scheme.GREEDY, 10, seed=0))
-    backlogs = [rec.total_backlog for rec in res.records]
+    backlogs = [rec.total_backlog for rec in records(res)]
     third = sum(backlogs[10_000:15_000]) / 5_000
     fourth = sum(backlogs[15_000:20_000]) / 5_000
     stable = abs(fourth - third) <= 0.10 * third if third > 0 else fourth == 0
 
     static_res = run(desk_config(Scheme.STATIC, 0, seed=0))
-    var_early = static_res.records[1_000].controller_backlog_variance
-    var_late = static_res.records[-1].controller_backlog_variance
+    var_early = records(static_res)[1_000].controller_backlog_variance
+    var_late = records(static_res)[-1].controller_backlog_variance
     diverges = var_late >= 10 * var_early and var_early > 0
     report("criterion 6: greedy stable, static variance diverges",
            stable and diverges,

@@ -18,6 +18,8 @@ from sdnsched.cli import build_parser, cmd_sweep, main
 from sdnsched.metrics import format_rational
 from sdnsched.model import Devolution
 
+from conftest import records
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -138,7 +140,12 @@ class TestRun:
         (b'{"kind": "fat-tree",', "Expecting property name enclosed in "
          "double quotes: line 1 column 21 (char 20)"),
         (b"\xff{}", None),
-    ], ids=["truncated", "not-utf-8"])
+        # nested deeper than the recursion limit
+        (b"[" * 100000, "maximum recursion depth exceeded while decoding a "
+         "JSON array from a unicode string"),
+        (b'{"a": ' * 100000, "maximum recursion depth exceeded while "
+         "decoding a JSON object from a unicode string"),
+    ], ids=["truncated", "not-utf-8", "deep-array", "deep-object"])
     def test_malformed_config_named(self, capsys, tmp_path, command, text,
                                     problem):
         path = tmp_path / "bad.json"
@@ -757,7 +764,8 @@ class TestSweepMeans:
                 results = [engine.run(replace(
                     c, params=replace(c.params, v=Fraction(v))))
                     for c in cfgs if c.scheme.value == scheme]
-                cost = sum(r.final.f_bar + r.final.g_bar for r in results)
+                cost = sum(records(r)[-1].f_bar + records(r)[-1].g_bar
+                           for r in results)
                 backlog = sum(r.mean_backlog for r in results)
                 expected.append(",".join([
                     scheme, v, format_rational(cost / len(results)),

@@ -1,12 +1,14 @@
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsched import engine
+from sdnsched import cli, engine
 from sdnsched import traffic as tr
 from sdnsched.cli import main
 from sdnsched.engine import (
@@ -17,15 +19,19 @@ from sdnsched.engine import (
     run,
     sweep,
 )
-from sdnsched.metrics import controller_variance, row_record
+from sdnsched.metrics import format_rational
 from sdnsched.model import (
     LOCAL,
     Association,
     CostModel,
     Devolution,
-    QueueState,
     SchedulerParams,
+)
+from sdnsched.reference import (
+    QueueState,
+    controller_variance,
     lyapunov,
+    row_record,
     slot_comm_cost,
     slot_comp_cost,
     step_controller_queue,
@@ -43,6 +49,7 @@ from conftest import (
     FIG1_X2,
     apply_slot_tuples,
     kernel_target,
+    records,
 )
 
 
@@ -227,14 +234,14 @@ class TestApplySlot:
 class TestRun:
     def test_single_slot_average(self):
         cfg = small_cfg(horizon=1, process=Constant(2))
-        res = run(cfg)
-        assert res.final.f_bar == res.final.f_slot
-        assert res.final.g_bar == res.final.g_slot
+        final = records(run(cfg))[-1]
+        assert final.f_bar == final.f_slot
+        assert final.g_bar == final.g_slot
 
     def test_deterministic(self):
         cfg = small_cfg(horizon=200, seed=11)
         a, b = run(cfg), run(cfg)
-        assert a.records == b.records
+        assert records(a) == records(b)
 
     def test_queue_dynamics_followed_exactly(self):
         # replay the run through apply_slot with the same streams
@@ -247,7 +254,7 @@ class TestRun:
         services = ((tcfg.controller_capacity,) * tcfg.n_controllers,
                     (tcfg.switch_capacity,) * tcfg.n_switches)
         q = lane_queues(group)
-        for rec in res.records:
+        for rec in records(res):
             arrivals = tr.sample_slot_arrivals(arrival_state)
             assoc = decide_tuples(group, q)
             q, f, g = apply_slot_tuples(q, assoc, arrivals, *services,
@@ -258,7 +265,7 @@ class TestRun:
     def test_all_schemes_execute(self):
         for scheme in Scheme:
             res = run(small_cfg(scheme=scheme, horizon=30))
-            assert len(res.records) == 30
+            assert len(records(res)) == 30
 
     def test_lyapunov_logging(self):
         cfg = small_cfg(horizon=20)
@@ -266,7 +273,8 @@ class TestRun:
         res = run(cfg)
         # drift sample at slot t: L(Q(t+1)) - L(Q(t)) + V * (f(t) + g(t)),
         # where L(Q(t+1)) is the next record's logged snapshot
-        for cur, nxt in zip(res.records, res.records[1:]):
+        recs = records(res)
+        for cur, nxt in zip(recs, recs[1:]):
             assert cur.drift_penalty_sample == \
                 nxt.lyapunov - cur.lyapunov \
                 + cfg.params.v * (cur.f_slot + cur.g_slot)
@@ -275,7 +283,7 @@ class TestRun:
         cfg = small_cfg(horizon=100)
         cfg = engine.replace(cfg, stride=10)
         res = run(cfg)
-        assert [r.t for r in res.records] == list(range(0, 100, 10)) + [99]
+        assert [r.t for r in records(res)] == list(range(0, 100, 10)) + [99]
 
 
 @st.composite
@@ -377,12 +385,37 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     def test_time_averages_exact(self, cfg):
         res = run(cfg)
+        recs = records(res)
         horizon = cfg.horizon_slots
-        assert len(res.records) == horizon
-        assert res.final.f_bar * horizon == sum(r.f_slot for r in res.records)
-        assert res.final.g_bar * horizon == sum(r.g_slot for r in res.records)
+        assert len(recs) == horizon
+        assert recs[-1].f_bar * horizon == sum(r.f_slot for r in recs)
+        assert recs[-1].g_bar * horizon == sum(r.g_slot for r in recs)
         assert res.mean_backlog * horizon == \
-            sum(r.total_backlog for r in res.records)
+            sum(r.total_backlog for r in recs)
+
+    @given(run_cases(), st.sampled_from([None, 10 ** 30]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_summary_formats_the_final_record(self, cfg, v, log):
+        # each value of <name>.summary.json, formatted from the final kept
+        # row's integers, is its reference record's value (or the mean
+        # backlog) run through format_rational; V = 10**30 runs on object
+        # arrays
+        if v is not None:
+            cfg = engine.replace(cfg, params=engine.replace(cfg.params, v=v))
+        cfg = engine.replace(cfg, log_lyapunov=log)
+        res = run(cfg)
+        final = records(res)[-1]
+        with tempfile.TemporaryDirectory() as out:
+            _, summary = cli._write_run_output(cfg, {}, res, Path(out), "s")
+            written = json.loads(Path(out, "s.summary.json").read_text())
+        assert written == summary == {
+            "config": {},
+            "f_bar": format_rational(final.f_bar),
+            "g_bar": format_rational(final.g_bar),
+            "total_cost": format_rational(final.f_bar + final.g_bar),
+            "mean_backlog": format_rational(res.mean_backlog),
+            "final_backlog": final.total_backlog,
+        }
 
 
 class TestInt64Limit:
@@ -645,7 +678,7 @@ class TestSweep:
         cfg = small_cfg(v=7, horizon=100)
         row = sweep(cfg, [7])[0]
         res = run(cfg)
-        assert row.f_bar == res.final.f_bar
+        assert row.f_bar == records(res)[-1].f_bar
         assert row.mean_backlog == res.mean_backlog
 
     def test_common_random_numbers(self):

@@ -1,5 +1,7 @@
 """Every name a sdnsched module imports is used in it or exported
-through its `__all__`, so a deletion cannot leave an import behind."""
+through its `__all__`, so a deletion cannot leave an import behind; and
+no module but reference.py itself imports sdnsched.reference, so the
+specification stays off every command's path."""
 
 import ast
 from pathlib import Path
@@ -39,3 +41,33 @@ def test_every_import_used(path):
 def test_unused_import_caught():
     assert unused_imports("import math\nimport os.path\nfrom a import b as c"
                           "\n__all__ = ['c']\nos.getcwd()\n") == ["math"]
+
+
+def imports_reference(source: str) -> bool:
+    """Whether the module imports sdnsched.reference, or a name from it,
+    in any spelling: relative or absolute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "sdnsched.reference" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("reference", "sdnsched.reference") or (
+                    node.module in (None, "sdnsched")
+                    and any(a.name == "reference" for a in node.names)):
+                return True
+    return False
+
+
+def test_reference_imported_by_no_module():
+    assert [path.name for path in MODULES if path.name != "reference.py"
+            and imports_reference(path.read_text())] == []
+
+
+def test_reference_import_caught():
+    for text in ("from .reference import QueueState",
+                 "from . import reference", "import sdnsched.reference",
+                 "from sdnsched.reference import row_record",
+                 "from sdnsched import reference as spec"):
+        assert imports_reference(text), text
+    assert not imports_reference("from .metrics import format_ratio\n"
+                                 "from .model import LOCAL")

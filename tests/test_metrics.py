@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from sdnsched.metrics import (
     Accumulator,
-    controller_variance,
     format_ratio,
     format_rational,
     record_to_csv_row,
-    row_record,
 )
-from sdnsched.model import QueueState
+from sdnsched.reference import QueueState, controller_variance, row_record
 
 
 def keep_record(acc, f, dg, q, uploads, locals_):

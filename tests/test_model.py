@@ -3,10 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sdnsched.model import (
-    LOCAL,
-    Association,
-    CostModel,
+from sdnsched.model import LOCAL, Association, CostModel
+from sdnsched.reference import (
     QueueState,
     lyapunov,
     slot_comm_cost,

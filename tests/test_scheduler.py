@@ -9,20 +9,22 @@ from sdnsched.model import (
     Association,
     CostModel,
     Devolution,
-    QueueState,
     SchedulerParams,
 )
-from sdnsched.scheduler import (
+from sdnsched.reference import (
     DecisionContext,
-    GreedyKernel,
+    QueueState,
     association_only_decide,
     brute_force_decide,
     greedy_decide,
     jsq_decide,
-    mt19937_of,
     omega,
-    random_decide,
     slot_objective,
+)
+from sdnsched.scheduler import (
+    GreedyKernel,
+    mt19937_of,
+    random_decide,
     static_decide,
 )
 from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers

@@ -4,9 +4,9 @@ import pytest
 
 from sdnsched import topology
 from sdnsched.model import TopoKind, Topology
+from sdnsched.reference import bfs_hops
 from sdnsched.topology import (
     PlacementResult,
-    bfs_hops,
     derive_alpha,
     dump_edge_list,
     gen_f10,

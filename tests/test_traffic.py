@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sdnsched import traffic
 from sdnsched.engine import LaneGroup, RunConfig, Scheme
 from sdnsched.model import CostModel, SchedulerParams
+from sdnsched.reference import inverse_cdf
 from sdnsched.traffic import (
     ArrivalState,
     Constant,
@@ -47,7 +48,7 @@ class ReferenceStream:
         self.pos = 0
         if isinstance(process, TraceCdf):
             self.cdf = cdf
-            self.next_event = cdf.sample(self.rng.random())
+            self.next_event = inverse_cdf(cdf, self.rng.random())
 
     def _refill(self):
         p = self.process
@@ -69,7 +70,7 @@ class ReferenceStream:
             while self.next_event <= budget:
                 count += 1
                 budget -= self.next_event
-                self.next_event = self.cdf.sample(self.rng.random())
+                self.next_event = inverse_cdf(self.cdf, self.rng.random())
             self.next_event -= budget
         else:
             if self.pos >= len(self.buf):
@@ -167,7 +168,7 @@ class TestCdfLoading:
     def test_constant_point(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(tmp_path, "1700 1.0\n"))
         assert cdf.mean == 1700
-        assert cdf.sample(0.3) == 1700
+        assert inverse_cdf(cdf, 0.3) == 1700
 
     def test_comments_and_blanks(self, tmp_path):
         cdf = load_interarrival_cdf(
@@ -225,7 +226,7 @@ class TestCdfLoading:
     def test_uniform_sample_mean(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(tmp_path, "1000 0.0\n2400 1.0\n"))
         rng = np.random.default_rng(0)
-        draws = [cdf.sample(u) for u in rng.random(10 ** 5)]
+        draws = [inverse_cdf(cdf, u) for u in rng.random(10 ** 5)]
         assert abs(np.mean(draws) - 1700) / 1700 < 0.01
 
 
@@ -261,11 +262,11 @@ class TestArrivals:
         total = sum(sample_slot_arrivals(state)[0] for _ in range(n_slots))
         cdf = load_interarrival_cdf(path)
         rng = np.random.default_rng([cfg.seed, 0])
-        t, events = cdf.sample(rng.random()), 0
+        t, events = inverse_cdf(cdf, rng.random()), 0
         horizon = n_slots * cfg.slot_length_us
         while t <= horizon:
             events += 1
-            t += cdf.sample(rng.random())
+            t += inverse_cdf(cdf, rng.random())
         assert total == events
 
     def test_poisson_mean(self):
@@ -393,7 +394,8 @@ class TestBlockSampler:
         # takes several correction steps, or a binary search when that is
         # more steps than a binary search takes
         assert steps is None or steps >= (n_cluster + 1) // 2
-        assert bits(cdf.sample_array(u)) == bits([cdf.sample(x) for x in u])
+        assert bits(cdf.sample_array(u)) == \
+            bits([inverse_cdf(cdf, x) for x in u])
 
     @pytest.mark.parametrize("ps, steps", [
         # three probabilities in one bucket: three correction steps
@@ -409,12 +411,13 @@ class TestBlockSampler:
                             1 - np.geomspace(1e-9, 0.02, 500)])
         out = cdf.sample_array(u)
         assert cdf._search[2] == steps
-        assert bits(out) == bits([cdf.sample(x) for x in u])
+        assert bits(out) == bits([inverse_cdf(cdf, x) for x in u])
 
     def test_sample_array_keeps_negative_zero(self, tmp_path):
         cdf = load_interarrival_cdf(write_cdf(tmp_path, "-0 0.5\n10 1.0\n"))
         u = np.array([0.0, 0.25, 0.5, 0.75])
-        assert bits(cdf.sample_array(u)) == bits([cdf.sample(x) for x in u])
+        assert bits(cdf.sample_array(u)) == \
+            bits([inverse_cdf(cdf, x) for x in u])
 
     @pytest.mark.parametrize("block", [None, 16])
     def test_trace_events_past_the_window(self, tmp_path, block):
@@ -470,7 +473,8 @@ class TestBlockSampler:
             tmp_path, "0 0.1\n10 0.35\n250.5 0.6\n251 0.9\n9000 1.0\n"))
         u = np.concatenate([np.random.default_rng(0).random(5000),
                             [0.0, 0.1, 0.35, 0.6, 0.9, 0.1000001]])
-        assert cdf.sample_array(u).tolist() == [cdf.sample(x) for x in u]
+        assert cdf.sample_array(u).tolist() == \
+            [inverse_cdf(cdf, x) for x in u]
 
 
 def lane_services(cfg):
