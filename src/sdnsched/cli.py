@@ -213,9 +213,15 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
         return cfg.get(key, RUN_KEYS[key].default)
 
     def seed(key):
-        # SDND_SEED is read only when it supplies the seed; 0 stands in
-        # for a bad value, so that the other checks still run
-        return cfg[key] if key in cfg else attempt(_default_seed) or 0
+        # SDND_SEED is read only when it supplies the seed. A negative
+        # seed is named by the key or variable that gave it: random.Random
+        # would seed with its absolute value. 0 stands in for a bad or
+        # negative value, so that the other checks still run
+        given = cfg[key] if key in cfg else attempt(_default_seed) or 0
+        if given < 0:
+            name = key if key in cfg else "SDND_SEED"
+            problems.append(f"{name} must be >= 0, got {given}")
+        return max(given, 0)
 
     kind = attempt(TopoKind, cfg["kind"],
                    problem=f"unknown topology kind {cfg['kind']!r}")
@@ -238,12 +244,6 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
         problems.append(f"stride must be >= 1, got {stride}")
     topo_seed, run_seed = seed("topo_seed"), seed("run_seed")
     traffic_seed = seed("traffic_seed")
-    if traffic_seed < 0:
-        # TrafficConfig rejects a negative seed as `seed`; this names the
-        # key or variable that gave it, and 0 stands in below, so that
-        # the problem is reported once
-        name = "traffic_seed" if "traffic_seed" in cfg else "SDND_SEED"
-        problems.append(f"{name} must be >= 0, got {traffic_seed}")
     # the switch count, which bounds the hot-spot ids, and the traffic
     # config need the topology
     fabric = attempt(_fabric, kind, cfg["k"], topo_seed, cfg.get("hosts_min"),
@@ -265,7 +265,7 @@ def resolve(cfg: dict) -> tuple[RunConfig, dict]:
         hot_spot_rate=hot_rate,
         controller_capacity=value("controller_capacity"),
         switch_capacity=value("switch_capacity"), a_max=value("a_max"),
-        seed=max(traffic_seed, 0))
+        seed=traffic_seed)
     if problems:
         raise ConfigError(problems)
 
@@ -340,6 +340,9 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
 def cmd_topo(args) -> int:
     kind = TopoKind(args.kind)
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        name = "--seed" if args.seed is not None else "SDND_SEED"
+        raise ConfigError([f"{name} must be >= 0, got {seed}"])
     topo, cost = _fabric(kind, args.k, seed, args.hosts_min, args.hosts_max)
     stats = (f"kind={kind.value} k={args.k} switches={topo.n_switches} "
              f"hosts={topo.n_hosts} controllers={cost.n_controllers} "
@@ -411,9 +414,9 @@ def _parse_grid(text: str):
     return values
 
 
-def cmd_sweep(args, fixed_schemes=None) -> int:
+def cmd_sweep(args) -> int:
     grid = _parse_grid(args.v_grid)
-    names = fixed_schemes or [s.strip() for s in args.schemes.split(",")]
+    names = [s.strip() for s in args.schemes.split(",")]
     tokens = args.seeds.split(",")
     try:
         # each seed is a run seed and a traffic seed
@@ -515,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
     p_cmp.add_argument("--v-grid", required=True)
     p_cmp.add_argument("--seeds", default="0")
-    p_cmp.set_defaults(func=lambda a: cmd_sweep(
-        a, fixed_schemes=["greedy", "static", "random", "jsq"]))
+    p_cmp.set_defaults(func=cmd_sweep, schemes="greedy,static,random,jsq")
 
     return parser
 

@@ -23,7 +23,6 @@ total backlog passes its limit, so no sum ever wraps.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -41,7 +40,6 @@ from .model import (
     SchedulerParams,
 )
 from .scheduler import (
-    GreedyKernel,
     lane_argmin,
     mt19937_of,
     random_decide,
@@ -82,36 +80,52 @@ class RunConfig:
             raise ValueError("cost model and traffic config sizes disagree")
 
 
+def argmin_rule(cfg: RunConfig) -> tuple[Fraction, bool] | None:
+    """The argmin a lane decides by (scheduler.lane_argmin), as its V and
+    whether it devolves, or None for a Static or Random lane: a greedy
+    lane takes its own V and devolution, and JSQ is the devolution-off
+    argmin at V = 0."""
+    if cfg.scheme is Scheme.GREEDY:
+        return Fraction(cfg.params.v), cfg.params.devolution is Devolution.ON
+    if cfg.scheme is Scheme.JSQ:
+        return Fraction(0), False
+    return None
+
+
 def lane_order(cfg: RunConfig) -> int:
     """A lane's place in a LaneGroup: argmin lanes that devolve, other
     argmin lanes, Static lanes, Random lanes."""
-    if cfg.scheme is Scheme.GREEDY:
-        return 0 if cfg.params.devolution is Devolution.ON else 1
-    return {Scheme.JSQ: 1, Scheme.STATIC: 2, Scheme.RANDOM: 3}[cfg.scheme]
+    rule = argmin_rule(cfg)
+    if rule is not None:
+        return 0 if rule[1] else 1
+    return 2 if cfg.scheme is Scheme.STATIC else 3
 
 
-def int64_queue_limit(cfg: RunConfig, kernel: GreedyKernel | None = None
-                      ) -> int:
+def int64_queue_limit(cfg: RunConfig) -> int:
     """Largest backlog at which a lane's slot can run on int64 arrays;
     negative when none can.
 
     With every arrival at most a_max and every backlog at most the
     limit, apply_slot's sums stay below INT64_BOUND: the prices
     n_s*weight*a_max + backlog, the slot-end backlogs, and their total
-    over all queues; so do lane_argmin's sums max|K| + scale*backlog for
-    the `kernel` a greedy or JSQ lane decides with. Services need no
-    term: TrafficConfig caps them at MAX_CAPACITY.
+    over all queues; so do, for a lane with an argmin_rule V = p/q,
+    lane_argmin's sums max|K| + scale*backlog, where max|K| =
+    p*max|gap| and scale = q*d (CostTables.gap and its scale d). Services
+    need no term: TrafficConfig caps them at MAX_CAPACITY.
     """
     cost, a_max = cfg.cost, cfg.traffic.a_max
-    n_s = cost.n_switches
-    limit = min(INT64_BOUND - 1 - n_s * cost.tables.weight * a_max,
+    tables, n_s = cost.tables, cost.n_switches
+    limit = min(INT64_BOUND - 1 - n_s * tables.weight * a_max,
                 (INT64_BOUND - 1) // (n_s + cost.n_controllers) - n_s * a_max)
-    if kernel is None:
+    rule = argmin_rule(cfg)
+    if rule is None:
         return limit
-    if kernel.scale >= INT64_BOUND:
+    v = rule[0]
+    scale = v.denominator * tables.scale
+    if scale >= INT64_BOUND:
         return -1
-    top = abs(kernel.k).max(initial=0)
-    return min(limit, (INT64_BOUND - 1 - top) // kernel.scale)
+    top = v.numerator * abs(tables.gap).max(initial=0)
+    return min(limit, (INT64_BOUND - 1 - top) // scale)
 
 
 def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
@@ -166,10 +180,11 @@ class LaneGroup:
     `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
     `order[l]` is the index in `cfgs` of lane l: greedy lanes with
     devolution on, then the other argmin lanes (greedy with devolution
-    off, and JSQ, the devolution-off argmin at v = 0), which all decide
-    in one lane_argmin call over their stacked K tables (one row per row
-    class of the cost model, CostTables.row_class); then Static lanes, a
-    fixed target row each; then Random lanes, each drawing from
+    off, and JSQ), which all decide in one lane_argmin call over their
+    stacked tables K = p*gap and scales q*d, for the V = p/q of each
+    lane's argmin_rule (one row per row class of the cost model,
+    CostTables.gap and row_class); then Static lanes, a fixed target row
+    each; then Random lanes, each drawing from
     mt19937_of(random.Random(run_seed)), the words a separate run's
     per-slot randrange loop would take, RANDOM_BLOCK slots per call.
     `rows[i]` is the index of config i's arrival row among the rows a
@@ -189,25 +204,23 @@ class LaneGroup:
         self.cfgs = [cfgs[i] for i in self.order]
         n_s, n_c = cost.n_switches, cost.n_controllers
         self.n_s, self.n_c = n_s, n_c
-        jsq = SchedulerParams(v=0, devolution=Devolution.OFF)
-        argmin = [GreedyKernel(cost, jsq if cfg.scheme is Scheme.JSQ
-                               else cfg.params)
-                  for cfg in self.cfgs
-                  if cfg.scheme in (Scheme.GREEDY, Scheme.JSQ)]
-        # argmin lanes come first, so the other lanes pair with no kernel
-        limits = [int64_queue_limit(cfg, kernel) for cfg, kernel
-                  in itertools.zip_longest(self.cfgs, argmin)]
+        tables = cost.tables
+        # argmin lanes come first in lane order
+        argmin = [rule for rule in map(argmin_rule, self.cfgs)
+                  if rule is not None]
+        limits = [int64_queue_limit(cfg) for cfg in self.cfgs]
         dtype = np.int64 if min(limits) >= 0 else object
         # an object group has no limit to check
         self.limit = limits if dtype is np.int64 else []
         self.n_argmin = len(argmin)
-        self.n_devolve = sum(k.devolve for k in argmin)
-        self.k = np.array([k.k for k in argmin], object).astype(dtype)
-        self.row_class = cost.tables.row_class
-        self.scale = np.array([[k.scale] for k in argmin], object) \
-            .astype(dtype)
-        self.w = cost.tables.w.astype(dtype)
-        self.scaled_alpha = cost.tables.scaled_alpha.astype(dtype)
+        self.n_devolve = sum(devolve for _, devolve in argmin)
+        self.k = np.array([v.numerator * tables.gap for v, _ in argmin],
+                          object).astype(dtype)
+        self.row_class = tables.row_class
+        self.scale = np.array([[v.denominator * tables.scale]
+                               for v, _ in argmin], object).astype(dtype)
+        self.w = tables.w.astype(dtype)
+        self.scaled_alpha = tables.scaled_alpha.astype(dtype)
         self.q = np.zeros((len(cfgs), n_s + n_c), dtype)
         self.service = np.array(
             [[cfg.traffic.switch_capacity] * n_s
@@ -365,18 +378,16 @@ class SweepRow:
     mean_backlog: Fraction
 
 
-def sweep(cfg, v_values) -> list[SweepRow]:
-    """One row per (config, V), config by config in grid order: `cfg` is
-    one RunConfig or a sequence of them, and every distinct (config, V)
-    run is a lane of one run_lanes call, so lanes with the same traffic
-    config share their arrivals (common random numbers). Static, Random
-    and JSQ lanes do not read V, so one lane serves every V of their
-    config. A row reads only the final kept row's cost_means and the
-    mean backlog, so each lane keeps rows for its first and last
-    slots alone."""
+def sweep(cfgs, v_values) -> list[SweepRow]:
+    """One row per (config, V), config by config in grid order: every
+    distinct (config, V) run of the RunConfigs `cfgs` is a lane of one
+    run_lanes call, so lanes with the same traffic config share their
+    arrivals (common random numbers). Static, Random and JSQ lanes do not
+    read V, so one lane serves every V of their config. A row reads only
+    the final kept row's cost_means and the mean backlog, so each lane
+    keeps rows for its first and last slots alone."""
     if not v_values:
         raise ValueError("empty V grid")
-    cfgs = [cfg] if isinstance(cfg, RunConfig) else cfg
     pairs = [(c, v, (id(c), v if c.scheme is Scheme.GREEDY else None))
              for c in cfgs for v in v_values]
     lanes = {}
@@ -410,9 +421,8 @@ def capacity_check(cfg: RunConfig) -> list[str]:
     ctrl_cap = t.controller_capacity * t.n_controllers
     switch_cap = t.switch_capacity * t.n_switches
     warnings = tr.cap_warnings(t)
-    devolution_off = (cfg.scheme is Scheme.GREEDY
-                      and cfg.params.devolution is Devolution.OFF)
-    if devolution_off or cfg.scheme is not Scheme.GREEDY:
+    rule = argmin_rule(cfg)
+    if rule is None or not rule[1]:
         if total_in >= ctrl_cap:
             warnings.append(
                 f"supercritical without devolution: mean arrivals "

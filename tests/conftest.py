@@ -5,6 +5,7 @@ import pytest
 
 from sdnsched.engine import (
     INT64_BOUND,
+    LaneGroup,
     RunConfig,
     Scheme,
     apply_slot,
@@ -14,10 +15,10 @@ from sdnsched.model import (
     LOCAL,
     Association,
     CostModel,
+    Devolution,
     SchedulerParams,
 )
 from sdnsched.reference import QueueState, row_record
-from sdnsched.scheduler import lane_argmin
 from sdnsched.traffic import Poisson, TrafficConfig
 
 # Worked three-switch / two-controller example: controllers serve 2,
@@ -72,16 +73,27 @@ def records(res):
             for row in res.rows]
 
 
-def kernel_target(kernel, q_s, q_c):
-    """scheduler.lane_argmin run for one GreedyKernel lane on backlog
-    tuples as the engine runs it: on kernel.k cast to int64 and int64
-    arrays when the scale and max|K| + scale*max(Q) are below
-    INT64_BOUND, else on kernel.k and object arrays of Python ints.
-    Returns the target tuple."""
-    top = abs(kernel.k).max(initial=0) + kernel.scale * max(q_s + q_c)
-    fits = kernel.scale < INT64_BOUND and top < INT64_BOUND
-    dtype = np.int64 if fits else object
-    return tuple(lane_argmin(kernel.k[None].astype(dtype), kernel.scale,
-                             np.array([q_s], dtype), np.array([q_c], dtype),
-                             int(kernel.devolve), kernel.row_class)[0]
-                 .tolist())
+def argmin_lane(cost, scheme, v=0, devolution=Devolution.ON):
+    """An engine.LaneGroup of one `scheme` lane on `cost`, built as a run
+    builds it: on int64 arrays unless the lane's int64 queue limit is
+    negative."""
+    cfg = RunConfig(
+        cost=cost, traffic=TrafficConfig(
+            base_process=Poisson(0), n_switches=cost.n_switches,
+            n_controllers=cost.n_controllers),
+        scheme=scheme, params=SchedulerParams(v=v, devolution=devolution),
+        horizon_slots=1)
+    return LaneGroup([cfg], [0])
+
+
+def lane_target(group, q_s, q_c):
+    """The target tuple group.decide gives its one lane for backlog
+    tuples, on the group's arrays' dtype. An int64 group only decides for
+    backlogs within its lane's int64 queue limit (LaneGroup.advance widens
+    after the slot that passes it), so a test that passes the limit calls
+    group.widen() first."""
+    if group.limit:
+        assert sum(q_s) + sum(q_c) <= group.limit[0]
+    dtype = group.q.dtype
+    return tuple(group.decide(np.array([q_s], dtype),
+                              np.array([q_c], dtype))[0].tolist())

@@ -66,6 +66,16 @@ class TestTopo:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0].startswith("# kind=fat-tree k=4")
 
+    def test_negative_seed_named(self, capsys, tmp_path):
+        # random.Random seeds with |seed|, so -3 would build seed 3's graph
+        out_file = tmp_path / "edges.txt"
+        code, out, err = run_cli(capsys, "topo", "--kind", "jellyfish",
+                                 "--k", "6", "--seed", "-3",
+                                 "--out", str(out_file))
+        assert code == 1
+        assert err == "error: --seed must be >= 0, got -3\n"
+        assert out == "" and not out_file.exists()
+
     def test_jellyfish_default_host_range_builds(self, capsys):
         # 1024 hosts over 320 switches: 3 or 4 each, so the default range
         # must reach the mean of k/5 hosts per switch
@@ -282,10 +292,22 @@ class TestRun:
         assert "traffic_seed must be >= 0, got -1" in err
         assert "non-negative integer" not in err
 
-    def test_negative_run_seed_accepted(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, *self.base_args(
-            tmp_path, "--scheme", "random", "--run-seed", "-2"))
-        assert code == 0
+    @pytest.mark.parametrize("flag", ["--run-seed", "--topo-seed"])
+    def test_negative_seed_flag_named(self, capsys, tmp_path, flag):
+        # random.Random seeds with |seed|, so -3 would run as 3
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path / "out", "--scheme", "random", flag, "-3"))
+        assert code == 1
+        key = flag[2:].replace("-", "_")
+        assert err == f"error: {key} must be >= 0, got -3\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["run_seed", "topo_seed"])
+    def test_negative_seed_key_named(self, capsys, tmp_path, key):
+        code, _, err = self.run_config(capsys, tmp_path, **{key: -1})
+        assert code == 1
+        assert err == f"error: {key} must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("cdf, problem", [
         ("-5 0.5\n5 1.0\n", "nonnegative"),
@@ -516,8 +538,7 @@ class TestSweep:
             "--arrivals", "constant:2", "--v-grid", "0,10",
             "--seeds", "1,2", "--out-dir", str(tmp_path)])
         before = dict(vars(args))
-        fixed = ["greedy", "jsq"] if command == "compare" else None
-        assert cmd_sweep(args, fixed_schemes=fixed) == 0
+        assert cmd_sweep(args) == 0
         capsys.readouterr()
         assert vars(args) == before
 
@@ -658,6 +679,16 @@ class TestSweep:
         assert code == 1
         assert f"bad {flag} value {value!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_negative_topo_seed_named(self, capsys, tmp_path, command):
+        code, _, err = run_cli(
+            capsys, command, "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--v-grid", "0", "--topo-seed", "-3",
+            "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "error: topo_seed must be >= 0, got -3\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare_covers_four_schemes(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -941,13 +972,34 @@ def test_seed_env_var_unread_when_every_seed_given(capsys, tmp_path,
 
 
 def test_negative_seed_env_var_named(capsys, tmp_path, monkeypatch):
-    # SDND_SEED supplies the traffic seed here, so the message names it
+    # SDND_SEED supplies every seed here, so the message names it, once
     monkeypatch.setenv("SDND_SEED", "-1")
     code, _, err = run_cli(capsys, "run", "--kind", "fat-tree", "--k", "4",
                            "--horizon", "5", "--scheme", "jsq",
-                           "--out-dir", str(tmp_path))
+                           "--out-dir", str(tmp_path / "out"))
     assert code == 1
-    assert "SDND_SEED must be >= 0, got -1" in err
+    assert err == "error: SDND_SEED must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "jsq", "--topo-seed", "1", "--traffic-seed", "1",
+     "--horizon", "5"],
+    ["sweep", "--v-grid", "0", "--seeds", "1", "--horizon", "5"],
+    ["topo"],
+], ids=["run-seed", "sweep-topo-seed", "topo"])
+def test_negative_seed_env_var_named_when_it_supplies_one(
+        capsys, tmp_path, monkeypatch, argv):
+    # SDND_SEED supplies one seed here: a run seed, a sweep's topology
+    # seed, topo's seed
+    monkeypatch.setenv("SDND_SEED", "-1")
+    out = ["--out-dir", str(tmp_path / "out")] if argv[0] != "topo" else []
+    code, stdout, err = run_cli(capsys, *argv, "--kind", "fat-tree",
+                                "--k", "4", *out)
+    assert code == 1
+    assert err == "error: SDND_SEED must be >= 0, got -1\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def readme_commands():

@@ -37,7 +37,6 @@ from sdnsched.reference import (
     step_controller_queue,
     step_switch_queue,
 )
-from sdnsched.scheduler import GreedyKernel
 from sdnsched.traffic import Constant, Pareto, Poisson, TrafficConfig
 
 from conftest import (
@@ -48,7 +47,8 @@ from conftest import (
     FIG1_X1,
     FIG1_X2,
     apply_slot_tuples,
-    kernel_target,
+    argmin_lane,
+    lane_target,
     records,
 )
 
@@ -497,9 +497,7 @@ class TestInt64Limit:
         for a_max in (2 ** 63 - 1, 2 ** 70):
             assert engine.int64_queue_limit(lane(a_max)) < 0
         # max|K| = V = INT64_BOUND - 8 at scale 1 leaves 7
-        cfg = lane(10, v=INT64_BOUND - 8)
-        assert engine.int64_queue_limit(
-            cfg, GreedyKernel(cost, cfg.params)) == 7
+        assert engine.int64_queue_limit(lane(10, v=INT64_BOUND - 8)) == 7
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -530,33 +528,67 @@ class TestInt64Limit:
             params=SchedulerParams(
                 v=v, devolution=draw(st.sampled_from(Devolution))),
             horizon_slots=1)
-        kernel = None  # as LaneGroup builds it
-        if cfg.scheme is Scheme.GREEDY:
-            kernel = GreedyKernel(cost, cfg.params)
-        elif cfg.scheme is Scheme.JSQ:
-            kernel = GreedyKernel(cost, SchedulerParams(
-                v=0, devolution=Devolution.OFF))
+        # greedy and JSQ lanes take the argmin, JSQ at v = 0
+        argmin = cfg.scheme in (Scheme.GREEDY, Scheme.JSQ)
+        kv = Fraction(v if cfg.scheme is Scheme.GREEDY else 0)
+        # the argmin's scale: q*d for kv = p/q and alpha's denominator d
+        scale = kv.denominator * cost.tables.scale
         weight = cost.tables.weight
 
         def sums(backlog):
             out = [n_s * weight * a_max + backlog,
                    (n_s + n_c) * (backlog + n_s * a_max)]
-            if kernel is not None:
-                # max|K| is scale * max|v*(W - alpha)|, v = 0 for JSQ
-                kv = v if cfg.scheme is Scheme.GREEDY else 0
-                top = kernel.scale * max(abs(kv * (w - a))
-                                         for row, a in zip(cost.w, cost.alpha)
-                                         for w in row)
-                out += [top + kernel.scale * backlog, kernel.scale * backlog]
+            if argmin:
+                # max|K| is scale * max|kv*(W - alpha)|
+                top = scale * max(abs(kv * (w - a))
+                                  for row, a in zip(cost.w, cost.alpha)
+                                  for w in row)
+                out += [top + scale * backlog, scale * backlog]
             return out
 
-        limit = engine.int64_queue_limit(cfg, kernel)
+        limit = engine.int64_queue_limit(cfg)
         if limit >= 0:
             assert max(sums(limit)) < INT64_BOUND
             assert max(sums(limit + 1)) >= INT64_BOUND
-        scale_too_large = kernel is not None and kernel.scale >= INT64_BOUND
         assert (limit < 0) == \
-            (scale_too_large or max(sums(0)) >= INT64_BOUND)
+            (argmin and scale >= INT64_BOUND or max(sums(0)) >= INT64_BOUND)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_group_limit_is_each_lanes_own(self, data):
+        # groups that mix all four schemes, V up to 2^63 and alpha
+        # denominators up to 2^62: an int64 group checks each lane
+        # against that lane's int64_queue_limit, which keeps the lane's
+        # argmin sums max|K| + scale*limit, on the group's own tables,
+        # below INT64_BOUND
+        draw = data.draw
+        n_s, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        den = draw(st.sampled_from([1, 3, 10 ** 6, 10 ** 12, 2 ** 62]))
+        cost = CostModel(
+            w=tuple(tuple(draw(st.lists(st.integers(1, 2 ** 20),
+                                        min_size=n_c, max_size=n_c)))
+                    for _ in range(n_s)),
+            alpha=tuple(Fraction(draw(st.integers(0, 10 ** 6)), den)
+                        for _ in range(n_s)))
+        traffic = TrafficConfig(
+            base_process=Poisson(1), n_switches=n_s, n_controllers=n_c,
+            a_max=draw(st.sampled_from([1, 10 ** 6])))
+        cfgs = [RunConfig(
+            cost=cost, traffic=traffic, scheme=draw(st.sampled_from(Scheme)),
+            params=SchedulerParams(
+                v=draw(st.sampled_from([0, Fraction(7, 3), 50, 2 ** 20,
+                                        2 ** 40, 2 ** 63])),
+                devolution=draw(st.sampled_from(Devolution))),
+            horizon_slots=1) for _ in range(draw(st.integers(1, 6)))]
+        group = engine.LaneGroup(cfgs, [0] * len(cfgs))
+        limits = [engine.int64_queue_limit(cfg) for cfg in group.cfgs]
+        assert (group.q.dtype == np.int64) == (min(limits) >= 0)
+        if group.q.dtype == np.int64:
+            assert group.limit == limits
+            for lane in range(group.n_argmin):
+                top = max(map(abs, group.k[lane].ravel().tolist()))
+                assert top + int(group.scale[lane, 0]) * limits[lane] \
+                    < INT64_BOUND
 
 
 @st.composite
@@ -676,19 +708,19 @@ class TestLanes:
 class TestSweep:
     def test_single_v_matches_run(self):
         cfg = small_cfg(v=7, horizon=100)
-        row = sweep(cfg, [7])[0]
+        row = sweep([cfg], [7])[0]
         res = run(cfg)
         assert row.f_bar == records(res)[-1].f_bar
         assert row.mean_backlog == res.mean_backlog
 
     def test_common_random_numbers(self):
         cfg = small_cfg(horizon=50, process=Constant(3))
-        rows = sweep(cfg, [0, 10])
+        rows = sweep([cfg], [0, 10])
         assert rows[0].v == 0 and rows[1].v == 10
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep(small_cfg(), [])
+            sweep([small_cfg()], [])
 
 
 class TestGreedyVsStatic:
@@ -696,14 +728,19 @@ class TestGreedyVsStatic:
         # with V large and devolution off, greedy follows the static
         # choice while controller queues stay below V * min W gap
         cost = CostModel.uniform_alpha(((1, 3), (4, 2)), 2)
-        params = SchedulerParams(v=1000, devolution=Devolution.OFF)
-        from sdnsched.scheduler import GreedyKernel, static_decide
-        kernel = GreedyKernel(cost, params)
+        from sdnsched.scheduler import static_decide
+        group = argmin_lane(cost, Scheme.GREEDY, 1000, Devolution.OFF)
         static = static_decide(cost)
         rng = random.Random(2)
         for _ in range(100):
             qc = tuple(rng.randint(0, 1999) for _ in range(2))  # < V * gap
-            assert kernel_target(kernel, (0, 0), qc) == static.target
+            assert lane_target(group, (0, 0), qc) == static.target
+        # past the int64 bound the widened group decides the same
+        group.widen()
+        for _ in range(100):
+            base = rng.randint(2 ** 62, 2 ** 66)
+            qc = (base + rng.randint(0, 1999), base + rng.randint(0, 1999))
+            assert lane_target(group, (0, 0), qc) == static.target
 
 
 class TestCapacityCheck:

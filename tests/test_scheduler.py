@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdnsched.engine import Scheme
 from sdnsched.model import (
     LOCAL,
     Association,
@@ -22,14 +23,13 @@ from sdnsched.reference import (
     slot_objective,
 )
 from sdnsched.scheduler import (
-    GreedyKernel,
     mt19937_of,
     random_decide,
     static_decide,
 )
 from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
 
-from conftest import kernel_target
+from conftest import argmin_lane, lane_target
 
 
 def ctx_of(w, alpha, qs, qc, arrivals, v, devolution=Devolution.ON):
@@ -346,39 +346,43 @@ def backlogs(draw, n, low, high):
 
 
 class TestKernels:
+    """The argmin lanes of an engine.LaneGroup decide as the rules in
+    reference do."""
+
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=200, deadline=None)
     def test_greedy_kernel_matches_reference(self, seed):
         ctx = random_ctx(random.Random(seed))
-        kernel = GreedyKernel(ctx.cost, ctx.params)
-        assert kernel_target(kernel, ctx.q.q_s, ctx.q.q_c) == \
+        group = argmin_lane(ctx.cost, Scheme.GREEDY, ctx.params.v)
+        assert lane_target(group, ctx.q.q_s, ctx.q.q_c) == \
             greedy_decide(ctx).target
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=200, deadline=None)
     def test_association_kernel_matches_reference(self, seed):
-        # the devolution-off kernel is GreedyKernel with Devolution.OFF
+        # association-only is the greedy argmin with devolution off
         ctx = random_ctx(random.Random(seed))
-        params = SchedulerParams(v=ctx.params.v, devolution=Devolution.OFF)
-        kernel = GreedyKernel(ctx.cost, params)
-        assert kernel_target(kernel, ctx.q.q_s, ctx.q.q_c) == \
+        group = argmin_lane(ctx.cost, Scheme.GREEDY, ctx.params.v,
+                         Devolution.OFF)
+        assert lane_target(group, ctx.q.q_s, ctx.q.q_c) == \
             association_only_decide(ctx).target
 
     @given(kernel_cases(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_kernel_matches_reference_rules(self, case, data):
-        # One kernel per instance, called with small backlogs and then
-        # with switch or controller backlogs of at least 2^62, so every
-        # instance crosses the int64 bound between calls; v >= 2^63 runs
-        # the object path throughout.
+        # One greedy and one JSQ group per instance, called with small
+        # backlogs on int64 (for v < 2^63) and then, widened, with switch
+        # or controller backlogs of at least 2^62, so every instance
+        # crosses the int64 bound between calls; v >= 2^63 starts on
+        # object arrays unless its gap table is all zero.
         cost, v, devolution = case
         n_s, n_c = cost.n_switches, cost.n_controllers
         params = SchedulerParams(v=v, devolution=devolution)
         reference = greedy_decide if devolution is Devolution.ON \
             else association_only_decide
-        kernel = GreedyKernel(cost, params)
-        jsq = GreedyKernel(cost, SchedulerParams(v=0,
-                                                 devolution=Devolution.OFF))
+        greedy = argmin_lane(cost, Scheme.GREEDY, v, devolution)
+        jsq = argmin_lane(cost, Scheme.JSQ)
+        assert jsq.limit and (greedy.limit or v >= 2 ** 63)
         small, big = (0, 100), (2 ** 62, 2 ** 66)
         for s_range, c_range in ((small, small), (big, small),
                                  (small, big)):
@@ -386,38 +390,42 @@ class TestKernels:
                            q_c=backlogs(data.draw, n_c, *c_range))
             ctx = DecisionContext(q=q, arrivals=(0,) * n_s, cost=cost,
                                   params=params)
-            assert kernel_target(kernel, q.q_s, q.q_c) == \
+            assert lane_target(greedy, q.q_s, q.q_c) == \
                 reference(ctx).target
-            assert kernel_target(jsq, q.q_s, q.q_c) == \
+            assert lane_target(jsq, q.q_s, q.q_c) == \
                 jsq_decide(q, n_s).target
+            greedy.widen()
+            jsq.widen()
         if v > 0:
             # equal controller backlogs leave only v*W: the static choice
-            off = GreedyKernel(cost, SchedulerParams(
-                v=v, devolution=Devolution.OFF))
-            level = data.draw(st.one_of(st.integers(0, 100),
-                                        st.integers(2 ** 62, 2 ** 66)))
-            assert kernel_target(off, (0,) * n_s, (level,) * n_c) == \
-                static_decide(cost).target
+            off = argmin_lane(cost, Scheme.GREEDY, v, Devolution.OFF)
+            for level in (data.draw(st.integers(0, 100)),
+                          data.draw(st.integers(2 ** 62, 2 ** 66))):
+                assert lane_target(off, (0,) * n_s, (level,) * n_c) == \
+                    static_decide(cost).target
+                off.widen()
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
     def test_kernel_table_is_the_scaled_weight(self, case):
         # K / scale is v*(W - alpha) exactly
         cost, v, devolution = case
-        kernel = GreedyKernel(cost, SchedulerParams(v=v,
-                                                    devolution=devolution))
-        assert [[Fraction(k, kernel.scale) for k in row]
-                for row in kernel.k[kernel.row_class].tolist()] == \
+        group = argmin_lane(cost, Scheme.GREEDY, v, devolution)
+        group.widen()
+        scale = group.scale[0, 0]
+        assert [[Fraction(k, scale) for k in row]
+                for row in group.k[0][group.row_class].tolist()] == \
             [[v * (w - a) for w in row] for row, a in zip(cost.w, cost.alpha)]
 
     def test_fractional_parameters(self):
         cost = CostModel.uniform_alpha(((2, 5), (3, 1)), Fraction(7, 3))
         params = SchedulerParams(v=Fraction(3, 2))
-        kernel = GreedyKernel(cost, params)
+        group = argmin_lane(cost, Scheme.GREEDY, params.v)
         q = QueueState(q_s=(4, 0), q_c=(1, 3))
         ctx = DecisionContext(q=q, arrivals=(1, 1), cost=cost, params=params)
-        assert kernel_target(kernel, q.q_s, q.q_c) == \
-            greedy_decide(ctx).target
+        assert lane_target(group, q.q_s, q.q_c) == greedy_decide(ctx).target
+        group.widen()
+        assert lane_target(group, q.q_s, q.q_c) == greedy_decide(ctx).target
 
 
 def assert_row_classes_are_gap_rows(cost):
