@@ -22,8 +22,6 @@ from .engine import RunConfig, Scheme
 from .metrics import (
     CSV_HEADER,
     CSV_HEADER_LYAP,
-    cost_means,
-    format_ratio,
     format_rational,
     record_to_csv_row,
 )
@@ -321,15 +319,14 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
         lane = result.scale, result.n_controllers, result.v
         for row in result.rows:
             fh.write(record_to_csv_row(row, *lane) + "\n")
-    final = result.rows[-1]
-    f_bar, g_bar, total_cost = cost_means(final, result.scale)
+    f_bar, g_bar, total_cost, mean_backlog = result.means()
     summary = {
         "config": resolved,
-        "f_bar": format_ratio(*f_bar),
-        "g_bar": format_ratio(*g_bar),
-        "total_cost": format_ratio(*total_cost),
-        "mean_backlog": format_rational(result.mean_backlog),
-        "final_backlog": final[5],  # the row's total backlog
+        "f_bar": format_rational(f_bar),
+        "g_bar": format_rational(g_bar),
+        "total_cost": format_rational(total_cost),
+        "mean_backlog": format_rational(mean_backlog),
+        "final_backlog": result.rows[-1][5],  # the final row's total backlog
     }
     with open(out_dir / f"{name}.summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -353,17 +350,22 @@ def cmd_topo(args) -> int:
     return 0
 
 
-def _check_run_name(out_dir: Path, name: str, default: bool) -> None:
-    """Reject, before the run, a run name whose longest output file name,
-    <name>.summary.json, exceeds the file-name limit of out_dir (or of
-    its nearest existing parent, when out_dir is yet to be made)."""
+def _check_run_name(out_dir: Path, name: str, source: str | None) -> None:
+    """Reject, before the run, a run name that `source` gave (--name or
+    the config key; None for the default name) when it is empty or holds
+    a '/' or a NUL byte, so that it names no file of out_dir, or when its
+    longest output file name, <name>.summary.json, exceeds the file-name
+    limit of out_dir (or of its nearest existing parent, when out_dir is
+    yet to be made)."""
+    if not name or "/" in name or "\0" in name:
+        raise ConfigError([f"{source} must be a nonempty file name without "
+                           f"'/' or NUL bytes, got {name!r}"])
     file_name = f"{name}.summary.json"
     directory = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
     limit = os.pathconf(directory, "PC_NAME_MAX")
     size = len(os.fsencode(file_name))
     if size > limit:
-        which = ("the default run name, which embeds V," if default
-                 else "--name")
+        which = source or "the default run name, which embeds V,"
         raise ConfigError([
             f"{which} makes the output file name {name[:40]}....summary.json "
             f"{size} bytes long, over the output directory's file-name "
@@ -372,11 +374,13 @@ def _check_run_name(out_dir: Path, name: str, default: bool) -> None:
 
 def cmd_run(args) -> int:
     run_cfg, resolved = resolve(_given(args))
-    name = resolved.get("name") or (
+    source = "--name" if args.name is not None else (
+        "config key 'name'" if "name" in resolved else None)
+    name = resolved["name"] if source else (
         f"{resolved['kind']}_k{resolved['k']}_{resolved['scheme']}"
         f"_v{resolved['v'].replace('/', 'over')}_seed{resolved['run_seed']}")
     out_dir = Path(args.out_dir)
-    _check_run_name(out_dir, name, default=not resolved.get("name"))
+    _check_run_name(out_dir, name, source)
     for warning in engine.capacity_check(run_cfg):
         print(f"warning: {warning}", file=sys.stderr)
     result = engine.run(run_cfg)
@@ -387,84 +391,82 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _repeats(flag: str, tokens, values) -> list[str]:
-    """A problem naming each token of `flag` whose value an earlier
-    token already gave."""
-    seen = set()
-    problems = []
-    for token, value in zip(tokens, values):
-        if value in seen:
-            problems.append(f"duplicate {flag} value {token!r}")
-        seen.add(value)
-    return problems
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("seeds must be nonnegative")
+    return seed
 
 
-def _parse_grid(text: str):
-    tokens = [tok for tok in text.split(",") if tok]
-    try:
-        values = [_parse_v(tok) for tok in tokens]
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError([f"bad --v-grid value {text!r}: expected "
-                           "comma-separated nonnegative V values"]) from None
-    problems = _repeats("--v-grid", tokens, values)
+#: Each list flag of sweep and compare, how it reads a token, and what
+#: it takes
+_LIST_FLAGS = (("--v-grid", _parse_v, "nonnegative V values"),
+              ("--seeds", _parse_seed, "nonnegative integers"),
+              ("--schemes", str, "scheme names"))
+
+
+def _parse_lists(args) -> list[list]:
+    """The values of each of _LIST_FLAGS, in order, from a sweep or
+    compare command's arguments. Each is split at commas and each token
+    stripped; a flag with an empty or unreadable token is a bad value,
+    and a token whose value an earlier token of its flag gave is a
+    duplicate, named as written, since it would run, write and average
+    one run twice. Every flag's problems are reported together."""
+    lists, problems = [], []
+    for flag, parse, what in _LIST_FLAGS:
+        text = getattr(args, flag[2:].replace("-", "_"))
+        tokens = [token.strip() for token in text.split(",")]
+        try:
+            if "" in tokens:
+                raise ValueError
+            values = [parse(token) for token in tokens]
+        except (ValueError, ZeroDivisionError):
+            problems.append(f"bad {flag} value {text!r}: expected "
+                            f"comma-separated {what}")
+            continue
+        seen = set()
+        for token, value in zip(tokens, values):
+            if value in seen:
+                problems.append(f"duplicate {flag} value {token!r}")
+            seen.add(value)
+        lists.append(values)
     if problems:
         raise ConfigError(problems)
-    if not values:
-        raise ConfigError(["empty V grid"])
-    return values
+    return lists
 
 
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.v_grid)
-    names = [s.strip() for s in args.schemes.split(",")]
-    tokens = args.seeds.split(",")
-    try:
-        # each seed is a run seed and a traffic seed
-        seeds = [int(s) for s in tokens]
-        if min(seeds) < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigError([f"bad --seeds value {args.seeds!r}: expected "
-                           "comma-separated nonnegative integers"]) from None
-    # a repeated seed or scheme would run, write and average one run twice
-    problems = _repeats("--seeds", tokens, seeds) \
-        + _repeats("--schemes", names, names)
-    if problems:
-        raise ConfigError(problems)
+    grid, seeds, names = _parse_lists(args)
     cfgs = sweep_configs(_given(args), names, seeds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings = {w: None for cfg in cfgs for w in engine.capacity_check(cfg)}
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    rows = engine.sweep(cfgs, grid)
+    # a row's scheme, seed and V are its pair's: one RunResult serves
+    # every V of a config that does not read V
+    pairs = [(cfg, v) for cfg in cfgs for v in grid]
+    means = [result.means() for result in engine.sweep(cfgs, grid)]
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("scheme,seed,v,f_bar,g_bar,total_cost,mean_backlog\n")
-        for row in rows:
-            fh.write(",".join([
-                row.scheme.value, str(row.run_seed), str(row.v),
-                format_rational(row.f_bar),
-                format_rational(row.g_bar),
-                format_rational(row.total_cost),
-                format_rational(row.mean_backlog),
-            ]) + "\n")
+        for (cfg, v), row in zip(pairs, means):
+            fh.write(",".join([cfg.scheme.value, str(cfg.run_seed), str(v),
+                               *map(format_rational, row)]) + "\n")
     # the exact seed mean of each (scheme, V), in the order above; it is
     # taken here because sweep.csv rounds
     groups = {}
-    for row in rows:
-        groups.setdefault((row.scheme.value, row.v), []).append(row)
+    for (cfg, v), (_, _, total_cost, mean_backlog) in zip(pairs, means):
+        groups.setdefault((cfg.scheme.value, v), []).append(
+            (total_cost, mean_backlog))
     mean_path = out_dir / "sweep.mean.csv"
     with open(mean_path, "w") as fh:
         fh.write("scheme,v,mean_total_cost,mean_backlog\n")
         for (scheme, v), group in groups.items():
-            fh.write(",".join([
-                scheme, str(v),
-                format_rational(sum(r.total_cost for r in group) / len(group)),
-                format_rational(sum(r.mean_backlog for r in group)
-                                / len(group)),
-            ]) + "\n")
-    print(f"wrote {len(rows)} rows to {path} and {len(groups)} seed means "
+            fh.write(",".join([scheme, str(v), *(
+                format_rational(sum(column) / len(group))
+                for column in zip(*group))]) + "\n")
+    print(f"wrote {len(pairs)} rows to {path} and {len(groups)} seed means "
           f"to {mean_path}")
     return 0
 

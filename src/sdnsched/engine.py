@@ -10,7 +10,8 @@ config read one ArrivalState row per slot (common random numbers, each
 draw made once); greedy and JSQ lanes share one argmin, and pricing is
 one gather and one scatter for all lanes. A slot a lane keeps adds one
 row of exact ints to the Accumulator; a run returns those rows, and the
-CLI formats its CSV and summary, and a sweep its rows, from the ints.
+CLI formats its CSV from the ints and its summary, and a sweep's rows,
+from RunResult.means.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. int64_queue_limit alone decides whether a lane may
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import traffic as tr
-from .metrics import Accumulator, cost_means
+from .metrics import Accumulator
 from .model import (
     LOCAL,
     CostModel,
@@ -316,6 +317,15 @@ class RunResult:
     v: Rational
     mean_backlog: Fraction
 
+    def means(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The run's exact f_bar, g_bar, f_bar + g_bar and mean backlog,
+        the costs read from the running sums of its final kept row, which
+        is the final slot's."""
+        t, _, _, f_sum, dg_sum = self.rows[-1][:5]
+        f_bar = Fraction(f_sum, t + 1)
+        g_bar = Fraction(dg_sum, self.scale * (t + 1))
+        return f_bar, g_bar, f_bar + g_bar, self.mean_backlog
+
 
 def run_lanes(cfgs) -> list[RunResult]:
     """Run every config in lock step, one lane each of one LaneGroup, and
@@ -367,25 +377,14 @@ def run(cfg: RunConfig) -> RunResult:
     return run_lanes([cfg])[0]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    v: object
-    scheme: Scheme
-    run_seed: int
-    f_bar: Fraction
-    g_bar: Fraction
-    total_cost: Fraction
-    mean_backlog: Fraction
-
-
-def sweep(cfgs, v_values) -> list[SweepRow]:
-    """One row per (config, V), config by config in grid order: every
-    distinct (config, V) run of the RunConfigs `cfgs` is a lane of one
-    run_lanes call, so lanes with the same traffic config share their
-    arrivals (common random numbers). Static, Random and JSQ lanes do not
-    read V, so one lane serves every V of their config. A row reads only
-    the final kept row's cost_means and the mean backlog, so each lane
-    keeps rows for its first and last slots alone."""
+def sweep(cfgs, v_values) -> list[RunResult]:
+    """The RunResult of each (config, V), config by config in grid
+    order: every distinct (config, V) run of the RunConfigs `cfgs` is a
+    lane of one run_lanes call, so lanes with the same traffic config
+    share their arrivals (common random numbers). Static, Random and JSQ
+    lanes do not read V, so one lane, and one RunResult whose `v` is the
+    grid's first, serves every V of their config. Each lane keeps rows
+    for its first and last slots alone: RunResult.means reads the last."""
     if not v_values:
         raise ValueError("empty V grid")
     pairs = [(c, v, (id(c), v if c.scheme is Scheme.GREEDY else None))
@@ -396,21 +395,7 @@ def sweep(cfgs, v_values) -> list[SweepRow]:
             lanes[key] = replace(c, params=replace(c.params, v=v),
                                  stride=c.horizon_slots)
     results = dict(zip(lanes, run_lanes(list(lanes.values()))))
-    rows = []
-    for c, v, key in pairs:
-        res = results[key]
-        f_bar, g_bar, total_cost = (
-            Fraction(*mean) for mean in cost_means(res.rows[-1], res.scale))
-        rows.append(SweepRow(
-            v=v,
-            scheme=c.scheme,
-            run_seed=c.run_seed,
-            f_bar=f_bar,
-            g_bar=g_bar,
-            total_cost=total_cost,
-            mean_backlog=res.mean_backlog,
-        ))
-    return rows
+    return [results[key] for _, _, key in pairs]
 
 
 def capacity_check(cfg: RunConfig) -> list[str]:

@@ -5,8 +5,7 @@ f_bar(T) * T == sum of f_slot holds with no drift. An Accumulator holds
 the sums of every lane of a lane group; the engine updates it once per
 slot and, for the slots a lane keeps, has it keep a row of exact ints.
 A row becomes a CSV line (record_to_csv_row) from integer divmods
-alone, and cost_means gives its run means as pairs of ints; tests hold
-both to the row's exact reference.row_record.
+alone; tests hold it to the row's exact reference.row_record.
 """
 
 from __future__ import annotations
@@ -62,15 +61,6 @@ class Accumulator:
     def mean_backlog(self, lane: int) -> Fraction:
         return Fraction(self.backlog_sum[lane], self.t) if self.t \
             else Fraction(0)
-
-
-def cost_means(row, scale: int):
-    """f_bar, g_bar and their sum through a kept row's slot, each as a
-    (numerator, denominator) pair of ints from the row's running sums,
-    for a lane with g scale d = `scale`."""
-    t, _, _, f_sum, dg_sum = row[:5]
-    n = scale * (t + 1)
-    return (f_sum, t + 1), (dg_sum, n), (scale * f_sum + dg_sum, n)
 
 
 def sum_squares(xs: Sequence[int]) -> int:

@@ -292,25 +292,29 @@ class EmpiricalCdf:
 def load_interarrival_cdf(path: str) -> EmpiricalCdf:
     """Parse a CDF file: `<interarrival_us> <cumulative_probability>`
     per line, `#` comments ignored. Rejects malformed lines with the
-    offending line number."""
+    offending line number, and a file that is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     points = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                x, p = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-            if points and (x <= points[-1][0] or p <= points[-1][1]):
-                raise ValueError(
-                    f"{path}:{lineno}: columns must be strictly increasing"
-                )
-            points.append((x, p))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns")
+        try:
+            x, p = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+        if points and (x <= points[-1][0] or p <= points[-1][1]):
+            raise ValueError(
+                f"{path}:{lineno}: columns must be strictly increasing"
+            )
+        points.append((x, p))
     if not points:
         raise ValueError(f"{path}: no data lines")
     try:

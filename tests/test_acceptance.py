@@ -78,10 +78,12 @@ def desk_config(scheme: Scheme, v, seed: int) -> RunConfig:
 def desk_sweep_results():
     """25 greedy runs: V grid x 5 seeds with common random numbers, as
     the lanes of one engine.sweep call."""
-    rows = engine.sweep([desk_config(Scheme.GREEDY, 0, seed)
-                         for seed in DESK_SEEDS], DESK_V_GRID)
-    return {(row.v, row.run_seed): (row.total_cost, row.mean_backlog)
-            for row in rows}
+    cfgs = [desk_config(Scheme.GREEDY, 0, seed) for seed in DESK_SEEDS]
+    results = engine.sweep(cfgs, DESK_V_GRID)
+    pairs = [(v, cfg.run_seed) for cfg in cfgs for v in DESK_V_GRID]
+    # (total cost, mean backlog) of each (V, seed)
+    return {pair: result.means()[2:]
+            for pair, result in zip(pairs, results, strict=True)}
 
 
 def test_criterion_1_per_slot_optimality():

@@ -680,6 +680,33 @@ class TestSweep:
         assert f"bad {flag} value {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--v-grid", "1,,2"), ("--v-grid", ""), ("--seeds", "0,,1"),
+        ("--schemes", "greedy,,jsq"), ("--schemes", "greedy, "),
+    ])
+    def test_empty_token_named(self, capsys, tmp_path, flag, value):
+        # every list flag reads an empty token as a bad value
+        args = {"--v-grid": "0", "--seeds": "0", "--schemes": "greedy",
+                flag: value}
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", *(x for kv in args.items() for x in kv),
+            "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: bad {flag} value {value!r}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_duplicates_of_every_list_flag_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "5", "--v-grid", "0,1/2,0.5", "--seeds", "1, 1",
+            "--schemes", "jsq,jsq", "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.splitlines() == ["error: duplicate --v-grid value '0.5'",
+                                    "error: duplicate --seeds value '1'",
+                                    "error: duplicate --schemes value 'jsq'"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_negative_topo_seed_named(self, capsys, tmp_path, command):
         code, _, err = run_cli(
@@ -934,6 +961,42 @@ class TestRunNameLength:
         assert err.startswith("error: --name makes the output file name")
         assert "embeds V" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRunNameChars:
+    """A run name that names no file in the output directory is rejected
+    before the run, and nothing is written."""
+
+    RUN = TestRunNameLength.RUN
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("engine.run called")
+
+        monkeypatch.setattr(engine, "run", no_run)
+
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", ""])
+    def test_flag_named(self, capsys, tmp_path, name):
+        code, _, err = run_cli(capsys, *self.RUN, "--name", name,
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: --name must be a nonempty file name without "
+                       f"'/' or NUL bytes, got {name!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["a\0b", "o/x", ""])
+    def test_config_key_named(self, capsys, tmp_path, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "fat-tree", "k": 4,
+                                    "scheme": "greedy", "horizon": 2,
+                                    "name": name}))
+        code, _, err = run_cli(capsys, "run", "--config", str(path),
+                               "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: config key 'name' must be a nonempty file "
+                       f"name without '/' or NUL bytes, got {name!r}\n")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def test_seed_env_var(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -708,10 +709,26 @@ class TestLanes:
 class TestSweep:
     def test_single_v_matches_run(self):
         cfg = small_cfg(v=7, horizon=100)
-        row = sweep([cfg], [7])[0]
+        f_bar, *_, mean_backlog = sweep([cfg], [7])[0].means()
         res = run(cfg)
-        assert row.f_bar == records(res)[-1].f_bar
-        assert row.mean_backlog == res.mean_backlog
+        assert f_bar == records(res)[-1].f_bar
+        assert mean_backlog == res.mean_backlog
+
+    def test_every_scheme_matches_run(self):
+        # one entry per (config, V) in grid order, each the final row and
+        # mean backlog of a separate run at that V, whether or not its
+        # lane serves every V of its config
+        cfgs = [small_cfg(scheme, horizon=40, seed=seed)
+                for scheme in Scheme for seed in (0, 1)]
+        grid = [0, Fraction(7, 2)]
+        results = sweep(cfgs, grid)
+        pairs = [(cfg, v) for cfg in cfgs for v in grid]
+        assert len(results) == len(pairs)
+        for (cfg, v), res in zip(pairs, results):
+            want = run(replace(cfg, params=replace(cfg.params, v=v)))
+            assert res.rows[-1] == want.rows[-1]
+            assert res.mean_backlog == want.mean_backlog
+            assert res.means() == want.means()
 
     def test_common_random_numbers(self):
         cfg = small_cfg(horizon=50, process=Constant(3))

@@ -201,6 +201,22 @@ class TestCdfLoading:
         with pytest.raises(ValueError, match="positive"):
             load_interarrival_cdf(write_cdf(tmp_path, "0 1.0\n"))
 
+    def test_rejects_binary_file_by_path(self, tmp_path):
+        # the head of an executable: byte 24 starts no UTF-8 sequence
+        path = tmp_path / "bin.cdf"
+        path.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(9)
+                         + b"\x03\x00>\x00\x01\x00\x00\x00\xd0o\x00\x00")
+        with pytest.raises(ValueError) as exc:
+            load_interarrival_cdf(str(path))
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text: ")
+        assert "position 24" in str(exc.value)
+
+    def test_crlf_lines_numbered(self, tmp_path):
+        path = tmp_path / "crlf.cdf"
+        path.write_bytes(b"# us prob\r\n1000 0.5\r\n900 1.0\r\n")
+        with pytest.raises(ValueError, match=":3: columns must be strictly"):
+            load_interarrival_cdf(str(path))
+
     def test_parsed_once_per_arrival_state_and_capacity_check(
             self, tmp_path, monkeypatch):
         from sdnsched import engine, traffic
