@@ -130,53 +130,42 @@ def int64_queue_limit(cfg: RunConfig) -> int:
 
 
 def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
-               service: np.ndarray, cost: CostModel, w: np.ndarray,
-               scaled_alpha: np.ndarray):
+               service: np.ndarray, cells: np.ndarray, joins: np.ndarray,
+               price: np.ndarray):
     """Price L lanes' forced associations and advance their queues one
     slot, one row per lane: q and service are (L x (n_s + n_c)) arrays,
-    each lane's switch queues then its controller queues; `target` is
-    (L x n_s), an intp array with LOCAL for -1; `arrivals` is (L x n_s)
-    or one row that every lane shares. The arrays share one dtype: int64,
-    with every backlog within int64_queue_limit, or object arrays of
-    Python ints. `w` and `scaled_alpha` are cost.tables' arrays of the
-    same name, cast to that dtype.
+    each lane's switch queues then its controller queues; `target` and
+    `arrivals` are (L x n_s), target an intp array with LOCAL for -1.
+    `cells`, `joins` and `price` are a LaneGroup's tables: lane l's
+    switch i under target t is cell `cells[l, i] + t`, whose arrivals
+    join flat queue `joins[cell]` of q, and whose two prices are
+    `price[:, cell]` (CostTables.price, tiled once per lane). q, service,
+    arrivals and price share one dtype: int64, with every backlog within
+    int64_queue_limit, or object arrays of Python ints.
 
     Returns (next_q, f, dg): f and dg = d*g are arrays of each lane's
     slot costs, equal to reference.slot_comm_cost and d *
     reference.slot_comp_cost, and next_q equals the reference
-    step_switch_queue / step_controller_queue applied queue by queue. A
-    lane's slot is priced on integer arrays:
-    f = W[i, target_i] . A, where W is 0 for LOCAL, and
-    d*g = (d*alpha) . A_local. Each switch's arrivals join one queue
-    (CostTables.joins), so the inflow of every queue of every lane is one
-    scatter, whose switch part is A_local.
+    step_switch_queue / step_controller_queue applied queue by queue.
+    Both prices are one gather and one dot with the arrivals, and the
+    queues are one scatter of the arrivals into q - service, clipped at 0.
     """
-    tables = cost.tables
-    lanes, width = q.shape
-    cells = target + tables.cells
-    joins = tables.joins.take(cells)
-    counts = arrivals.ravel()
-    if lanes > 1:
-        # lane l's queue k is entry l*width + k of the flat inflow
-        joins += np.arange(0, lanes * width, width)[:, None]
-        if arrivals.ndim == 1:
-            # one count per index: np.add.at with a 2-D index and a
-            # broadcast 1-D value array reads out-of-bounds memory on
-            # numpy 2.4.6, so the shared row is repeated for every lane
-            counts = arrivals[None].repeat(lanes, 0).ravel()
-    inflow = np.zeros((lanes, width), q.dtype)
-    np.add.at(inflow.ravel(), joins.ravel(), counts)
-    f = np.vecdot(w.take(cells), arrivals)
-    dg = inflow[:, :cost.n_switches].dot(scaled_alpha)
-    return np.maximum(q + inflow - service, 0), f, dg
+    cell = target + cells
+    f, dg = np.vecdot(price.take(cell, 1), arrivals)
+    next_q = q - service
+    np.add.at(next_q.ravel(), joins.take(cell).ravel(), arrivals.ravel())
+    return np.maximum(next_q, 0, out=next_q), f, dg
 
 
 class LaneGroup:
     """Lanes that advance in lock step on one dtype, one row per lane of
     each slot array: the backlogs q (L x (n_s + n_c)), each lane's switch
     queues then its controller queues, and their services; the stacked
-    decision tables k and scale and the pricing tables w and
-    scaled_alpha. `acc` keeps each lane's exact running sums.
+    decision tables k and scale; and apply_slot's tables, built once:
+    each lane's cells (L x n_s), and the joins and prices of every lane's
+    cells, CostTables.joins offset to the lane's row of q and
+    CostTables.price, tiled lane by lane. `acc` keeps each lane's exact
+    running sums.
 
     `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
     `order[l]` is the index in `cfgs` of lane l: greedy lanes with
@@ -215,14 +204,19 @@ class LaneGroup:
         self.limit = limits if dtype is np.int64 else []
         self.n_argmin = len(argmin)
         self.n_devolve = sum(devolve for _, devolve in argmin)
-        self.k = np.array([v.numerator * tables.gap for v, _ in argmin],
-                          object).astype(dtype)
+        self.k = np.multiply.outer(
+            np.array([v.numerator for v, _ in argmin], object),
+            tables.gap).astype(dtype)
         self.row_class = tables.row_class
-        self.scale = np.array([[v.denominator * tables.scale]
-                               for v, _ in argmin], object).astype(dtype)
-        self.w = tables.w.astype(dtype)
-        self.scaled_alpha = tables.scaled_alpha.astype(dtype)
-        self.q = np.zeros((len(cfgs), n_s + n_c), dtype)
+        self.scale = np.array([v.denominator * tables.scale
+                               for v, _ in argmin], object) \
+            .reshape(-1, 1).astype(dtype)
+        lanes, width = len(cfgs), n_s + n_c
+        lane = np.arange(lanes)[:, None]
+        self.cells = tables.cells + lane * (n_s * (n_c + 1))
+        self.joins = (tables.joins + lane * width).ravel()
+        self.price = np.tile(tables.price.astype(dtype), lanes)
+        self.q = np.zeros((lanes, width), dtype)
         self.service = np.array(
             [[cfg.traffic.switch_capacity] * n_s
              + [cfg.traffic.controller_capacity] * n_c for cfg in self.cfgs],
@@ -241,7 +235,7 @@ class LaneGroup:
 
     def widen(self) -> None:
         """Move every array onto object arrays of Python ints."""
-        for name in ("q", "service", "k", "scale", "w", "scaled_alpha"):
+        for name in ("q", "service", "k", "scale", "price"):
             setattr(self, name, getattr(self, name).astype(object))
         self.limit = []
 
@@ -254,13 +248,13 @@ class LaneGroup:
         lane; `decided` counts the calls, so the slots follow one another
         whether or not `advance` runs."""
         n = self.n_argmin
+        # an all-argmin group skips the copy: about 4% of a desk-sweep slot
         if n == len(self.template):
             return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve,
                                self.row_class)
         target = self.template.copy()
-        if n:
-            target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
-                                     self.n_devolve, self.row_class)
+        target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
+                                 self.n_devolve, self.row_class)
         if self.bits:
             at = self.decided % RANDOM_BLOCK
             if not at:
@@ -278,18 +272,17 @@ class LaneGroup:
         running sums. Each lane index in `keep` keeps its row of the
         slot in `acc` (Accumulator.keep); a slot that keeps none does
         nothing more."""
+        q = self.q
         if self.shared_row is not None:
-            arrivals = rows[self.shared_row]
+            arrivals = rows[self.shared_row][None].repeat(len(q), 0)
         else:
             arrivals = np.stack([rows[i] for i in self.rows])
-        if self.q.dtype == object:
+        if q.dtype == object:
             arrivals = arrivals.astype(object)
-        cost = self.cfgs[0].cost
         n_s = self.n_s
-        q = self.q
         target = self.decide(q[:, :n_s], q[:, n_s:])
-        self.q, f, dg = apply_slot(q, target, arrivals, self.service, cost,
-                                   self.w, self.scaled_alpha)
+        self.q, f, dg = apply_slot(q, target, arrivals, self.service,
+                                   self.cells, self.joins, self.price)
         backlog = self.q.sum(1).tolist()
         f, dg = f.tolist(), dg.tolist()
         self.acc.update(f, dg, backlog)

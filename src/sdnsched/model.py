@@ -108,7 +108,7 @@ class CostModel:
 
     @cached_property
     def tables(self) -> "CostTables":
-        """W, the scaled alpha and the gap as integer arrays, built once."""
+        """The price, join and gap tables as integer arrays, built once."""
         return CostTables.build(self)
 
     @classmethod
@@ -124,17 +124,18 @@ class CostTables:
 
     Switch i under target t (a controller index, or LOCAL = -1) is cell
     `cells[i] + t` of the flat per-cell tables, which hold n_c + 1 cells
-    per switch, LOCAL first. `w` holds W[i][t], and 0 for LOCAL.
-    `joins` holds the queue that switch i's arrivals join, where the
-    engine keeps each lane's queues in one row, the n_s switch queues
-    then the n_c controller queues: controller t's queue n_s + t, or
-    the switch's own queue i for LOCAL.
-
-    `scaled_alpha` is d*alpha, where d is alpha's common denominator
-    `scale`. `w` and `scaled_alpha` are object arrays of Python ints;
-    `weight` bounds every entry of both, so engine.int64_queue_limit can
-    bound a lane's prices, and engine.LaneGroup casts both to int64 once
-    per lane group when every lane's limit allows it.
+    per switch, LOCAL first. `price` holds a slot's two prices per
+    arrival, as two rows over the cells: row 0 holds W[i][t], and 0 for
+    LOCAL; row 1 holds d*alpha_i at switch i's LOCAL cell, and 0
+    elsewhere, where d is alpha's common denominator `scale`. So one
+    gather of each switch's cell and one dot with the arrivals give a
+    slot's f and d*g. `price` is an object array of Python ints, and
+    `weight`, its largest entry (at least 1), lets
+    engine.int64_queue_limit bound a lane's prices. `joins` holds the
+    queue that switch i's arrivals join, where the engine keeps each
+    lane's queues in one row, the n_s switch queues then the n_c
+    controller queues: controller t's queue n_s + t, or the switch's own
+    queue i for LOCAL.
 
     `gap` is the decision rule's cost term in the same scale,
     d*W[i][j] - d*alpha_i, as an object array of Python ints with one
@@ -144,8 +145,7 @@ class CostTables:
     row is gap[row_class[i]].
     """
 
-    w: np.ndarray
-    scaled_alpha: np.ndarray
+    price: np.ndarray
     scale: int
     weight: int
     cells: np.ndarray
@@ -159,20 +159,21 @@ class CostTables:
         alpha = _distinct(cost.alpha)
         scale = math.lcm(*(Fraction(a).denominator for a in alpha))
         scaled_of = {id(a): int(Fraction(a) * scale) for a in alpha}
-        w = np.array([[0, *row] for row in cost.w], dtype=object) \
-            .reshape(n_s * (n_c + 1))
         scaled = np.array([scaled_of[id(a)] for a in cost.alpha],
                           dtype=object)
-        weight = max([1, *w, *scaled])
+        price = np.zeros((2, n_s, n_c + 1), object)
+        price[0, :, 1:] = cost.w
+        price[1, :, 0] = scaled
         joins = np.empty((n_s, n_c + 1), np.intp)
         joins[:, 0] = np.arange(n_s)
         joins[:, 1:] = np.arange(n_s, n_s + n_c)
-        gap = w.reshape(n_s, n_c + 1)[:, 1:] * scale - scaled[:, None]
+        gap = price[0, :, 1:] * scale - scaled[:, None]
         classes = {}
         row_class = np.array([classes.setdefault(row, len(classes))
                               for row in map(tuple, gap.tolist())], np.intp)
         gap = np.array(list(classes), object).reshape(len(classes), n_c)
-        return cls(w=w, scaled_alpha=scaled, scale=scale, weight=weight,
+        return cls(price=price.reshape(2, -1), scale=scale,
+                   weight=max(1, price.max(initial=0)),
                    cells=np.arange(n_s) * (n_c + 1) + 1,
                    joins=joins.ravel(), gap=gap, row_class=row_class)
 

@@ -81,28 +81,23 @@ def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
     lane shares.
 
     `k` stacks the lanes' K tables (L x classes x n_c), `scale` is their
-    scales as an (L x 1) column (or one int for all lanes), and q_s, q_c
-    are the pre-slot backlogs (L x n_s, L x n_c), int64 within every
-    lane's engine.int64_queue_limit (which bounds max|K| + scale*max(Q))
-    or object arrays of Python ints, exact at any size. Each lane takes
-    the argmin over j of M = K[c, j] + scale*Qc_j and its minimum once per
+    scales as an (L x 1) column, and q_s, q_c are the pre-slot backlogs
+    (L x n_s, L x n_c), int64 within every lane's
+    engine.int64_queue_limit (which bounds max|K| + scale*max(Q)) or
+    object arrays of Python ints, exact at any size. Each lane takes the
+    argmin over j of M = K[c, j] + scale*Qc_j and its minimum once per
     class c, and hands both to every switch of the class; numpy returns
     the first index on a tie, the lowest-index rule. The first
     `n_devolve` lanes send switch i LOCAL where its minimum exceeds
-    scale*Qs_i, which is reference.greedy_decide; the other lanes skip
-    that test, and since alpha_i is constant along a row their argmin is
+    scale*Qs_i, which is reference.greedy_decide; the other lanes never
+    go LOCAL, and since alpha_i is constant along a row their argmin is
     reference.association_only_decide, and at v = 0 (K = 0)
     reference.jsq_decide. Lanes never mix, so each row is its own lane's
     decision.
     """
     m = k + (q_c * scale)[:, None, :]
-    argmin = m.argmin(2)
-    target = argmin.take(row_class, 1)
-    if n_devolve:
-        # each class's minimum m[l, c, argmin[l, c]], read from flat m
-        best = m.reshape(-1).take(
-            argmin + np.arange(0, m.size, m.shape[2]).reshape(argmin.shape))
-        local = best.take(row_class, 1) > q_s * scale
-        local[n_devolve:] = False
-        target[local] = LOCAL
+    target = m.argmin(2).take(row_class, 1)
+    local = m.min(2).take(row_class, 1) > q_s * scale
+    local[n_devolve:] = False
+    target[local] = LOCAL
     return target

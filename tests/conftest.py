@@ -40,10 +40,10 @@ def fig1_queues():
 def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
                       cost):
     """engine.apply_slot called for one lane on the model's tuples as the
-    engine calls it: on int64 arrays when no backlog exceeds the engine's
-    int64 queue limit for a lane whose a_max is the largest arrival, else
-    on object arrays of Python ints. Returns (QueueState, f_slot,
-    g_slot)."""
+    engine calls it, with a one-lane LaneGroup's tables: on int64 arrays
+    when no backlog exceeds the engine's int64 queue limit for a lane
+    whose a_max is the largest arrival, else on object arrays of Python
+    ints. Returns (QueueState, f_slot, g_slot)."""
     n_s, n_c = cost.n_switches, cost.n_controllers
     lane = RunConfig(
         cost=cost, traffic=TrafficConfig(
@@ -56,11 +56,14 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
     fits = max(queues.q_s + queues.q_c) <= int64_queue_limit(lane) \
         and max(services, default=0) < INT64_BOUND
     dtype = np.int64 if fits else object
+    group = LaneGroup([lane], [0])
+    if not fits:
+        group.widen()
     q, f, dg = apply_slot(
         np.array([queues.q_s + queues.q_c], dtype),
-        np.array([assoc.target], np.intp), np.array(arrivals, dtype),
-        np.array([switch_service + ctrl_service], dtype), cost,
-        cost.tables.w.astype(dtype), cost.tables.scaled_alpha.astype(dtype))
+        np.array([assoc.target], np.intp), np.array([arrivals], dtype),
+        np.array([switch_service + ctrl_service], dtype), group.cells,
+        group.joins, group.price)
     row = q[0].tolist()
     return (QueueState(q_s=tuple(row[:n_s]), q_c=tuple(row[n_s:])),
             int(f[0]), Fraction(int(dg[0]), cost.tables.scale))

@@ -531,6 +531,32 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 3 * 2 * 2  # header + |V| * schemes * seeds
 
+    def test_capacity_checked_once_per_scheme(self, capsys, tmp_path,
+                                              monkeypatch):
+        # a seed changes no warning: the four schemes' capacity checks and
+        # the three seeds' ArrivalStates parse the CDF, 7 times, and stderr
+        # holds the two warnings that checking every (scheme, seed) gives
+        from sdnsched import traffic
+        calls = []
+        real = traffic.load_interarrival_cdf
+        monkeypatch.setattr(traffic, "load_interarrival_cdf",
+                            lambda path: calls.append(path) or real(path))
+        cdf = tmp_path / "t.cdf"
+        cdf.write_text("0 0.0\n100 0.5\n400 1.0\n")
+        code, _, err = run_cli(
+            capsys, "compare", "--kind", "fat-tree", "--k", "4",
+            "--horizon", "3", "--arrivals", f"trace:{cdf}",
+            "--seeds", "0,1,2", "--v-grid", "0,10",
+            "--controller-capacity", "30", "--switch-capacity", "20",
+            "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert len(calls) == 7
+        assert err == (
+            "warning: supercritical: mean arrivals 1333.33/slot >= total "
+            "capacity 460\n"
+            "warning: supercritical without devolution: mean arrivals "
+            "1333.33/slot >= controller capacity 60\n")
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_args_unchanged(self, capsys, tmp_path, command):
         args = build_parser().parse_args([

@@ -205,31 +205,51 @@ class TestApplySlot:
 
 
     def test_lanes_share_one_arrivals_row(self):
-        # L lanes reading one 1-D arrivals row price and advance as L
-        # one-lane calls on that row
+        # L lanes price and advance as L one-lane calls, each call on its
+        # own LaneGroup's tables: with one arrivals row that every lane
+        # reads (repeated, as LaneGroup.advance passes a shared row), with
+        # a row per lane, and on object arrays with backlogs above 2^62
         rng = random.Random(12)
         cost = CostModel.uniform_alpha(
             tuple(tuple(rng.randint(1, 5) for _ in range(3))
                   for _ in range(4)), Fraction(5, 2))
-        w = cost.tables.w.astype(np.int64)
-        scaled_alpha = cost.tables.scaled_alpha.astype(np.int64)
+        cfg = RunConfig(
+            cost=cost, traffic=TrafficConfig(
+                base_process=Poisson(0), n_switches=4, n_controllers=3),
+            scheme=Scheme.STATIC, params=SchedulerParams(), horizon_slots=1)
+
+        def tables(lanes, dtype):
+            group = engine.LaneGroup([cfg] * lanes, [0] * lanes)
+            if dtype is object:
+                group.widen()
+            return group.cells, group.joins, group.price
+
         for lanes in (2, 3, 5):
-            q = np.array([[rng.randint(0, 20) for _ in range(7)]
-                          for _ in range(lanes)], np.int64)
-            target = np.array([[rng.randint(LOCAL, 2) for _ in range(4)]
-                               for _ in range(lanes)], np.intp)
-            service = np.array([[rng.randint(0, 6) for _ in range(7)]
-                                for _ in range(lanes)], np.int64)
-            arrivals = np.array([rng.randint(0, 9) for _ in range(4)],
-                                np.int64)
-            together = engine.apply_slot(q, target, arrivals, service, cost,
-                                         w, scaled_alpha)
-            alone = [engine.apply_slot(q[l:l + 1], target[l:l + 1],
-                                       arrivals, service[l:l + 1], cost, w,
-                                       scaled_alpha)
-                     for l in range(lanes)]
-            for got, parts in zip(together, zip(*alone)):
-                assert got.tolist() == np.concatenate(parts).tolist()
+            for dtype, low, shared in [(np.int64, 0, True),
+                                       (np.int64, 0, False),
+                                       (object, 2 ** 62, True),
+                                       (object, 2 ** 62, False)]:
+                def ints(n, rows=lanes, low=0, high=20):
+                    return np.array([[rng.randint(low, low + high)
+                                      for _ in range(n)]
+                                     for _ in range(rows)], dtype)
+
+                q = ints(7, low=low)
+                target = np.array([[rng.randint(LOCAL, 2) for _ in range(4)]
+                                   for _ in range(lanes)], np.intp)
+                service = ints(7, high=6)
+                arrivals = ints(4, 1, high=9).repeat(lanes, 0) if shared \
+                    else ints(4, high=9)
+                together = engine.apply_slot(q, target, arrivals, service,
+                                             *tables(lanes, dtype))
+                alone = [engine.apply_slot(q[l:l + 1], target[l:l + 1],
+                                           arrivals[l:l + 1],
+                                           service[l:l + 1],
+                                           *tables(1, dtype))
+                         for l in range(lanes)]
+                for got, parts in zip(together, zip(*alone)):
+                    assert got.dtype == dtype
+                    assert got.tolist() == np.concatenate(parts).tolist()
 
 
 class TestRun:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsched.engine import Scheme
+from sdnsched.engine import LaneGroup, RunConfig, Scheme
 from sdnsched.model import (
     LOCAL,
     Association,
@@ -28,6 +29,7 @@ from sdnsched.scheduler import (
     static_decide,
 )
 from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
+from sdnsched.traffic import Poisson, TrafficConfig
 
 from conftest import argmin_lane, lane_target
 
@@ -404,6 +406,47 @@ class TestKernels:
                 assert lane_target(off, (0,) * n_s, (level,) * n_c) == \
                     static_decide(cost).target
                 off.widen()
+
+    @given(kernel_cases(), rationals(100), st.integers(0, 2 ** 32),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_group_decides_each_lane_alone(self, case, v2, seed, data):
+        # one group of devolving greedy lanes at two V, a greedy lane with
+        # devolution off, and a JSQ, a Static and a Random lane decides
+        # each lane as that lane's one-lane group does, so the n_devolve
+        # cut and the stacked minima hold lane by lane: first for backlogs
+        # within the group's int64 limits, then, widened, for backlogs of
+        # at least 2^62
+        cost, v, _ = case
+        n_s, n_c = cost.n_switches, cost.n_controllers
+        traffic = TrafficConfig(base_process=Poisson(0), n_switches=n_s,
+                                n_controllers=n_c)
+
+        def cfg(scheme, v=0, devolution=Devolution.ON):
+            return RunConfig(
+                cost=cost, traffic=traffic, scheme=scheme,
+                params=SchedulerParams(v=v, devolution=devolution),
+                horizon_slots=1, run_seed=seed)
+
+        group = LaneGroup([
+            cfg(Scheme.RANDOM), cfg(Scheme.GREEDY, v), cfg(Scheme.STATIC),
+            cfg(Scheme.JSQ), cfg(Scheme.GREEDY, v2, Devolution.OFF),
+            cfg(Scheme.GREEDY, v2)], [0] * 6)
+        alone = [LaneGroup([c], [0]) for c in group.cfgs]
+        for low, high in ((0, 100), (2 ** 62, 2 ** 66)):
+            q = [(backlogs(data.draw, n_s, low, high),
+                  backlogs(data.draw, n_c, low, high)) for _ in alone]
+            for lane, (q_s, q_c) in enumerate(q):
+                if group.limit:
+                    assert sum(q_s) + sum(q_c) <= group.limit[lane]
+            dtype = group.q.dtype
+            together = group.decide(np.array([q_s for q_s, _ in q], dtype),
+                                    np.array([q_c for _, q_c in q], dtype))
+            assert [tuple(row) for row in together.tolist()] == \
+                [lane_target(one, q_s, q_c)
+                 for one, (q_s, q_c) in zip(alone, q)]
+            for one in (group, *alone):
+                one.widen()
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
