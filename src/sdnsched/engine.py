@@ -3,27 +3,31 @@
 Runs advance in lock step as lanes of one LaneGroup, one row per run of
 the (L x n) slot arrays. Each slot samples arrivals, decides, prices the
 decision and updates the queues (apply_slot), and accounts for every
-lane at once (metrics.Accumulator). A `run` is the one-lane case of
-`run_lanes`, and a sweep or a CLI `sweep`/`compare` command is one
-run_lanes call over every (config, V) pair. Lanes with the same traffic
-config read one ArrivalState row per slot (common random numbers, each
-draw made once); greedy and JSQ lanes share one argmin, and pricing is
-one gather and one scatter for all lanes. A slot a lane keeps adds one
-row of exact ints to the Accumulator; a run returns those rows, and the
-CLI formats its CSV from the ints and its summary, and a sweep's rows,
-from RunResult.means.
+lane at once (metrics.Accumulator). LaneGroup.advance is the one slot
+loop, which binds the group's tables to locals once and calls decide,
+apply_slot and Accumulator.update once per slot. A `run` is the one-lane
+case of `run_lanes`, and a sweep or a CLI `sweep`/`compare` command is
+one run_lanes call over every (config, V) pair. Lanes with the same
+traffic config read one ArrivalState row per slot (common random
+numbers, each draw made once); greedy and JSQ lanes share one argmin,
+and pricing is one gather and one scatter for all lanes. A slot a lane
+keeps adds one row of exact ints to the Accumulator; a run returns those
+rows, and the CLI formats its CSV from the ints and its summary, and a
+sweep's rows, from RunResult.means.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. int64_queue_limit alone decides whether a lane may
 run on int64, by giving it a queue limit up front; the group starts on
 object arrays of Python ints when any lane's limit is negative, and
 otherwise moves to them, for good, after the slot on which one lane's
-total backlog passes its limit, so no sum ever wraps.
+total backlog passes its limit, so no sum ever wraps; a countdown from
+each lane's headroom skips the checks that cannot find it passed.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -143,29 +147,30 @@ def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
     arrivals and price share one dtype: int64, with every backlog within
     int64_queue_limit, or object arrays of Python ints.
 
-    Returns (next_q, f, dg): f and dg = d*g are arrays of each lane's
-    slot costs, equal to reference.slot_comm_cost and d *
-    reference.slot_comp_cost, and next_q equals the reference
+    Returns (next_q, fdg): fdg is the (2 x L) array whose rows are each
+    lane's slot costs f and d*g, equal to reference.slot_comm_cost and
+    d * reference.slot_comp_cost, and next_q equals the reference
     step_switch_queue / step_controller_queue applied queue by queue.
     Both prices are one gather and one dot with the arrivals, and the
     queues are one scatter of the arrivals into q - service, clipped at 0.
     """
     cell = target + cells
-    f, dg = np.vecdot(price.take(cell, 1), arrivals)
+    fdg = np.vecdot(price.take(cell, 1), arrivals)
     next_q = q - service
     np.add.at(next_q.ravel(), joins.take(cell).ravel(), arrivals.ravel())
-    return np.maximum(next_q, 0, out=next_q), f, dg
+    return np.maximum(next_q, 0, out=next_q), fdg
 
 
 class LaneGroup:
     """Lanes that advance in lock step on one dtype, one row per lane of
     each slot array: the backlogs q (L x (n_s + n_c)), each lane's switch
     queues then its controller queues, and their services; the stacked
-    decision tables k and scale; and apply_slot's tables, built once:
-    each lane's cells (L x n_s), and the joins and prices of every lane's
-    cells, CostTables.joins offset to the lane's row of q and
-    CostTables.price, tiled lane by lane. `acc` keeps each lane's exact
-    running sums.
+    decision tables k and scale (each argmin lane's scale once per
+    queue), and lane_argmin's index tables `controllers` and `offsets`;
+    and apply_slot's tables, built once: each lane's cells (L x n_s),
+    and the joins and prices of every lane's cells, CostTables.joins
+    offset to the lane's row of q and CostTables.price, tiled lane by
+    lane. `acc` keeps each lane's exact running sums.
 
     `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
     `order[l]` is the index in `cfgs` of lane l: greedy lanes with
@@ -177,14 +182,19 @@ class LaneGroup:
     each; then Random lanes, each drawing from
     mt19937_of(random.Random(run_seed)), the words a separate run's
     per-slot randrange loop would take, RANDOM_BLOCK slots per call.
-    `rows[i]` is the index of config i's arrival row among the rows a
-    slot is given (`shared_row` when every lane reads the same one).
+    `rows[i]` is the index of config i's arrival source among the
+    sources `advance` is given (`shared_row` when every lane reads the
+    same one).
 
     The arrays are int64 while every lane's backlogs are within its int64
     queue limit, and object arrays of Python ints, for every lane and for
     good, from the slot after one lane's total backlog passes its limit:
     backlogs are nonnegative, so a lane's total bounds each of them. A
-    group with a negative limit starts on object arrays.
+    lane's total grows by at most `growth` = n_s*a_max (at least 1) a
+    slot, since no queue grows by more than its arrivals, so a check
+    that finds every lane h or more below its limit skips the next
+    h // growth checks (`check_at` is the next slot checked). A group
+    with a negative limit starts on object arrays.
     """
 
     def __init__(self, cfgs, rows):
@@ -202,16 +212,24 @@ class LaneGroup:
         dtype = np.int64 if min(limits) >= 0 else object
         # an object group has no limit to check
         self.limit = limits if dtype is np.int64 else []
+        self.growth = [max(1, n_s * cfg.traffic.a_max) for cfg in self.cfgs]
+        self.check_at = 0 if self.limit else -1
         self.n_argmin = len(argmin)
         self.n_devolve = sum(devolve for _, devolve in argmin)
         self.k = np.multiply.outer(
             np.array([v.numerator for v, _ in argmin], object),
             tables.gap).astype(dtype)
-        self.row_class = tables.row_class
-        self.scale = np.array([v.denominator * tables.scale
-                               for v, _ in argmin], object) \
-            .reshape(-1, 1).astype(dtype)
         lanes, width = len(cfgs), n_s + n_c
+        self.row_class = tables.row_class
+        argmin_lane = np.arange(len(argmin))
+        self.controllers = np.repeat(
+            (argmin_lane[:, None] * width + np.arange(n_s, width))[:, None],
+            len(tables.gap), 1)
+        self.offsets = (argmin_lane[:, None] * len(tables.gap)
+                        + tables.row_class) * n_c
+        self.scale = np.array([[v.denominator * tables.scale] * width
+                               for v, _ in argmin], object) \
+            .reshape(-1, width).astype(dtype)
         lane = np.arange(lanes)[:, None]
         self.cells = tables.cells + lane * (n_s * (n_c + 1))
         self.joins = (tables.joins + lane * width).ravel()
@@ -231,17 +249,24 @@ class LaneGroup:
         self.decided = 0
         self.rows = [rows[i] for i in self.order]
         self.shared_row = rows[0] if len(set(rows)) == 1 else None
+        strides = {}
+        for lane, cfg in enumerate(self.cfgs):
+            strides.setdefault(cfg.stride, []).append(lane)
+        self.strides = tuple(strides.items())
         self.acc = Accumulator(len(cfgs), cost.tables.scale)
 
     def widen(self) -> None:
         """Move every array onto object arrays of Python ints."""
+        self.acc.settle()
         for name in ("q", "service", "k", "scale", "price"):
             setattr(self, name, getattr(self, name).astype(object))
         self.limit = []
+        self.check_at = -1
 
-    def decide(self, q_s: np.ndarray, q_c: np.ndarray) -> np.ndarray:
-        """The targets (L x n_s) for the pre-slot backlogs (L x n_s,
-        L x n_c), one row per lane: the group's next slot of decisions.
+    def decide(self, q: np.ndarray) -> np.ndarray:
+        """The targets (L x n_s) for the pre-slot backlogs q
+        (L x (n_s + n_c)), one row per lane: the group's next slot of
+        decisions.
 
         Random lanes read their slot from `random_block`, which every
         RANDOM_BLOCK calls is refilled with one random_decide call per
@@ -250,11 +275,12 @@ class LaneGroup:
         n = self.n_argmin
         # an all-argmin group skips the copy: about 4% of a desk-sweep slot
         if n == len(self.template):
-            return lane_argmin(self.k, self.scale, q_s, q_c, self.n_devolve,
-                               self.row_class)
+            return lane_argmin(self.k, self.scale, q, self.n_devolve,
+                               self.row_class, self.controllers, self.offsets)
         target = self.template.copy()
-        target[:n] = lane_argmin(self.k, self.scale, q_s[:n], q_c[:n],
-                                 self.n_devolve, self.row_class)
+        target[:n] = lane_argmin(self.k, self.scale, q[:n], self.n_devolve,
+                                 self.row_class, self.controllers,
+                                 self.offsets)
         if self.bits:
             at = self.decided % RANDOM_BLOCK
             if not at:
@@ -266,36 +292,66 @@ class LaneGroup:
             self.decided += 1
         return target
 
-    def advance(self, rows, keep) -> None:
-        """Advance every lane one slot: arrivals (lane l reads
-        rows[self.rows[l]]), snapshot decision, costs, queue updates,
-        running sums. Each lane index in `keep` keeps its row of the
-        slot in `acc` (Accumulator.keep); a slot that keeps none does
-        nothing more."""
-        q = self.q
-        if self.shared_row is not None:
-            arrivals = rows[self.shared_row][None].repeat(len(q), 0)
-        else:
-            arrivals = np.stack([rows[i] for i in self.rows])
-        if q.dtype == object:
-            arrivals = arrivals.astype(object)
-        n_s = self.n_s
-        target = self.decide(q[:, :n_s], q[:, n_s:])
-        self.q, f, dg = apply_slot(q, target, arrivals, self.service,
-                                   self.cells, self.joins, self.price)
-        backlog = self.q.sum(1).tolist()
-        f, dg = f.tolist(), dg.tolist()
-        self.acc.update(f, dg, backlog)
-        if any(map(operator.gt, backlog, self.limit)):
-            self.widen()
-        for lane in keep:
-            locals_ = int(np.count_nonzero(target[lane] == LOCAL))
-            before = after = None
-            if self.cfgs[lane].log_lyapunov:
-                before, after = q[lane].tolist(), self.q[lane].tolist()
-            self.acc.keep(lane, f[lane], dg[lane], backlog[lane],
-                          self.q[lane, n_s:].tolist(), n_s - locals_,
-                          locals_, before, after)
+    def advance(self, sources, slots: int) -> None:
+        """Advance every lane `slots` slots, each slot reading one row from
+        each ArrivalState of `sources` (lane l reads
+        sources[self.rows[l]]): snapshot decision, costs, queue updates,
+        running sums, with one decide, one apply_slot and one
+        Accumulator.update call per slot. A lane keeps its row of a slot
+        in `acc` (Accumulator.keep) on the slots its stride divides and
+        on its config's final slot; a slot that keeps none, and is not
+        an int64 limit check, does nothing more.
+
+        The group's tables are read into locals once, and again after
+        `widen`; keep lists are built only on the slots that the strides'
+        gcd divides, and on the final slot."""
+        acc, n_s = self.acc, self.n_s
+        decide, update = self.decide, acc.update
+        strides = self.strides
+        stride_gcd = math.gcd(*(stride for stride, _ in strides))
+        last = self.cfgs[0].horizon_slots - 1
+        shared, rows = self.shared_row, self.rows
+        cells, joins = self.cells, self.joins
+        q, service, price = self.q, self.service, self.price
+        # each slot's arrivals, in the group's dtype; nothing keeps them
+        arrivals = np.empty((len(q), n_s), q.dtype)
+        check_at = self.check_at
+        for t in range(acc.t, acc.t + slots):
+            if shared is not None:
+                arrivals[:] = sources[shared].next_row()
+            else:
+                drawn = [source.next_row() for source in sources]
+                np.stack([drawn[i] for i in rows], out=arrivals)
+            target = decide(q)
+            next_q, fdg = apply_slot(q, target, arrivals, service, cells,
+                                     joins, price)
+            backlog = np.add.reduce(next_q, axis=1)
+            update(fdg, backlog)
+            if t == check_at:
+                room = min(map(operator.floordiv,
+                               map(operator.sub, self.limit,
+                                   backlog.tolist()), self.growth))
+                if room >= 0:
+                    check_at = t + 1 + room
+                else:
+                    self.q = next_q
+                    self.widen()
+                    next_q, service, price = self.q, self.service, self.price
+                    arrivals, check_at = arrivals.astype(object), -1
+            if t % stride_gcd == 0 or t == last:
+                for stride, at in strides:
+                    if t % stride and t != last:
+                        continue
+                    for lane in at:
+                        locals_ = int(np.count_nonzero(target[lane] == LOCAL))
+                        before = after = None
+                        if self.cfgs[lane].log_lyapunov:
+                            before = q[lane].tolist()
+                            after = next_q[lane].tolist()
+                        acc.keep(lane, next_q[lane, n_s:].tolist(),
+                                 n_s - locals_, locals_, before, after)
+            q = next_q
+        self.q, self.check_at = q, check_at
 
 
 @dataclass(frozen=True)
@@ -344,15 +400,7 @@ def run_lanes(cfgs) -> list[RunResult]:
         sources.setdefault(cfg.traffic, len(sources))
     arrival_states = [tr.ArrivalState(t) for t in sources]
     group = LaneGroup(cfgs, [sources[c.traffic] for c in cfgs])
-    strides = {}
-    for lane, cfg in enumerate(group.cfgs):
-        strides.setdefault(cfg.stride, []).append(lane)
-    strides = tuple(strides.items())
-    last = first.horizon_slots - 1
-    for t in range(first.horizon_slots):
-        rows = [a.next_row() for a in arrival_states]
-        group.advance(rows, [lane for stride, at in strides
-                             if t % stride == 0 or t == last for lane in at])
+    group.advance(arrival_states, first.horizon_slots)
     acc = group.acc
     results = [None] * len(cfgs)
     for lane, i in enumerate(group.order):

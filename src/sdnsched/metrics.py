@@ -14,16 +14,28 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .model import Rational
 
 CSV_HEADER = "t,f_slot,g_slot,f_bar,g_bar,total_backlog,ctrl_var,uploads,locals"
 CSV_HEADER_LYAP = CSV_HEADER + ",lyapunov,drift_penalty"
 
 
+#: Slots an Accumulator holds before it folds them into its exact sums.
+SETTLE_BLOCK = 64
+LOW_MASK = 2 ** 31 - 1  # exact_sum's low part of an int64
+
+
 class Accumulator:
     """Exact running sums of f, d*g and the total backlog, one of each
     per lane, and each lane's kept rows. g is summed as the integer d*g,
     with d = `scale`, so every sum of an engine run is an int.
+
+    `update` takes a slot's arrays as they are and holds up to
+    SETTLE_BLOCK slots; `settle` folds them into the Python-int sums with
+    one block sum (exact_sum), and runs before every read: a kept row,
+    `mean_backlog`, and the engine's move to object arrays.
 
     `kept[lane]` lists the lane's rows, one per slot it keeps, each the
     tuple (t, f, d*g, f_sum, dg_sum, total backlog, n_c*Sum q_c^2 -
@@ -38,29 +50,74 @@ class Accumulator:
         self.dg_sum = [0] * lanes
         self.backlog_sum = [0] * lanes
         self.kept = [[] for _ in range(lanes)]
+        # the (2 x L) fdg and the backlogs of the slots not yet summed
+        self.fdgs, self.backlogs = [], []
+        self.last = None  # the final settled slot's f, d*g and backlog lists
 
-    def update(self, f, dg, backlog) -> None:
-        """Add one slot: f, dg and backlog list each lane's value."""
+    def update(self, fdg, backlog) -> None:
+        """Add one slot: `fdg` is the (2 x L) array of each lane's f and
+        d*g, `backlog` the array of each lane's total backlog, int64 or
+        object arrays of Python ints, neither written to afterwards."""
+        fdgs = self.fdgs
+        fdgs.append(fdg)
+        self.backlogs.append(backlog)
+        self.t += 1
+        if len(fdgs) == SETTLE_BLOCK:
+            self.settle()
+
+    def settle(self) -> None:
+        """Fold the pending slots into the sums; `last` becomes the final
+        slot's f, d*g and backlog, as lists of each lane's value."""
+        fdgs, backlogs = self.fdgs, self.backlogs
+        if not fdgs:
+            return
+        (f, dg), backlog = fdgs[-1].tolist(), backlogs[-1].tolist()
+        self.last = f, dg, backlog
+        if len(fdgs) > 1:
+            lanes = len(backlog)
+            sums = exact_sum(np.concatenate(fdgs).reshape(-1, 2 * lanes))
+            f, dg = sums[:lanes], sums[lanes:]
+            backlog = exact_sum(np.concatenate(backlogs).reshape(-1, lanes))
+        fdgs.clear()
+        backlogs.clear()
         self.f_sum = list(map(operator.add, self.f_sum, f))
         self.dg_sum = list(map(operator.add, self.dg_sum, dg))
         self.backlog_sum = list(map(operator.add, self.backlog_sum, backlog))
-        self.t += 1
 
-    def keep(self, lane, f, dg, backlog, q_c, uploads, locals_,
-             before=None, after=None) -> None:
+    def keep(self, lane, q_c, uploads, locals_, before=None,
+             after=None) -> None:
         """Keep lane `lane`'s row of the slot last passed to update, whose
         slot-end controller backlogs are `q_c`; `before` and `after`, the
         lane's backlogs at the slot's start and end, are given when it
         logs its Lyapunov drift."""
-        row = (self.t - 1, f, dg, self.f_sum[lane], self.dg_sum[lane],
-               backlog, scaled_variance(q_c), uploads, locals_)
+        self.settle()
+        f, dg, backlog = self.last
+        row = (self.t - 1, f[lane], dg[lane], self.f_sum[lane],
+               self.dg_sum[lane], backlog[lane], scaled_variance(q_c),
+               uploads, locals_)
         if before is not None:
             row += (sum_squares(before), sum_squares(after))
         self.kept[lane].append(row)
 
     def mean_backlog(self, lane: int) -> Fraction:
+        self.settle()
         return Fraction(self.backlog_sum[lane], self.t) if self.t \
             else Fraction(0)
+
+
+def exact_sum(stacked: np.ndarray) -> list:
+    """The column sums of the 2-D array `stacked`, as exact ints.
+
+    An object array is summed with Python's own addition. An int64 array
+    of at most 2**31 rows is summed in two parts: x >> 31, which lies in
+    [-2**32, 2**32), and x & (2**31 - 1), in [0, 2**31), so neither
+    part's sum wraps, and x = (x >> 31)*2**31 + (x & (2**31 - 1)) holds
+    for every int64 x."""
+    if stacked.dtype == object:
+        return stacked.sum(0).tolist()
+    high = np.add.reduce(stacked >> 31, axis=0).tolist()
+    low = np.add.reduce(stacked & LOW_MASK, axis=0).tolist()
+    return [(h << 31) + lo for h, lo in zip(high, low)]
 
 
 def sum_squares(xs: Sequence[int]) -> int:

@@ -6,10 +6,10 @@ Greedy, association-only (greedy with devolution off) and JSQ (the
 devolution-off argmin at v = 0) are one rule, the argmin over
 controllers of v*(W - alpha) + (Qc - Qs): engine.argmin_rule says which
 v a lane takes and whether it devolves, and the engine stacks the
-integer tables of its argmin lanes into one lane_argmin call, with numpy
-arrays, and gets target arrays back, one intp per switch. lane_argmin is
-tested for equality against the per-switch rules and the brute-force
-oracle in reference. A Random lane draws from
+integer tables of its argmin lanes into one lane_argmin call on their
+whole queue rows, and gets target arrays back, one intp per switch.
+lane_argmin is tested for equality against the per-switch rules and the
+brute-force oracle in reference. A Random lane draws from
 mt19937_of(random.Random(run_seed)): one random_decide call gives a
 block of slots' targets, with the values of a per-slot randrange loop.
 All arithmetic is exact, so every comparison is an equality check. Ties
@@ -68,8 +68,9 @@ def random_decide(n_switches: int, n_controllers: int,
         else np.zeros(0, np.intp)
 
 
-def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
-                n_devolve: int, row_class: np.ndarray) -> np.ndarray:
+def lane_argmin(k: np.ndarray, scale, q: np.ndarray, n_devolve: int,
+                row_class: np.ndarray, controllers: np.ndarray,
+                offsets: np.ndarray) -> np.ndarray:
     """The greedy argmin for L lanes at once: one row per lane.
 
     With v = p/q in lowest terms and the cost model's integer gap
@@ -80,14 +81,21 @@ def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
     and `row_class` (n_s, intp) maps each switch to its class, a map every
     lane shares.
 
-    `k` stacks the lanes' K tables (L x classes x n_c), `scale` is their
-    scales as an (L x 1) column, and q_s, q_c are the pre-slot backlogs
-    (L x n_s, L x n_c), int64 within every lane's
-    engine.int64_queue_limit (which bounds max|K| + scale*max(Q)) or
-    object arrays of Python ints, exact at any size. Each lane takes the
-    argmin over j of M = K[c, j] + scale*Qc_j and its minimum once per
-    class c, and hands both to every switch of the class; numpy returns
-    the first index on a tie, the lowest-index rule. The first
+    `k` stacks the lanes' K tables (L x classes x n_c), and q holds the
+    lanes' pre-slot backlogs as whole queue rows (L x (n_s + n_c)), each
+    lane's n_s switch queues then its n_c controller queues: int64 within
+    every lane's engine.int64_queue_limit (which bounds max|K| +
+    scale*max(Q)) or object arrays of Python ints, exact at any size.
+    `scale` holds each lane's scale once per queue, in q's shape, so one
+    product scales every backlog. `controllers` (L x classes x n_c, intp)
+    holds the flat index in q of lane l's controller j, the same for
+    every class, so one take lays the scaled controller backlogs out as k
+    is, and each lane takes the argmin over j of M = K[c, j] +
+    scale*Qc_j once per class c and hands it to every switch of the
+    class; numpy returns the first index on a tie, the lowest-index rule.
+    `offsets` (L x n_s, intp) holds the flat index of row (l,
+    row_class[i]) of M, (l*classes + row_class[i])*n_c, so one flat take
+    at offsets + target reads each switch's minimum. The first
     `n_devolve` lanes send switch i LOCAL where its minimum exceeds
     scale*Qs_i, which is reference.greedy_decide; the other lanes never
     go LOCAL, and since alpha_i is constant along a row their argmin is
@@ -95,9 +103,11 @@ def lane_argmin(k: np.ndarray, scale, q_s: np.ndarray, q_c: np.ndarray,
     reference.jsq_decide. Lanes never mix, so each row is its own lane's
     decision.
     """
-    m = k + (q_c * scale)[:, None, :]
+    scaled = q * scale
+    m = k + scaled.take(controllers)
     target = m.argmin(2).take(row_class, 1)
-    local = m.min(2).take(row_class, 1) > q_s * scale
-    local[n_devolve:] = False
-    target[local] = LOCAL
+    local = m.take(offsets + target) > scaled[:, :len(row_class)]
+    if n_devolve < len(local):
+        local[n_devolve:] = False
+    np.putmask(target, local, LOCAL)
     return target

@@ -343,12 +343,14 @@ class ArrivalState:
     Constant and hot-spot switches are fixed columns of a row template.
     Poisson and Pareto switches fill one column each of a
     (block x n_switches) int64 matrix every block slots, and a slot reads
-    one row. Trace switches each own `block` consecutive inter-arrival
-    gaps of one flat buffer; the gap at a switch's read position `at` is
-    the time left to its next event, which carries the residual across
-    slot boundaries. When a switch has less than a window of unread gaps,
-    every trace switch is refilled in one batch. Nothing is drawn until
-    the first slot.
+    one row; each drawn column is capped at min(a_max, 2**63 - 1), and
+    the fixed columns hold min(rate, a_max), on an object matrix when
+    one of those reaches 2**63. Trace switches each own `block`
+    consecutive inter-arrival gaps of one flat buffer; the gap at a
+    switch's read position `at` is the time left to its next event,
+    which carries the residual across slot boundaries. When a switch has
+    less than a window of unread gaps, every trace switch is refilled in
+    one batch. Nothing is drawn until the first slot.
     """
 
     def __init__(self, cfg: TrafficConfig):
@@ -387,7 +389,9 @@ class ArrivalState:
         with np.errstate(divide="ignore", over="ignore"):
             for col, rng in zip(self.cols.tolist(), self.rngs):
                 if isinstance(p, Poisson):
-                    self.block[:, col] = rng.poisson(p.rate, n)
+                    draws = rng.poisson(p.rate, n)
+                    self.block[:, col] = np.minimum(draws, self.cap,
+                                                    out=draws)
                 elif isinstance(p, Pareto):
                     # inverse-transform Pareto draw per slot, rounded to
                     # nearest; a draw can exceed int64, so draws at or
@@ -400,7 +404,6 @@ class ArrivalState:
                     self.block[:, col] = counts
                 else:
                     raise AssertionError(p)
-        np.clip(self.block, 0, self.cap, out=self.block)
         self.pos = 0
 
     def _start_trace(self) -> None:

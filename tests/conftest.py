@@ -59,7 +59,7 @@ def apply_slot_tuples(queues, assoc, arrivals, ctrl_service, switch_service,
     group = LaneGroup([lane], [0])
     if not fits:
         group.widen()
-    q, f, dg = apply_slot(
+    q, (f, dg) = apply_slot(
         np.array([queues.q_s + queues.q_c], dtype),
         np.array([assoc.target], np.intp), np.array([arrivals], dtype),
         np.array([switch_service + ctrl_service], dtype), group.cells,
@@ -98,5 +98,4 @@ def lane_target(group, q_s, q_c):
     if group.limit:
         assert sum(q_s) + sum(q_c) <= group.limit[0]
     dtype = group.q.dtype
-    return tuple(group.decide(np.array([q_s], dtype),
-                              np.array([q_c], dtype))[0].tolist())
+    return tuple(group.decide(np.array([q_s + q_c], dtype))[0].tolist())

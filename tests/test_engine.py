@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsched import cli, engine
+from sdnsched import cli, engine, metrics
 from sdnsched import traffic as tr
 from sdnsched.cli import main
 from sdnsched.engine import (
@@ -29,8 +29,11 @@ from sdnsched.model import (
     SchedulerParams,
 )
 from sdnsched.reference import (
+    DecisionContext,
     QueueState,
     controller_variance,
+    greedy_decide,
+    jsq_decide,
     lyapunov,
     row_record,
     slot_comm_cost,
@@ -103,7 +106,7 @@ def decide_tuples(group, q):
     as arrays of the group's dtype; returns the Association."""
     dtype = group.q.dtype
     return Association(target=tuple(group.decide(
-        np.array([q.q_s], dtype), np.array([q.q_c], dtype))[0].tolist()))
+        np.array([q.q_s + q.q_c], dtype))[0].tolist()))
 
 
 @st.composite
@@ -247,9 +250,11 @@ class TestApplySlot:
                                            service[l:l + 1],
                                            *tables(1, dtype))
                          for l in range(lanes)]
-                for got, parts in zip(together, zip(*alone)):
+                # lanes are the rows of next_q and the columns of fdg
+                for got, parts, axis in zip(together, zip(*alone), (0, 1)):
                     assert got.dtype == dtype
-                    assert got.tolist() == np.concatenate(parts).tolist()
+                    assert got.tolist() == \
+                        np.concatenate(parts, axis).tolist()
 
 
 class TestRun:
@@ -352,7 +357,7 @@ class TestInvariants:
         switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
             q = lane_queues(group)
-            group.advance([arrival_state.next_row()], [])
+            group.advance([arrival_state], 1)
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
             target = decide_tuples(replay_group, q).target
@@ -381,7 +386,7 @@ class TestInvariants:
         switch_service = (tcfg.switch_capacity,) * tcfg.n_switches
         for _ in range(cfg.horizon_slots):
             q = lane_queues(group)
-            group.advance([arrival_state.next_row()], [0])
+            group.advance([arrival_state], 1)
             rec = row_record(group.acc.kept[0][-1], group.acc.scale,
                              group.n_c, cfg.params.v)
             # the row's Lyapunov value and variance are the model's
@@ -506,6 +511,69 @@ class TestInt64Limit:
         assert output("object") == switched == unpatched
         assert widened == [first + 1]  # the last run started on object arrays
 
+    @pytest.mark.parametrize("arrivals, capacity", [
+        # no service: every total grows by exactly 100 a slot, the bound,
+        # so the first check skips 29 and lands on the crossing slot
+        ("constant:5", 0),
+        ("poisson:8", 20)])
+    def test_countdown_skips_checks_and_widens_on_time(
+            self, tmp_path, monkeypatch, arrivals, capacity):
+        # a_max = 5 on fat-tree k=4: a lane's total grows by at most
+        # 20*5 = 100 a slot, so under a limit of 3050 a check h below it
+        # skips the next h // 100 checks, and the group still widens on
+        # the slot after the first whose total passes the limit, with the
+        # bytes of a run on object arrays throughout
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "kind": "fat-tree", "k": 4, "scheme": "greedy", "v": "10",
+            "horizon": 400, "arrivals": arrivals, "a_max": 5,
+            "controller_capacity": capacity,
+            "switch_capacity": capacity // 10, "name": "run"}))
+        widened = []
+        widen = engine.LaneGroup.widen
+        monkeypatch.setattr(engine.LaneGroup, "widen",
+                            lambda group: widened.append(group.acc.t) or
+                            widen(group))
+
+        def output(name):
+            assert main(["run", "--config", str(config), "--stride", "1",
+                         "--out-dir", str(tmp_path / name)]) == 0
+            return [(tmp_path / name / f"run{ext}").read_bytes()
+                    for ext in (".csv", ".summary.json")]
+
+        limit = 3050
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: limit)
+        switched = output("switched")
+        header, *rows = [line.split(",")
+                         for line in switched[0].decode().splitlines()]
+        col = header.index("total_backlog")
+        first = next(int(row[0]) for row in rows if int(row[col]) > limit)
+        # the first check, at slot 0, skips at least the next 29
+        assert first >= limit // 100
+        assert widened == [first + 1]
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: -1)
+        assert output("object") == switched
+        assert widened == [first + 1]  # the last run started on object arrays
+
+    def test_countdown_checks_two_slots_of_204(self, monkeypatch):
+        # 3 switches, a constant 5 and no service: the total after slot t
+        # is 15*(t + 1), the growth bound exactly. The check at slot 0
+        # finds 3035 of headroom and skips 202 slots; the next, at slot
+        # 203, finds 3060 > 3050 and widens
+        monkeypatch.setattr(engine, "int64_queue_limit", lambda *a: 3050)
+        cfg = small_cfg(horizon=300, process=Constant(5), a_max=5,
+                        controller_capacity=0, switch_capacity=0)
+        group = engine.LaneGroup([cfg], [0])
+        assert group.growth == [15]
+        arrival_state = tr.ArrivalState(cfg.traffic)
+        checked = []
+        while group.q.dtype != object:
+            if group.check_at == group.acc.t:
+                checked.append(group.acc.t)
+            group.advance([arrival_state], 1)
+        assert checked == [0, 203] and group.acc.t == 204
+        assert group.q.sum() == 15 * 204
+
     def test_limit_covers_a_max_and_services(self):
         cost = CostModel.uniform_alpha(((1, 3), (2, 2)), 2)
 
@@ -610,6 +678,61 @@ class TestInt64Limit:
                 top = max(map(abs, group.k[lane].ravel().tolist()))
                 assert top + int(group.scale[lane, 0]) * limits[lane] \
                     < INT64_BOUND
+
+
+class TestSettleBlocks:
+    """The Accumulator folds its slots into the exact sums in blocks of
+    SETTLE_BLOCK; every kept row's running sums equal those of a
+    slot-by-slot Python replay of the run."""
+
+    @pytest.mark.parametrize("process, a_max", [
+        (Poisson(3), 10 ** 6),
+        # backlogs near 7e17 by the final slot: a block's backlog sum
+        # passes 2^63 on int64 arrays
+        (Constant(10 ** 15), 10 ** 15),
+        # a_max >= 2^62 runs on object arrays from the start
+        (Poisson(3), 2 ** 62)])
+    @pytest.mark.parametrize("stride", [1, 7, 250])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_kept_rows_equal_python_replay(self, process, a_max, stride,
+                                           log):
+        horizon = 250
+        assert horizon > 3 * metrics.SETTLE_BLOCK
+        cfgs = [replace(small_cfg(scheme, v=1, horizon=horizon, seed=5,
+                                  process=process, a_max=a_max),
+                        stride=stride, log_lyapunov=log)
+                for scheme in (Scheme.GREEDY, Scheme.JSQ)]
+        group = engine.LaneGroup(cfgs, [0, 0])
+        assert (group.q.dtype == object) == (a_max >= 2 ** 62)
+        results = engine.run_lanes(cfgs)
+        for cfg, res in zip(cfgs, results):
+            tcfg, cost = cfg.traffic, cfg.cost
+            services = ((tcfg.controller_capacity,) * tcfg.n_controllers,
+                        (tcfg.switch_capacity,) * tcfg.n_switches)
+            arrival_state = tr.ArrivalState(tcfg)
+            q = QueueState.zeros(cost.n_switches, cost.n_controllers)
+            f_sum = g_sum = backlog_sum = 0
+            want = []
+            for t in range(horizon):
+                arrivals = tr.sample_slot_arrivals(arrival_state)
+                ctx = DecisionContext(q=q, arrivals=arrivals, cost=cost,
+                                      params=cfg.params)
+                assoc = greedy_decide(ctx) if cfg.scheme is Scheme.GREEDY \
+                    else jsq_decide(q, cost.n_switches)
+                before = q
+                q, f, g = spec_apply_slot(q, assoc, arrivals, *services, cost)
+                f_sum, g_sum = f_sum + f, g_sum + g
+                backlog_sum += q.total()
+                want.append((t, f, g, Fraction(f_sum, t + 1),
+                             Fraction(g_sum) / (t + 1),
+                             q.total(), lyapunov(before) if log else None))
+            kept = list(range(0, horizon, stride))
+            if kept[-1] != horizon - 1:
+                kept.append(horizon - 1)
+            assert [(r.t, r.f_slot, r.g_slot, r.f_bar, r.g_bar,
+                     r.total_backlog, r.lyapunov) for r in records(res)] == \
+                [want[t] for t in kept]
+            assert res.mean_backlog == Fraction(backlog_sum, horizon)
 
 
 @st.composite

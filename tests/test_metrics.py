@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +14,15 @@ from sdnsched.metrics import (
 from sdnsched.reference import QueueState, controller_variance, row_record
 
 
-def keep_record(acc, f, dg, q, uploads, locals_):
+def update(acc, f, dg, backlog):
+    """Add one slot of a one-lane Accumulator, as the engine's arrays."""
+    acc.update(np.array([[f], [dg]]), np.array([backlog]))
+
+
+def keep_record(acc, q, uploads, locals_):
     """Keep lane 0's row of the last slot, whose slot-end queues are
     `q`, and return its record."""
-    acc.keep(0, f, dg, q.total(), q.q_c, uploads, locals_)
+    acc.keep(0, q.q_c, uploads, locals_)
     return row_record(acc.kept[0][-1], acc.scale, len(q.q_c), 0)
 
 
@@ -24,17 +30,17 @@ class TestAccumulator:
     def test_two_point_average(self):
         acc = Accumulator(1, 1)
         q = QueueState.zeros(1, 1)
-        acc.update([2], [0], [q.total()])
-        acc.update([4], [0], [q.total()])
-        rec = keep_record(acc, 4, 0, q, 1, 0)
+        update(acc, 2, 0, q.total())
+        update(acc, 4, 0, q.total())
+        rec = keep_record(acc, q, 1, 0)
         assert rec.f_bar == 3 and rec.t == 1
 
     def test_all_zero(self):
         acc = Accumulator(1, 1)
         q = QueueState.zeros(1, 1)
         for _ in range(5):
-            acc.update([0], [0], [q.total()])
-        rec = keep_record(acc, 0, 0, q, 0, 1)
+            update(acc, 0, 0, q.total())
+        rec = keep_record(acc, q, 0, 1)
         assert rec.f_bar == 0 and rec.g_bar == 0 and rec.total_backlog == 0
 
     def test_recompute_from_scratch(self):
@@ -47,8 +53,8 @@ class TestAccumulator:
             g = Fraction(rng.randint(0, 50), rng.randint(1, 7))
             fs.append(f)
             gs.append(g)
-            acc.update([f], [g], [q.total()])
-        rec = keep_record(acc, f, g, q, 2, 0)
+            update(acc, f, g, q.total())
+        rec = keep_record(acc, q, 2, 0)
         assert rec.f_bar == Fraction(sum(fs), len(fs))
         assert rec.g_bar == sum(gs) / len(gs)
 
@@ -60,8 +66,8 @@ class TestAccumulator:
         for t in range(1, 200):
             f = rng.randint(0, 9)
             total += f
-            acc.update([f], [0], [q.total()])
-            assert keep_record(acc, f, 0, q, 0, 1).f_bar * t == total
+            update(acc, f, 0, q.total())
+            assert keep_record(acc, q, 0, 1).f_bar * t == total
 
 
 class TestControllerVariance:
@@ -182,14 +188,14 @@ class TestFormatting:
         # g = d*g / d = 1/2
         acc = Accumulator(1, 2)
         q = QueueState(q_s=(1,), q_c=(0, 2))
-        acc.update([2], [1], [q.total()])
-        acc.keep(0, 2, 1, q.total(), q.q_c, 1, 0)
+        update(acc, 2, 1, q.total())
+        acc.keep(0, q.q_c, 1, 0)
         row = record_to_csv_row(acc.kept[0][-1], 2, 2, 0)
         assert row == "0,2.000000,0.500000,2.000000,0.500000,3,1.000000,1,0"
 
     def test_uploads_plus_locals(self):
         acc = Accumulator(1, 1)
         q = QueueState.zeros(4, 2)
-        acc.update([0], [0], [q.total()])
-        rec = keep_record(acc, 0, 0, q, 3, 1)
+        update(acc, 0, 0, q.total())
+        rec = keep_record(acc, q, 3, 1)
         assert rec.uploads + rec.locals_ == 4

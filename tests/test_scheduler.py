@@ -24,6 +24,7 @@ from sdnsched.reference import (
     slot_objective,
 )
 from sdnsched.scheduler import (
+    lane_argmin,
     mt19937_of,
     random_decide,
     static_decide,
@@ -440,13 +441,60 @@ class TestKernels:
                 if group.limit:
                     assert sum(q_s) + sum(q_c) <= group.limit[lane]
             dtype = group.q.dtype
-            together = group.decide(np.array([q_s for q_s, _ in q], dtype),
-                                    np.array([q_c for _, q_c in q], dtype))
+            together = group.decide(np.array([q_s + q_c for q_s, q_c in q],
+                                             dtype))
             assert [tuple(row) for row in together.tolist()] == \
                 [lane_target(one, q_s, q_c)
                  for one, (q_s, q_c) in zip(alone, q)]
             for one in (group, *alone):
                 one.widen()
+
+    @given(kernel_cases(), rationals(100), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_whole_row_argmin_matches_reference_rules(self, case, v2, data):
+        # lane_argmin on the whole queue rows of a group's argmin lanes
+        # (greedy with devolution on at two V, greedy with devolution off,
+        # and JSQ), with the group's tables and offsets, gives each lane
+        # its reference rule's targets: for backlogs within every lane's
+        # int64 limit, then, widened, for backlogs of at least 2^62
+        cost, v, _ = case
+        n_s, n_c = cost.n_switches, cost.n_controllers
+        traffic = TrafficConfig(base_process=Poisson(0), n_switches=n_s,
+                                n_controllers=n_c)
+        group = LaneGroup([
+            RunConfig(cost=cost, traffic=traffic, scheme=scheme,
+                      params=SchedulerParams(v=lane_v, devolution=devolution),
+                      horizon_slots=1)
+            for scheme, lane_v, devolution in [
+                (Scheme.JSQ, 0, Devolution.ON),
+                (Scheme.GREEDY, v2, Devolution.OFF),
+                (Scheme.GREEDY, v, Devolution.ON),
+                (Scheme.GREEDY, v2, Devolution.ON)]], [0] * 4)
+        assert group.n_argmin == 4 and group.n_devolve == 2
+        for low, high in ((0, 100), (2 ** 62, 2 ** 66)):
+            q = [QueueState(q_s=backlogs(data.draw, n_s, low, high),
+                            q_c=backlogs(data.draw, n_c, low, high))
+                 for _ in group.cfgs]
+            for lane, queues in enumerate(q):
+                if group.limit:
+                    assert queues.total() <= group.limit[lane]
+            rows = np.array([queues.q_s + queues.q_c for queues in q],
+                            group.q.dtype)
+            target = lane_argmin(group.k, group.scale, rows,
+                                 group.n_devolve, group.row_class,
+                                 group.controllers, group.offsets)
+            want = []
+            for cfg, queues in zip(group.cfgs, q):
+                ctx = DecisionContext(q=queues, arrivals=(0,) * n_s,
+                                      cost=cost, params=cfg.params)
+                if cfg.scheme is Scheme.JSQ:
+                    want.append(jsq_decide(queues, n_s).target)
+                elif cfg.params.devolution is Devolution.ON:
+                    want.append(greedy_decide(ctx).target)
+                else:
+                    want.append(association_only_decide(ctx).target)
+            assert [tuple(row) for row in target.tolist()] == want
+            group.widen()
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)

@@ -375,6 +375,22 @@ class TestBlockSampler:
         n_slots = 2 * traffic._BLOCK + 77
         assert sampled_rows(cfg, n_slots) == reference_rows(cfg, n_slots)
 
+    @pytest.mark.parametrize("process", [
+        Poisson(2.0), Pareto(2, 2.94), Constant(3)])
+    def test_hot_rate_past_int64_equals_reference(self, process):
+        # a hot-spot rate of 2^64 under a_max 2^70: the hot switch gets
+        # min(rate, a_max) = 2^64 arrivals every slot, as for a constant
+        # base and in mean_arrival_rates, while its neighbours' draws
+        # stay those of the reference
+        cfg = make_cfg(process, n_switches=4, seed=0,
+                       hot_spot_switches=frozenset({0}),
+                       hot_spot_rate=2 ** 64, a_max=2 ** 70)
+        n_slots = traffic._BLOCK + 77
+        rows = sampled_rows(cfg, n_slots)
+        assert rows == reference_rows(cfg, n_slots)
+        assert {row[0] for row in rows} == {2 ** 64} == \
+            {mean_arrival_rates(cfg)[0]}
+
     @pytest.mark.parametrize("text", [
         "700 1.0\n",                      # one point: every gap is 700
         "0 0.25\n900 1.0\n",              # a quarter of the gaps are 0
