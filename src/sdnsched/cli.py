@@ -2,8 +2,10 @@
 
 Configuration comes from an optional JSON file plus flag overrides;
 every run's summary embeds the fully resolved config so output can be
-reproduced byte for byte. Exit codes: 0 success, 1 validation error,
-2 usage error (from argparse) or runtime failure.
+reproduced byte for byte. Exit codes: 0 success, 1 a named input
+problem (a ConfigError, or an OSError from a file the command reads or
+writes), 2 usage error (from argparse) or runtime failure. Any other
+exception is a bug, and escapes main.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def _parse_process(text: str):
             f"bad arrival process {text!r}; expected poisson:RATE, "
             "pareto:SHAPE,SCALE, constant:RATE, or trace:PATH")
     try:
-        return make(*values)
-    except ValueError as exc:
+        return make(*values)  # a trace file is read here, once
+    except (ValueError, OSError) as exc:
         raise ValueError(f"bad arrival process {text!r}: {exc}") from None
 
 
@@ -311,7 +313,6 @@ def _default_hot_spot(topo) -> list[int]:
 
 
 def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = CSV_HEADER_LYAP if run_cfg.log_lyapunov else CSV_HEADER
     csv_path = out_dir / f"{name}.csv"
     with open(csv_path, "w") as fh:
@@ -336,11 +337,15 @@ def _write_run_output(run_cfg, resolved, result, out_dir: Path, name: str):
 
 def cmd_topo(args) -> int:
     kind = TopoKind(args.kind)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
-        name = "--seed" if args.seed is not None else "SDND_SEED"
-        raise ConfigError([f"{name} must be >= 0, got {seed}"])
-    topo, cost = _fabric(kind, args.k, seed, args.hosts_min, args.hosts_max)
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+        if seed < 0:
+            name = "--seed" if args.seed is not None else "SDND_SEED"
+            raise ConfigError([f"{name} must be >= 0, got {seed}"])
+        topo, cost = _fabric(kind, args.k, seed, args.hosts_min,
+                             args.hosts_max)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     stats = (f"kind={kind.value} k={args.k} switches={topo.n_switches} "
              f"hosts={topo.n_hosts} controllers={cost.n_controllers} "
              f"alpha={format_rational(cost.alpha[0])}")
@@ -381,6 +386,7 @@ def cmd_run(args) -> int:
         f"_v{resolved['v'].replace('/', 'over')}_seed{resolved['run_seed']}")
     out_dir = Path(args.out_dir)
     _check_run_name(out_dir, name, source)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for warning in engine.capacity_check(run_cfg):
         print(f"warning: {warning}", file=sys.stderr)
     result = engine.run(run_cfg)
@@ -440,9 +446,7 @@ def cmd_sweep(args) -> int:
     cfgs = sweep_configs(_given(args), names, seeds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a seed changes no warning, so one config per scheme is checked
-    warnings = {w: None for cfg in cfgs[::len(seeds)]
-                for w in engine.capacity_check(cfg)}
+    warnings = {w: None for cfg in cfgs for w in engine.capacity_check(cfg)}
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     # a row's scheme, seed and V are its pair's: one RunResult serves
@@ -535,7 +539,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

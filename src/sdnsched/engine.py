@@ -30,6 +30,7 @@ import enum
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -443,7 +444,10 @@ def capacity_check(cfg: RunConfig) -> list[str]:
     """Warn when mean arrivals meet or exceed total service capacity, and
     when a_max caps a fixed (hot-spot or constant) rate."""
     t = cfg.traffic
-    total_in = sum(tr.mean_arrival_rates(t))
+    # each mean as a float, inf past a float's range, so that the sum
+    # reaches inf rather than raising: the checks and the text need no more
+    total_in = sum(float(rate) if rate <= sys.float_info.max else math.inf
+                   for rate in tr.mean_arrival_rates(t))
     ctrl_cap = t.controller_capacity * t.n_controllers
     switch_cap = t.switch_capacity * t.n_switches
     warnings = tr.cap_warnings(t)
@@ -452,11 +456,11 @@ def capacity_check(cfg: RunConfig) -> list[str]:
         if total_in >= ctrl_cap:
             warnings.append(
                 f"supercritical without devolution: mean arrivals "
-                f"{float(total_in):.2f}/slot >= controller capacity {ctrl_cap}"
+                f"{total_in:.2f}/slot >= controller capacity {ctrl_cap}"
             )
     elif total_in >= ctrl_cap + switch_cap:
         warnings.append(
-            f"supercritical: mean arrivals {float(total_in):.2f}/slot >= "
+            f"supercritical: mean arrivals {total_in:.2f}/slot >= "
             f"total capacity {ctrl_cap + switch_cap}"
         )
     return warnings

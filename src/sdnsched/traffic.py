@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -136,7 +137,13 @@ def switch_streams(seed: int, switches) -> list[Generator]:
 
 @dataclass(frozen=True)
 class TraceCdf:
+    """Arrivals replayed from the inter-arrival CDF file at `path`, which
+    is read and checked once, here; equal paths are equal processes."""
     path: str
+    cdf: EmpiricalCdf = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf", load_interarrival_cdf(self.path))
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,15 @@ class TrafficConfig:
             if capacity > MAX_CAPACITY:
                 raise ValueError(f"{name} capacity {capacity} exceeds the "
                                  f"limit {MAX_CAPACITY}")
+        if isinstance(self.base_process, TraceCdf):
+            # a mean gap so short (or underflowing to 0) that a slot would
+            # hold more than MAX_CAPACITY events on average
+            per_slot = trace_events_per_slot(self)
+            if per_slot > MAX_CAPACITY:
+                raise ValueError(
+                    f"{self.base_process.path}: mean inter-arrival time "
+                    f"{self.base_process.cdf.mean!r} us gives {per_slot:.3g} "
+                    f"events per slot, above the limit {MAX_CAPACITY}")
 
 
 class EmpiricalCdf:
@@ -323,18 +339,14 @@ def load_interarrival_cdf(path: str) -> EmpiricalCdf:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def trace_events_per_slot(cfg: TrafficConfig, cdf: EmpiricalCdf) -> float:
-    """A trace switch's mean events per slot, slot_length_us / cdf.mean.
-    Rejects a CDF whose mean gap is so short (or underflows to 0) that
-    a slot would hold more than MAX_CAPACITY events on average."""
-    mean = cdf.mean
-    per_slot = cfg.slot_length_us / mean if mean else math.inf
-    if per_slot > MAX_CAPACITY:
-        raise ValueError(
-            f"{cfg.base_process.path}: mean inter-arrival time {mean!r} us "
-            f"gives {per_slot:.3g} events per slot, above the limit "
-            f"{MAX_CAPACITY}")
-    return per_slot
+def trace_events_per_slot(cfg: TrafficConfig) -> float:
+    """A trace switch's mean events per slot, slot_length_us over the
+    mean gap of cfg's CDF; inf when that mean underflows to 0 or the slot
+    length is beyond a float's range, as the gaps' sums are floats."""
+    mean = cfg.base_process.cdf.mean
+    if not mean or cfg.slot_length_us > sys.float_info.max:
+        return math.inf
+    return cfg.slot_length_us / mean
 
 
 class ArrivalState:
@@ -372,11 +384,11 @@ class ArrivalState:
         self.block = None  # (block_len x n_switches) counts, Poisson/Pareto
         self.pos = self.block_len
         if isinstance(base, TraceCdf):
-            self.cdf = load_interarrival_cdf(base.path)
+            self.cdf = base.cdf
             # events inspected per switch and pass: a slot's mean count
             # plus three of its Poisson standard deviations, so one pass
             # almost always covers the slot; more passes stay exact
-            per_slot = trace_events_per_slot(cfg, self.cdf)
+            per_slot = trace_events_per_slot(cfg)
             self.window = int(min(per_slot + 3 * math.sqrt(per_slot) + 8,
                                   self.block_len // 2))
             self.gaps = None  # flat gap buffer, allocated on the first slot
@@ -545,6 +557,6 @@ def mean_arrival_rates(cfg: TrafficConfig) -> list[Fraction | float]:
         base = float("inf") if p.shape <= 1 \
             else p.shape * p.scale / (p.shape - 1)
     else:
-        base = trace_events_per_slot(cfg, load_interarrival_cdf(p.path))
+        base = trace_events_per_slot(cfg)
     return [min(cfg.hot_spot_rate if i in cfg.hot_spot_switches else base,
                 cfg.a_max) for i in range(cfg.n_switches)]

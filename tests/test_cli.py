@@ -3,17 +3,19 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import shlex
 import tempfile
 import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsched import cli, engine, topology
+from sdnsched import cli, engine, topology, traffic
 from sdnsched.cli import build_parser, cmd_sweep, main
 from sdnsched.metrics import format_rational
 from sdnsched.model import Devolution
@@ -342,6 +344,66 @@ class TestRun:
         assert "above the limit 1000000" in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_trace_slot_past_float_range_rejected(self, capsys, tmp_path):
+        path = tmp_path / "trace.cdf"
+        path.write_text("0 0.0\n100 0.5\n400 1.0\n")
+        code, _, err = self.run_config(capsys, tmp_path,
+                                       arrivals=f"trace:{path}",
+                                       slot_length_us=10 ** 400)
+        assert code == 1
+        assert err == (f"error: {path}: mean inter-arrival time 150.0 us "
+                       "gives inf events per slot, above the limit "
+                       "1000000\n")
+
+    def test_out_dir_problem_reported_before_the_run(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # an output directory that cannot be made fails the command
+        # before it warns or runs, so stderr holds only the error
+        monkeypatch.setattr(engine, "run", None)
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli(capsys, *self.base_args(
+            tmp_path / "file" / "out", "--scheme", "greedy",
+            "--controller-capacity", "1"))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_trace_cdf_reported_with_other_problems(self, capsys,
+                                                         tmp_path):
+        # the CDF is read when the config is resolved, so its problem
+        # comes with the others, before anything is written
+        path = tmp_path / "trace.cdf"
+        path.write_text("-5 0.5\n5 1.0\n")
+        code, out, err = self.run_config(
+            capsys, tmp_path, arrivals=f"trace:{path}",
+            controller_capacity=traffic.MAX_CAPACITY + 1)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: bad arrival process 'trace:{path}': {path}: "
+            "inter-arrival times must be nonnegative\n"
+            "error: controller capacity 1000001 exceeds the limit 1000000\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cfg.json", "trace.cdf"]
+
+    def test_trace_path_with_nul_byte_named(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path,
+                                       arrivals="trace:a\u0000b")
+        assert code == 1
+        assert err == ("error: bad arrival process 'trace:a\\x00b': "
+                       "embedded null byte\n")
+
+    def test_trace_run_reads_its_cdf_once(self, capsys, tmp_path,
+                                          monkeypatch):
+        calls = []
+        real = traffic.load_interarrival_cdf
+        monkeypatch.setattr(traffic, "load_interarrival_cdf",
+                            lambda path: calls.append(path) or real(path))
+        path = tmp_path / "trace.cdf"
+        path.write_text("0 0.0\n100 0.5\n400 1.0\n")
+        code, _, err = self.run_config(capsys, tmp_path,
+                                       arrivals=f"trace:{path}")
+        assert code == 0, err
+        assert calls == [str(path)]
+
     @pytest.mark.parametrize("spec, problem", [
         ("pareto:0,1", "shape must be finite and > 0"),
         ("pareto:1,-1", "scale must be finite and > 0"),
@@ -398,6 +460,16 @@ class TestRun:
         assert code == 0
         assert ("warning: supercritical: mean arrivals 4000112.00/slot >= "
                 "total capacity 1400") in err
+
+    def test_means_past_float_range_warned(self, capsys, tmp_path):
+        # 4 hot-spot switches of 10^400 arrivals a slot: the warning reads
+        # their total as inf, and the run runs on Python ints
+        code, _, err = self.run_config(
+            capsys, tmp_path, scheme="jsq", horizon=2, arrivals="poisson:2",
+            a_max=10 ** 400, hot_spot_rate=10 ** 400)
+        assert code == 0
+        assert err == ("warning: supercritical without devolution: mean "
+                       "arrivals inf/slot >= controller capacity 1200\n")
 
     def test_subcritical_once_capped_not_warned(self, capsys, tmp_path):
         # capped, 4 * 10^6 + 16 * 5.88 arrivals a slot are below the total
@@ -533,9 +605,9 @@ class TestSweep:
 
     def test_capacity_checked_once_per_scheme(self, capsys, tmp_path,
                                               monkeypatch):
-        # a seed changes no warning: the four schemes' capacity checks and
-        # the three seeds' ArrivalStates parse the CDF, 7 times, and stderr
-        # holds the two warnings that checking every (scheme, seed) gives
+        # the command reads the CDF once, when it resolves its config:
+        # every (scheme, seed) config shares that process, and stderr
+        # holds each of the two warnings their capacity checks give once
         from sdnsched import traffic
         calls = []
         real = traffic.load_interarrival_cdf
@@ -550,7 +622,7 @@ class TestSweep:
             "--controller-capacity", "30", "--switch-capacity", "20",
             "--out-dir", str(tmp_path / "out"))
         assert code == 0
-        assert len(calls) == 7
+        assert len(calls) == 1
         assert err == (
             "warning: supercritical: mean arrivals 1333.33/slot >= total "
             "capacity 460\n"
@@ -933,21 +1005,6 @@ class TestParseV:
         text = f"{top}/{top - 2}"
         assert self.written_v(capsys, tmp_path, how, text) == text
 
-    @given(st.one_of(
-        st.from_regex(r"\A[ +-]?[0-9_]{0,4}(\.[0-9]{0,3})?"
-                      r"([eE][+-]?[0-9]{1,9})?(/[0-9]{0,3})?\Z"),
-        st.text(alphabet="0123456789.eE+-/_ nafiNIs", max_size=8),
-        st.text(max_size=4),
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_any_v_text_exits_0_or_1(self, text):
-        with tempfile.TemporaryDirectory() as out_dir, \
-                contextlib.redirect_stderr(io.StringIO()), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", *self.RUN, "--scheme", "greedy",
-                         f"--v={text}", "--out-dir", out_dir])
-        assert code in (0, 1)
-
 
 class TestRunNameLength:
     """A run whose output file name would exceed the output directory's
@@ -1146,3 +1203,168 @@ def test_readme_commands_run(capsys, tmp_path):
                 argv[argv.index(flag) + 1] = value
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+#: Texts a fuzzed flag takes: negative, zero, small, huge, not a number,
+#: a division by zero, empty, repeated, and not a number at all
+FUZZ_TEXTS = ["-1", "0", "1", "2", "4", "7/2", str(10 ** 30), str(10 ** 400),
+              "1e400", "nan", "inf", "1/0", "", " ", "1,1", "0,,1", "3,03",
+              "x", "true"]
+#: JSON values a fuzzed config key takes: the same, and the wrong types
+FUZZ_VALUES = [-1, 0, 1, 2, 4, 10 ** 30, 10 ** 400, 1.5, float("nan"), "",
+               "x", "1/0", True, None, [], [0, 0], [-1], ["a"], {}]
+#: Any V text, as --v, --v-grid or a config's "v" takes it
+V_TEXTS = st.one_of(
+    st.sampled_from(FUZZ_TEXTS),
+    st.from_regex(r"\A[ +-]?[0-9_]{0,4}(\.[0-9]{0,3})?"
+                  r"([eE][+-]?[0-9]{1,9})?(/[0-9]{0,3})?\Z"),
+    st.text(alphabet="0123456789.eE+-/_ nafiNIs", max_size=8),
+    st.text(max_size=4))
+#: Each command's flags and the values it holds when it is not fuzzed,
+#: so that most drawn commands get past argparse
+FUZZ_BASE = {
+    "topo": ["--kind", "fat-tree", "--k", "4"],
+    "run": ["--kind", "fat-tree", "--k", "4", "--scheme", "greedy",
+            "--horizon", "2"],
+    "sweep": ["--kind", "fat-tree", "--k", "4", "--horizon", "2",
+              "--v-grid", "0,1"],
+    "compare": ["--kind", "fat-tree", "--k", "4", "--horizon", "2",
+                "--v-grid", "1"],
+}
+#: Output paths a fuzzed --out or --out-dir takes, under the example's
+#: own directory "{out}": that directory, a path to make, and one under a
+#: file, which cannot be made
+FUZZ_OUT = ["{out}", "{out}/new/edges.txt", "{out}/cfg.json/x"]
+#: Largest k and horizon drawn: a valid larger one is no error, it only
+#: runs longer
+FUZZ_CAPS = {"k": 8, "horizon": 5}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The files a fuzzed command names: trace CDFs good and bad, config
+    files that are not a JSON object of keys, a directory and a path that
+    does not exist."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"good.cdf": "0 0.0\n100 0.5\n400 1.0\n",
+             "negative.cdf": "-5 0.5\n5 1.0\n",
+             "dense.cdf": "0 0.999999\n1 1.0\n",
+             "binary.cdf": "\udcff",
+             "list.json": "[1, 2]", "broken.json": "{\"k\": ",
+             "deep.json": "[" * 100_000}
+    for name, text in texts.items():
+        (root / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    return {"root": root, "files": [str(root / name) for name in texts]
+            + [str(root), str(root / "missing")]}
+
+
+def fuzz_values(name, files):
+    """Texts of run key or flag `name`, from the pools: any V text for V,
+    and for the arrival process, a trace of every fuzz file too."""
+    if name in ("v", "v_grid"):
+        return V_TEXTS
+    if name == "schemes":
+        return st.sampled_from(["greedy", "jsq,static", "random,greedy",
+                                "greedy,greedy", "x", "", "greedy,,jsq"])
+    if name == "arrivals":
+        return st.sampled_from(
+            ["poisson:2", "poisson:nan", "poisson:1e30", "pareto:1,1",
+             "pareto:0.5,1e300", "pareto:0,1", "constant:3", "constant:-1",
+             f"constant:{10 ** 30}", "trace:", "x:1", "poisson"]
+            + [f"trace:{path}" for path in files])
+    key, cap = cli.RUN_KEYS.get(name), FUZZ_CAPS.get(name)
+    texts = [text for text in FUZZ_TEXTS if cap is None
+             or not (text.isdigit() and int(text) > cap)]
+    # half the draws of a flag with choices, or of an integer flag, are
+    # ones that argparse takes, so that most commands get past it
+    if key is not None and key.choices:
+        valid = [choice.value for choice in key.choices]
+    elif key is None or key.type is int:
+        valid = [text for text in texts if text.lstrip("-").isdigit()]
+    else:
+        valid = texts
+    return st.one_of(st.sampled_from(valid), st.sampled_from(texts))
+
+
+@st.composite
+def fuzz_configs(draw, files):
+    """A --config file's contents: one of the fuzz files, or a JSON object
+    of run keys (and an unknown one), each a pool value of any type or a
+    text its flag would take."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(files))
+    names = draw(st.lists(st.sampled_from([*cli.RUN_KEYS, "unknown"]),
+                          max_size=4, unique=True))
+    return {name: draw(st.one_of(st.sampled_from(FUZZ_VALUES),
+                                 fuzz_values(name, files)))
+            for name in names}
+
+
+@st.composite
+def fuzz_commands(draw, files):
+    """argv for topo, run, sweep or compare, and a --config file's
+    contents (None for none): each command's base flags, each dropped now
+    and then, and then flags drawn from build_parser()'s own, which
+    override them."""
+    command = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = sorted(action.option_strings[-1] for action in parser._actions
+                   if action.option_strings and action.dest != "help")
+    base = FUZZ_BASE[command]
+    # "{out}" stands for the example's own output directory
+    argv = [command] + (["--out-dir={out}"] if command != "topo" else [])
+    for flag, value in zip(base[::2], base[1::2]):
+        if draw(st.integers(0, 7)):
+            argv += [flag, value]
+    config = None
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        if flag == "--log-lyapunov":
+            argv.append(flag)
+        elif flag == "--config":
+            config = draw(fuzz_configs(files))
+        elif flag == "--out":
+            argv.append(f"--out={draw(st.sampled_from(FUZZ_OUT))}")
+        elif flag == "--out-dir":
+            # a directory to make, or one that cannot be: a file's path
+            argv.append(f"--out-dir={draw(st.sampled_from(FUZZ_OUT))}")
+        else:
+            # --flag=value, so that argparse reads a value such as "-x"
+            # as the flag's, not as a flag
+            value = draw(fuzz_values(flag[2:].replace("-", "_"), files))
+            argv.append(f"{flag}={value}")
+    return argv, config
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_commands_exit_0_1_or_2(fuzz_files, data):
+    # exit 1 is a named input problem, one `error:` line each; any other
+    # exception escaping main is a bug. V is read exactly from any text
+    files = fuzz_files["files"]
+    argv, config = data.draw(fuzz_commands(files))
+    env = data.draw(st.sampled_from([None, "-1", "x", "3"]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory(dir=fuzz_files["root"]) as out_dir, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"SDND_SEED": env} if env else {}):
+        if env is None:
+            os.environ.pop("SDND_SEED", None)
+        path = Path(out_dir) / "cfg.json"
+        path.write_text(json.dumps(config if isinstance(config, dict)
+                                   else {}))
+        if config is not None:
+            argv.append("--config=" + (str(path) if isinstance(config, dict)
+                                       else config))
+        argv = [arg.replace("{out}", out_dir) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            assert exc.code == 2 and "usage: sdnsched" in err.getvalue()
+            return
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, lines)
+    if code == 1:
+        assert lines and all(line.startswith("error: ") for line in lines), \
+            (argv, lines)
+    elif code == 2:
+        assert lines[-1].startswith("runtime failure: "), (argv, lines)

@@ -1,7 +1,9 @@
 """Every name a sdnsched module imports is used in it or exported
-through its `__all__`, so a deletion cannot leave an import behind; and
-no module but reference.py itself imports sdnsched.reference, so the
-specification stays off every command's path."""
+through its `__all__`, so a deletion cannot leave an import behind; no
+module but reference.py itself imports sdnsched.reference, so the
+specification stays off every command's path; and every module has a
+docstring and one row of the README's package-layout table, which names
+no other module."""
 
 import ast
 from pathlib import Path
@@ -71,3 +73,20 @@ def test_reference_import_caught():
         assert imports_reference(text), text
     assert not imports_reference("from .metrics import format_ratio\n"
                                  "from .model import LOCAL")
+
+
+def readme_layout_modules() -> list[str]:
+    """The module each row of the README's package-layout table names."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in table.splitlines()
+            if line.startswith("| `")]
+
+
+def test_every_module_documented_and_mapped():
+    names = {("sdnsched" if path.stem == "__init__"
+              else f"sdnsched.{path.stem}"): path for path in MODULES}
+    assert [name for name, path in names.items()
+            if not ast.get_docstring(ast.parse(path.read_text()))] == []
+    rows = readme_layout_modules()
+    assert sorted(rows) == sorted(names)

@@ -225,15 +225,18 @@ class TestCdfLoading:
         real = traffic.load_interarrival_cdf
         monkeypatch.setattr(traffic, "load_interarrival_cdf",
                             lambda path: calls.append(path) or real(path))
+        # the TraceCdf reads its file once; the traffic config's event
+        # limit, the arrival state and the capacity check all read the
+        # parsed CDF it holds
         cfg = make_cfg(TraceCdf(write_cdf(tmp_path, "1700 1.0\n")),
                        n_switches=5)
-        ArrivalState(cfg)
         assert len(calls) == 1
+        ArrivalState(cfg)
         engine.capacity_check(engine.RunConfig(
             cost=CostModel.uniform_alpha(((1, 2),) * 5, 2), traffic=cfg,
             scheme=engine.Scheme.GREEDY, params=SchedulerParams(v=1),
             horizon_slots=1))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_rejects_malformed_line(self, tmp_path):
         with pytest.raises(ValueError, match=":1"):
@@ -321,6 +324,17 @@ class TestArrivals:
         assert min(draws) >= 1
         assert draws.count(2 ** 63 - 1) == 5
         assert max(draws) == 2 ** 63 - 1
+
+    def test_pareto_draw_of_exactly_2_63_capped(self):
+        # scale 2^63 * u0, where u0 is the stream's first uniform, makes
+        # the first draw exactly 2^63, the float that the cap 2^63 - 1
+        # compares as: it is capped, not cast past int64
+        u0 = np.random.default_rng([3, 0]).random()
+        assert np.rint(2.0 ** 63 * u0 / u0) == 2.0 ** 63
+        cfg = make_cfg(Pareto(1.0, 2.0 ** 63 * u0), seed=3, a_max=10 ** 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sample_slot_arrivals(ArrivalState(cfg)) == (2 ** 63 - 1,)
 
     def test_pareto_overflowing_draws_capped_quietly(self):
         # with shape 1e-300 every u**(1/shape) underflows to 0, so every
