@@ -11,18 +11,18 @@ seeds each PCG64 from its switch's hashed state.
 
 ArrivalState samples all switches at once, with no per-switch Python
 work per slot: Poisson and Pareto switches draw a block of slots per
-numpy call. Trace switches buffer a block of inter-arrival gaps each;
-when one runs short, all of them are refilled in one batch through
-EmpiricalCdf.sample_array, an inverse CDF whose segment search is a
-bucket table plus a fixed number of exact correction steps (a binary
-search when one bucket holds too many probabilities). Each slot
-counts the events of every trace switch in one column-major window
-(one row per event, one column per switch), with further passes only
-for the switches still inside the slot. numpy's Generator gives the same
-values whatever the block size, and the trace arithmetic is the same
-float operations in the same order as drawing one event at a time, so
-the arrivals are bit-identical to that scalar specification
-(tests/test_traffic.py, over reference.inverse_cdf).
+numpy call. Trace switches buffer a block of inter-arrival gaps each,
+one row per switch; when one runs short, all of them are refilled in one
+batch through EmpiricalCdf.sample_array, an inverse CDF whose segment
+search is a bucket table plus a fixed number of exact correction steps
+(a binary search when one bucket holds too many probabilities). Each
+slot counts events in one loop of passes: a pass reads a window of each
+of its switches' next gaps as a row slice, the first pass covers every
+trace switch and later ones only the switches still inside the slot.
+numpy's Generator gives the same values whatever the block size, and the
+trace arithmetic is the same float operations in the same order as
+drawing one event at a time, so the arrivals are bit-identical to that
+scalar specification (tests/test_traffic.py, over reference.inverse_cdf).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
@@ -357,12 +358,14 @@ class ArrivalState:
     (block x n_switches) int64 matrix every block slots, and a slot reads
     one row; each drawn column is capped at min(a_max, 2**63 - 1), and
     the fixed columns hold min(rate, a_max), on an object matrix when
-    one of those reaches 2**63. Trace switches each own `block`
-    consecutive inter-arrival gaps of one flat buffer; the gap at a
-    switch's read position `at` is the time left to its next event,
-    which carries the residual across slot boundaries. When a switch has
-    less than a window of unread gaps, every trace switch is refilled in
-    one batch. Nothing is drawn until the first slot.
+    one of those reaches 2**63. Trace switches each own one row of
+    `block` inter-arrival gaps in a (trace switches x block) matrix; the
+    gap at a switch's column `at` is the time left to its next event,
+    which carries the residual across slot boundaries. Each pass of a
+    slot reads the `window` gaps from `at` of every switch in it as row
+    slices of one sliding-window view. When a switch has less than a
+    window of unread gaps, every trace switch is refilled in one batch.
+    Nothing is drawn until the first slot.
     """
 
     def __init__(self, cfg: TrafficConfig):
@@ -391,7 +394,7 @@ class ArrivalState:
             per_slot = trace_events_per_slot(cfg)
             self.window = int(min(per_slot + 3 * math.sqrt(per_slot) + 8,
                                   self.block_len // 2))
-            self.gaps = None  # flat gap buffer, allocated on the first slot
+            self.gaps = None  # gap rows, allocated on the first slot
 
     def _draw_block(self) -> None:
         p, n = self.cfg.base_process, self.block_len
@@ -418,97 +421,72 @@ class ArrivalState:
                     raise AssertionError(p)
         self.pos = 0
 
-    def _start_trace(self) -> None:
-        """Allocate the trace buffers: switch r's gaps sit at
-        [r*block, (r+1)*block) of `gaps`, and every one of them counts as
-        read, so the first slot fills them all."""
-        m, n, w = len(self.cols), self.block_len, self.window
-        self.base = np.arange(m) * n
-        self.at = self.base + n  # flat index of each switch's next gap
-        self.last = self.base + (n - w)  # the last `at` that leaves a window
-        self.gaps = np.empty(m * n)
-        self.offsets = np.arange(w)[:, None]
-        # the first pass's window; accumulating leaves row 0, the negated
-        # time left, as it is
-        self.buf = np.empty((w + 1, m))
-        self.buf[0] = -float(self.cfg.slot_length_us)
-
     def _top_up_gaps(self) -> None:
         """Leave a window of unread gaps for every trace switch. When one
-        has less, every trace switch is refilled in one batch: one
-        compaction moves each switch's unread gaps to the front of its
-        row, and each switch draws as many gaps as it has read with one
-        call on its own stream, so each stream is read in order. One
-        inverse-CDF call maps the draws of up to _REFILL gaps' worth of
-        rows, which bounds the batch's temporaries."""
-        if (self.last - self.at).min() >= 0:
+        has less, every trace switch is refilled in one batch: each row
+        moves its unread gaps to its front with one slice copy and draws
+        as many gaps as it has read with one call on its own stream, so
+        each stream is read in order. One inverse-CDF call maps the draws
+        of up to _REFILL gaps' worth of rows, which bounds the batch's
+        temporaries, and the `tail` mask scatters them to the ends of
+        their rows."""
+        n, read = self.block_len, self.at
+        if read.max() <= n - self.window:
             return
-        n = self.block_len
-        read = self.at - self.base
-        j = np.arange(n)
-        front = (j < n - read[:, None]).ravel()
-        self.gaps[front] = self.gaps[(j >= read[:, None]).ravel()]
-        self.at[:] = self.base
-        fresh, counts = ~front, read.tolist()
+        tail = np.arange(n) >= n - read[:, None]
         rows = max(1, _REFILL // n)
-        for r in range(0, len(counts), rows):
-            u = np.concatenate([rng.random(k) for rng, k in
-                                zip(self.rngs[r:r + rows], counts[r:r + rows])])
-            seg = slice(r * n, (r + rows) * n)
-            self.gaps[seg][fresh[seg]] = self.cdf.sample_array(u)
-
-    def _pass(self, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """One pass over the next `window` gaps of the switches whose read
-        positions are `at` and whose negated time left is buf[0]. Returns
-        the events that fit, per switch and at most, and advances `at`
-        past them.
-
-        buf is (window + 1) x switches, so each row is one event of every
-        switch: one flat take fills rows 1..window, and np.add.accumulate
-        down the rows leaves the negated time left after each event. Since
-        rounding is symmetric, -left + gap is -(left - gap) bit for bit:
-        the same float operations as subtracting the gaps one event at a
-        time. An event fits while the time left after it is >= 0, which
-        for finite floats is exactly `gap <= time left`; the time left
-        never grows, so the events that fit are a prefix. For a switch
-        whose slot ended, buf[fits + 1] is the first gap that does not
-        fit less the time left: that gap's residual.
-        """
-        w = self.window
-        win = buf[1:]
-        np.take(self.gaps, self.offsets + at, out=win)
-        np.add.accumulate(buf, axis=0, out=buf)
-        fits = (win <= 0).sum(0)
-        at += fits
-        ended = np.flatnonzero(fits < w)
-        self.gaps[at[ended]] = buf[fits[ended] + 1, ended]
-        return fits
+        for r in range(0, len(read), rows):
+            seg = slice(r, r + rows)
+            u = []
+            for row, rng, k in zip(self.gaps[seg], self.rngs[seg],
+                                   read[seg].tolist()):
+                row[:n - k] = row[k:]
+                u.append(rng.random(k))
+            self.gaps[seg][tail[seg]] = self.cdf.sample_array(np.concatenate(u))
+        read[:] = 0
 
     def _trace_counts(self) -> np.ndarray:
-        """Events per trace switch in one slot.
+        """Events per trace switch in one slot, in passes of `window`
+        events over the switches still inside the slot, every trace
+        switch on the first.
 
-        The first pass covers every switch with one flat take into the
-        preallocated window. Only the switches still inside the
-        slot after `window` events take further passes, each from the
-        time it has left.
+        Each pass reads its switches' next `window` gaps as row slices,
+        one row per switch, adds the negated time left to each first gap
+        and accumulates along the rows, which leaves the negated time
+        left after each event. IEEE addition commutes and its rounding is
+        symmetric, so gap + -left is -(left - gap) bit for bit: the same
+        float operations as subtracting the gaps one event at a time. An
+        event fits while the time left after it is >= 0, which for finite
+        floats is exactly `gap <= time left`; the time left never grows,
+        so the events that fit are a prefix. For a switch whose slot
+        ended, the accumulated value after the events that fit is the
+        first gap that does not fit less the time left: that gap's
+        residual, written over it. Each later pass starts from the last
+        accumulated value.
         """
+        w, m = self.window, len(self.cols)
         if self.gaps is None:
-            self._start_trace()
-        w = self.window
-        self._top_up_gaps()
-        count = self._pass(self.at, self.buf)
-        live = np.flatnonzero(count == w)
-        left = self.buf[w, live]
+            # every gap counts as read, so the first slot fills them all
+            self.gaps = np.empty((m, self.block_len))
+            self.at = np.full(m, self.block_len)
+            self.windows = sliding_window_view(self.gaps, w, axis=1)
+        count = np.zeros(m, np.intp)
+        live = np.arange(m)
+        left = -float(self.cfg.slot_length_us)
         while live.size:
             self._top_up_gaps()
             at = self.at[live]
-            buf = np.empty((w + 1, live.size))
-            buf[0] = left
-            fits = self._pass(at, buf)
+            win = self.windows[live, at]
+            win[:, 0] += left
+            np.add.accumulate(win, axis=1, out=win)
+            fits = (win <= 0).sum(1)
+            at += fits
             self.at[live] = at
             count[live] += fits
+            ended = np.flatnonzero(fits < w)
+            self.gaps[live[ended], at[ended]] = win[ended, fits[ended]]
             more = fits == w
-            live, left = live[more], buf[w, more]
+            live, left = live[more], win[more, -1]
         return count
 
     def next_row(self) -> np.ndarray:

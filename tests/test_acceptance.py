@@ -44,6 +44,8 @@ from conftest import (
 DESK_SEEDS = [0, 1, 2, 3, 4]
 DESK_V_GRID = [0, 10, 100, 1000, 10000]
 DESK_HORIZON = 20_000
+COMPARE_SCHEMES = [Scheme.GREEDY, Scheme.RANDOM, Scheme.JSQ]
+COMPARE_V_GRID = [10, 100, 1000]
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -84,6 +86,24 @@ def desk_sweep_results():
     # (total cost, mean backlog) of each (V, seed)
     return {pair: result.means()[2:]
             for pair, result in zip(pairs, results, strict=True)}
+
+
+@pytest.fixture(scope="module")
+def desk_compare_means():
+    """Greedy, Random and JSQ over the desk seeds and COMPARE_V_GRID, as
+    the lanes of one engine.sweep call: the seed-mean (total cost, mean
+    backlog) of each (scheme, V). Every scheme sees the same arrivals."""
+    cfgs = [desk_config(scheme, 0, seed)
+            for scheme in COMPARE_SCHEMES for seed in DESK_SEEDS]
+    results = engine.sweep(cfgs, COMPARE_V_GRID)
+    keys = [(cfg.scheme, v) for cfg in cfgs for v in COMPARE_V_GRID]
+    sums = {}
+    for key, result in zip(keys, results, strict=True):
+        cost, backlog = result.means()[2:]
+        total = sums.get(key, (0, 0))
+        sums[key] = (total[0] + cost, total[1] + backlog)
+    return {key: (cost / len(DESK_SEEDS), backlog / len(DESK_SEEDS))
+            for key, (cost, backlog) in sums.items()}
 
 
 def test_criterion_1_per_slot_optimality():
@@ -247,3 +267,27 @@ def test_criterion_8_distribution_sanity():
           and abs(pareto_mean - 5.88) / 5.88 < 0.05)
     report("criterion 8: Poisson/Pareto empirical means", ok,
            f"poisson {poisson_mean:.3f}, pareto {pareto_mean:.3f}")
+
+
+def test_criterion_9_cost_against_baselines(desk_compare_means):
+    cost = {key: float(value[0]) for key, value in desk_compare_means.items()}
+    ok = all(cost[(Scheme.GREEDY, v)] < min(cost[(Scheme.RANDOM, v)],
+                                            cost[(Scheme.JSQ, v)])
+             for v in COMPARE_V_GRID)
+    report("criterion 9: greedy cost below Random and JSQ at every V", ok,
+           "; ".join(f"V={v}: greedy {cost[(Scheme.GREEDY, v)]:.2f}, "
+                     f"random {cost[(Scheme.RANDOM, v)]:.2f}, "
+                     f"jsq {cost[(Scheme.JSQ, v)]:.2f}"
+                     for v in COMPARE_V_GRID))
+
+
+def test_criterion_10_delay_against_baselines(desk_compare_means):
+    # by Little's law over common arrivals, mean delays compare as mean
+    # backlogs
+    v = COMPARE_V_GRID[0]
+    greedy, random_, jsq = (float(desk_compare_means[(scheme, v)][1])
+                            for scheme in COMPARE_SCHEMES)
+    ok = abs(greedy - jsq) <= jsq / 10 and greedy < random_
+    report(f"criterion 10: greedy backlog at V={v} within 10% of JSQ's and "
+           "below Random's", ok,
+           f"greedy {greedy:.1f}, jsq {jsq:.1f}, random {random_:.1f}")

@@ -472,8 +472,8 @@ class TestBlockSampler:
         cfg = make_cfg(TraceCdf(write_cdf(tmp_path, "1 0.97\n30000 1.0\n")),
                        n_switches=4, slot_length_us=1000, seed=2,
                        hot_spot_switches=frozenset({1}))
-        with mock.patch.object(ArrivalState, "_pass", autospec=True,
-                               side_effect=ArrivalState._pass) as passes:
+        with mock.patch.object(ArrivalState, "_top_up_gaps", autospec=True,
+                               side_effect=ArrivalState._top_up_gaps) as passes:
             rows = sampled_rows(cfg, 200, block)
         assert rows == reference_rows(cfg, 200)
         assert passes.call_count > 200 + 50
