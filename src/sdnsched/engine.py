@@ -10,10 +10,11 @@ case of `run_lanes`, and a sweep or a CLI `sweep`/`compare` command is
 one run_lanes call over every (config, V) pair. Lanes with the same
 traffic config read one ArrivalState row per slot (common random
 numbers, each draw made once); greedy and JSQ lanes share one argmin,
-and pricing is one gather and one scatter for all lanes. A slot a lane
-keeps adds one row of exact ints to the Accumulator; a run returns those
-rows, and the CLI formats its CSV from the ints and its summary, and a
-sweep's rows, from RunResult.means.
+and pricing is one gather and one scatter for all lanes. The lanes share
+one keep policy, a stride and a Lyapunov flag: a slot the group keeps
+adds one row of exact ints per lane to the Accumulator; a run returns
+those rows, and the CLI formats its CSV from the ints and its summary,
+and a sweep's rows, from RunResult.means.
 
 A LaneGroup holds its lanes' queues, services, decision and pricing
 tables in one dtype. int64_queue_limit alone decides whether a lane may
@@ -171,7 +172,8 @@ class LaneGroup:
     and apply_slot's tables, built once: each lane's cells (L x n_s),
     and the joins and prices of every lane's cells, CostTables.joins
     offset to the lane's row of q and CostTables.price, tiled lane by
-    lane. `acc` keeps each lane's exact running sums.
+    lane. `acc` keeps each lane's exact running sums, and the rows of
+    the slots the lanes' one stride keeps.
 
     `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
     `order[l]` is the index in `cfgs` of lane l: greedy lanes with
@@ -250,10 +252,6 @@ class LaneGroup:
         self.decided = 0
         self.rows = [rows[i] for i in self.order]
         self.shared_row = rows[0] if len(set(rows)) == 1 else None
-        strides = {}
-        for lane, cfg in enumerate(self.cfgs):
-            strides.setdefault(cfg.stride, []).append(lane)
-        self.strides = tuple(strides.items())
         self.acc = Accumulator(len(cfgs), cost.tables.scale)
 
     def widen(self) -> None:
@@ -298,19 +296,19 @@ class LaneGroup:
         each ArrivalState of `sources` (lane l reads
         sources[self.rows[l]]): snapshot decision, costs, queue updates,
         running sums, with one decide, one apply_slot and one
-        Accumulator.update call per slot. A lane keeps its row of a slot
-        in `acc` (Accumulator.keep) on the slots its stride divides and
-        on its config's final slot; a slot that keeps none, and is not
-        an int64 limit check, does nothing more.
-
-        The group's tables are read into locals once, and again after
-        `widen`; keep lists are built only on the slots that the strides'
-        gcd divides, and on the final slot."""
+        Accumulator.update call per slot. On the slots the lanes' one
+        stride divides and on the final slot, every lane keeps its row
+        in `acc` (Accumulator.keep), with its Lyapunov values when the
+        lanes log them; a slot that keeps none, and is not an int64
+        limit check, does nothing more. The group's tables and keep
+        policy are read into locals once, the tables again after
+        `widen`."""
         acc, n_s = self.acc, self.n_s
         decide, update = self.decide, acc.update
-        strides = self.strides
-        stride_gcd = math.gcd(*(stride for stride, _ in strides))
-        last = self.cfgs[0].horizon_slots - 1
+        first = self.cfgs[0]
+        stride, log = first.stride, first.log_lyapunov
+        last = first.horizon_slots - 1
+        lanes = range(len(self.cfgs))
         shared, rows = self.shared_row, self.rows
         cells, joins = self.cells, self.joins
         q, service, price = self.q, self.service, self.price
@@ -339,18 +337,13 @@ class LaneGroup:
                     self.widen()
                     next_q, service, price = self.q, self.service, self.price
                     arrivals, check_at = arrivals.astype(object), -1
-            if t % stride_gcd == 0 or t == last:
-                for stride, at in strides:
-                    if t % stride and t != last:
-                        continue
-                    for lane in at:
-                        locals_ = int(np.count_nonzero(target[lane] == LOCAL))
-                        before = after = None
-                        if self.cfgs[lane].log_lyapunov:
-                            before = q[lane].tolist()
-                            after = next_q[lane].tolist()
-                        acc.keep(lane, next_q[lane, n_s:].tolist(),
-                                 n_s - locals_, locals_, before, after)
+            if t % stride == 0 or t == last:
+                for lane in lanes:
+                    locals_ = int(np.count_nonzero(target[lane] == LOCAL))
+                    acc.keep(lane, next_q[lane, n_s:].tolist(),
+                             n_s - locals_, locals_,
+                             q[lane].tolist() if log else None,
+                             next_q[lane].tolist() if log else None)
             q = next_q
         self.q, self.check_at = q, check_at
 
@@ -381,21 +374,24 @@ def run_lanes(cfgs) -> list[RunResult]:
     """Run every config in lock step, one lane each of one LaneGroup, and
     return what a separate `run` of each returns, in the given order.
 
-    The lanes share one cost model and one horizon. Lanes with the same
-    traffic config read one ArrivalState row per slot, so their arrivals
-    are drawn once (common random numbers). Each slot the group decides
-    in one call, prices in one apply_slot call and accounts in one
-    Accumulator.update call. It runs on object arrays from the start
-    when any lane's int64 queue limit is negative. Each lane keeps one
-    row per its stride plus the final slot.
+    The lanes share one cost model, one horizon and one keep policy:
+    one stride and one Lyapunov flag, so every lane keeps one row per
+    stride plus the final slot. Lanes with the same traffic config read
+    one ArrivalState row per slot, so their arrivals are drawn once
+    (common random numbers). Each slot the group decides in one call,
+    prices in one apply_slot call and accounts in one Accumulator.update
+    call. It runs on object arrays from the start when any lane's int64
+    queue limit is negative.
     """
     cfgs = list(cfgs)
     if not cfgs:
         return []
     first = cfgs[0]
     if any(c.cost != first.cost or c.horizon_slots != first.horizon_slots
+           or c.stride != first.stride or c.log_lyapunov != first.log_lyapunov
            for c in cfgs):
-        raise ValueError("lanes must share one cost model and one horizon")
+        raise ValueError("lanes must share one cost model, horizon, stride "
+                         "and Lyapunov flag")
     sources = {}
     for cfg in cfgs:
         sources.setdefault(cfg.traffic, len(sources))
@@ -426,7 +422,8 @@ def sweep(cfgs, v_values) -> list[RunResult]:
     share their arrivals (common random numbers). Static, Random and JSQ
     lanes do not read V, so one lane, and one RunResult whose `v` is the
     grid's first, serves every V of their config. Each lane keeps rows
-    for its first and last slots alone: RunResult.means reads the last."""
+    for its first and last slots alone, with no Lyapunov values:
+    RunResult.means reads the last."""
     if not v_values:
         raise ValueError("empty V grid")
     pairs = [(c, v, (id(c), v if c.scheme is Scheme.GREEDY else None))
@@ -435,7 +432,7 @@ def sweep(cfgs, v_values) -> list[RunResult]:
     for c, v, key in pairs:
         if key not in lanes:
             lanes[key] = replace(c, params=replace(c.params, v=v),
-                                 stride=c.horizon_slots)
+                                 stride=c.horizon_slots, log_lyapunov=False)
     results = dict(zip(lanes, run_lanes(list(lanes.values()))))
     return [results[key] for _, _, key in pairs]
 

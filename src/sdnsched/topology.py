@@ -140,8 +140,10 @@ def gen_jellyfish(
     """Random-graph topology: 5k^2/4 switches, k^3/4 hosts, remaining
     ports wired by incremental random pairing. Deterministic per seed.
     """
-    if k < 4:
-        raise ValueError(f"port count k must be >= 4, got {k}")
+    if k < 5:
+        raise ValueError(
+            f"port count k must be >= 5 for jellyfish, got {k}: its k^3/4 "
+            f"hosts give each of its 5k^2/4 switches a host only from k = 5")
     if not (1 <= hosts_per_switch_min <= hosts_per_switch_max <= k - 1):
         raise ValueError(
             f"host range hosts_min={hosts_per_switch_min}, "

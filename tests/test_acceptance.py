@@ -3,6 +3,7 @@ line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ DESK_V_GRID = [0, 10, 100, 1000, 10000]
 DESK_HORIZON = 20_000
 COMPARE_SCHEMES = [Scheme.GREEDY, Scheme.RANDOM, Scheme.JSQ]
 COMPARE_V_GRID = [10, 100, 1000]
+BALANCE_HORIZON = 5000
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -104,6 +106,28 @@ def desk_compare_means():
         sums[key] = (total[0] + cost, total[1] + backlog)
     return {key: (cost / len(DESK_SEEDS), backlog / len(DESK_SEEDS))
             for key, (cost, backlog) in sums.items()}
+
+
+@pytest.fixture(scope="module")
+def desk_balance_means():
+    """Greedy at each V of COMPARE_V_GRID, JSQ, Random and Static over
+    the desk seeds at BALANCE_HORIZON slots, as the stride-1 lanes of
+    one engine.run_lanes call: the seed mean of each lane's time-average
+    controller backlog variance, keyed (scheme, V), with V None for the
+    baselines, which do not read it."""
+    keys = [(Scheme.GREEDY, v) for v in COMPARE_V_GRID] \
+        + [(scheme, None) for scheme in (Scheme.JSQ, Scheme.RANDOM,
+                                         Scheme.STATIC)]
+    lanes = [(key, seed) for key in keys for seed in DESK_SEEDS]
+    cfgs = [replace(desk_config(scheme, v or 0, seed),
+                    horizon_slots=BALANCE_HORIZON)
+            for (scheme, v), seed in lanes]
+    sums = dict.fromkeys(keys, 0)
+    for (key, _), result in zip(lanes, engine.run_lanes(cfgs), strict=True):
+        sums[key] += sum(rec.controller_backlog_variance
+                         for rec in records(result))
+    return {key: total / (BALANCE_HORIZON * len(DESK_SEEDS))
+            for key, total in sums.items()}
 
 
 def test_criterion_1_per_slot_optimality():
@@ -291,3 +315,17 @@ def test_criterion_10_delay_against_baselines(desk_compare_means):
     report(f"criterion 10: greedy backlog at V={v} within 10% of JSQ's and "
            "below Random's", ok,
            f"greedy {greedy:.1f}, jsq {jsq:.1f}, random {random_:.1f}")
+
+
+def test_criterion_11_balance_against_baselines(desk_balance_means):
+    var = {key: float(value) for key, value in desk_balance_means.items()}
+    jsq, random_, static = (var[(scheme, None)] for scheme in
+                            (Scheme.JSQ, Scheme.RANDOM, Scheme.STATIC))
+    small = COMPARE_V_GRID[0]
+    ok = all(var[(Scheme.GREEDY, v)] < static for v in COMPARE_V_GRID) \
+        and var[(Scheme.GREEDY, small)] < min(jsq, random_)
+    report("criterion 11: greedy controller variance below Static's at "
+           f"every V, and below JSQ's and Random's at V={small}", ok,
+           ", ".join(f"greedy V={v} {var[(Scheme.GREEDY, v)]:.1f}"
+                     for v in COMPARE_V_GRID)
+           + f"; jsq {jsq:.1f}, random {random_:.1f}, static {static:.4g}")

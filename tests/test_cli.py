@@ -60,6 +60,14 @@ class TestTopo:
         assert code == 1
         assert "even" in err
 
+    def test_jellyfish_k_below_5_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "topo", "--kind", "jellyfish",
+                                 "--k", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("error: port count k must be >= 5 for "
+                              "jellyfish, got 4: ")
+        assert err.count("\n") == 1
+
     def test_edge_list_dump(self, capsys, tmp_path):
         out_file = tmp_path / "edges.txt"
         code, _, _ = run_cli(capsys, "topo", "--kind", "fat-tree", "--k", "4",
@@ -223,6 +231,16 @@ class TestRun:
         assert f"host range {named} must satisfy " \
             "1 <= hosts_min <= hosts_max <= k-1 = 5" in err
         assert "Traceback" not in err
+
+    def test_jellyfish_k_below_5_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--kind", "jellyfish", "--k",
+                               "4", "--scheme", "jsq", "--horizon", "3",
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: port count k must be >= 5 for "
+                              "jellyfish, got 4: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_host_range_outside_jellyfish_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--kind", "fat-tree", "--k",
@@ -562,7 +580,8 @@ class TestOutputDigests:
     """sha256 of the CSV and summary bytes of runs that the benchmark
     does not hash: a Lyapunov log at a fractional V and a stride whose
     last row is the extra final slot, a group on object arrays from the
-    start (V = 10^30), and a plain stride-1 run."""
+    start (V = 10^30), a plain stride-1 run, and a multi-seed sweep,
+    whose lanes read different arrival sources."""
 
     COMMON = ["run", "--kind", "fat-tree", "--k", "4",
               "--arrivals", "poisson:2", "--controller-capacity", "14",
@@ -589,6 +608,21 @@ class TestOutputDigests:
         digests = [hashlib.sha256((tmp_path / f"pin{ext}").read_bytes())
                    .hexdigest() for ext in (".csv", ".summary.json")]
         assert digests == [csv_digest, summary_digest]
+
+    def test_sweep_bytes_pinned(self, capsys, tmp_path):
+        # two traffic seeds: each slot stacks one arrivals row per source
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "fat-tree", "--k", "4",
+            "--arrivals", "poisson:2", "--controller-capacity", "14",
+            "--switch-capacity", "1", "--topo-seed", "1", "--schemes", "greedy,random,jsq,static", "--seeds", "5,6",
+            "--v-grid", "7/2,10", "--horizon", "40",
+            "--out-dir", str(tmp_path))
+        assert code == 0, err
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("sweep.csv", "sweep.mean.csv")]
+        assert digests == [
+            "f6e5b385bbc8cede11ce44a85bf72240e6c84107ee27a74217fe54b367c91cb9",
+            "5a50ca7dc73dd2c849cb264f591084507a1df748a99290b4f6741bd63f100181"]
 
 
 class TestSweep:

@@ -101,14 +101,6 @@ def lane_queues(group, lane=0):
     return QueueState(q_s=tuple(row[:group.n_s]), q_c=tuple(row[group.n_s:]))
 
 
-def decide_tuples(group, q):
-    """A one-lane LaneGroup's decision on a QueueState of small backlogs,
-    as arrays of the group's dtype; returns the Association."""
-    dtype = group.q.dtype
-    return Association(target=tuple(group.decide(
-        np.array([q.q_s + q.q_c], dtype))[0].tolist()))
-
-
 @st.composite
 def slot_cases(draw):
     """A forced slot whose values may cross the int64 bound, priced with
@@ -282,7 +274,7 @@ class TestRun:
         q = lane_queues(group)
         for rec in records(res):
             arrivals = tr.sample_slot_arrivals(arrival_state)
-            assoc = decide_tuples(group, q)
+            assoc = Association(target=lane_target(group, q.q_s, q.q_c))
             q, f, g = apply_slot_tuples(q, assoc, arrivals, *services,
                                         cfg.cost)
             assert (f, g, q.total()) == (rec.f_slot, rec.g_slot,
@@ -360,7 +352,7 @@ class TestInvariants:
             group.advance([arrival_state], 1)
             arrivals = tr.sample_slot_arrivals(replay)
             assert all(0 <= a <= cfg.traffic.a_max for a in arrivals)
-            target = decide_tuples(replay_group, q).target
+            target = lane_target(replay_group, q.q_s, q.q_c)
             q_s = tuple(max(q.q_s[i] + (a if t == LOCAL else 0)
                             - switch_service[i], 0)
                         for i, (a, t) in enumerate(zip(arrivals, target)))
@@ -394,7 +386,8 @@ class TestInvariants:
             assert rec.controller_backlog_variance == \
                 controller_variance(lane_queues(group).q_c)
             arrivals = tr.sample_slot_arrivals(replay)
-            assoc = decide_tuples(replay_group, q)
+            assoc = Association(
+                target=lane_target(replay_group, q.q_s, q.q_c))
             inflow = [a if t == LOCAL else 0
                       for a, t in zip(arrivals, assoc.target)]
             inflow += [sum(a for a, t in zip(arrivals, assoc.target) if t == j)
@@ -737,10 +730,11 @@ class TestSettleBlocks:
 
 @st.composite
 def lane_cases(draw):
-    """Lanes on one small cost model and horizon: every scheme,
-    devolution on and off, Fraction V and V >= 2^63, two traffic seeds,
-    and constant 10^16 or 2*10^16 arrivals, whose lanes pass their int64
-    queue limit on different slots (or start on object arrays)."""
+    """Lanes on one small cost model, horizon, stride and Lyapunov flag:
+    every scheme, devolution on and off, Fraction V and V >= 2^63, two
+    traffic seeds, and constant 10^16 or 2*10^16 arrivals, whose lanes
+    pass their int64 queue limit on different slots (or start on object
+    arrays)."""
     n_s, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     cost = CostModel(
         w=tuple(tuple(draw(st.lists(st.integers(1, 6), min_size=n_c,
@@ -761,6 +755,7 @@ def lane_cases(draw):
                traffic(Constant(10 ** 16), seeds[0], 10 ** 16),
                traffic(Constant(2 * 10 ** 16), seeds[1], 2 * 10 ** 16)]
     horizon = draw(st.integers(1, 40))
+    stride, log = draw(st.integers(1, 5)), draw(st.booleans())
     return [RunConfig(
         cost=cost, traffic=draw(st.sampled_from(sources)),
         scheme=draw(st.sampled_from(Scheme)),
@@ -769,7 +764,7 @@ def lane_cases(draw):
                                     2 ** 70 + 1])),
             devolution=draw(st.sampled_from(Devolution))),
         horizon_slots=horizon, run_seed=draw(st.integers(0, 2 ** 32)),
-        stride=draw(st.integers(1, 5)), log_lyapunov=draw(st.booleans()))
+        stride=stride, log_lyapunov=log)
         for _ in range(draw(st.integers(1, 8)))]
 
 
@@ -844,9 +839,16 @@ class TestLanes:
                      for _ in range(horizon)]
         assert draws == [(16 * 5, 3)] * 3 * -(-horizon // 16)
 
-    def test_lanes_share_cost_and_horizon(self):
-        with pytest.raises(ValueError):
-            engine.run_lanes([small_cfg(horizon=5), small_cfg(horizon=6)])
+    @pytest.mark.parametrize("field, values", [
+        ("horizon_slots", (5, 6)), ("stride", (1, 2)),
+        ("log_lyapunov", (False, True))],
+        ids=["horizon", "stride", "lyapunov"])
+    def test_lanes_share_cost_and_horizon(self, field, values):
+        # one group keeps one policy: a second horizon, stride or
+        # Lyapunov flag is rejected, as a second cost model is
+        cfgs = [replace(small_cfg(), **{field: value}) for value in values]
+        with pytest.raises(ValueError, match="must share"):
+            engine.run_lanes(cfgs)
 
 
 class TestSweep:

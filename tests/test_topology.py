@@ -158,6 +158,17 @@ class TestJellyfish:
         t = gen_jellyfish(8, 1, 2, seed=5)
         assert len(bfs_hops(t.adjacency, 0)) == t.n_switches + t.n_hosts
 
+    @pytest.mark.parametrize("k", [4, 3, 0])
+    def test_rejects_k_below_5(self, k):
+        # k = 4 has 16 hosts for 20 switches: some switch would have none
+        with pytest.raises(ValueError, match=f"k must be >= 5 for jellyfish, "
+                           f"got {k}: its k\\^3/4 hosts"):
+            gen_jellyfish(k, 1, 2, seed=0)
+
+    def test_k_5_builds(self):
+        t = gen_jellyfish(5, 1, 2, seed=0)
+        assert (t.n_switches, t.n_hosts) == (31, 31)
+
     def test_rejects_infeasible_hosts(self):
         with pytest.raises(ValueError):
             gen_jellyfish(8, 3, 3, seed=0)  # 240 host ports != 128
