@@ -9,8 +9,10 @@ apply_slot and Accumulator.update once per slot. A `run` is the one-lane
 case of `run_lanes`, and a sweep or a CLI `sweep`/`compare` command is
 one run_lanes call over every (config, V) pair. Lanes with the same
 traffic config read one ArrivalState row per slot (common random
-numbers, each draw made once); greedy and JSQ lanes share one argmin,
-and pricing is one gather and one scatter for all lanes. The lanes share
+numbers, each draw made once). LaneGroup.decide decides every scheme:
+greedy and JSQ lanes in one argmin over the group's own tables, Static
+lanes by a row built once, Random lanes from blocks of MT19937 draws;
+pricing is one gather and one scatter for all lanes. The lanes share
 one keep policy, a stride and a Lyapunov flag: a slot the group keeps
 adds one row of exact ints per lane to the Accumulator; a run returns
 those rows, and the CLI formats its CSV from the ints and its summary,
@@ -46,14 +48,46 @@ from .model import (
     Rational,
     SchedulerParams,
 )
-from .scheduler import (
-    lane_argmin,
-    mt19937_of,
-    random_decide,
-    static_decide,
-)
 
 RANDOM_BLOCK = 16  # slots of Random-lane targets drawn per random_decide call
+
+
+def mt19937_of(rng: random.Random) -> np.random.MT19937:
+    """A numpy MT19937 in rng's state: its random_raw() words are the
+    32-bit words rng's getrandbits(32) would return next. rng's 624-word
+    key and its position are copied once; rng itself is not advanced."""
+    _, state, _ = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(state[:624], np.uint32),
+                            "pos": state[624]}}
+    return bits
+
+
+def random_decide(n_switches: int, n_controllers: int,
+                  bits: np.random.MT19937) -> np.ndarray:
+    """Uniform random controllers, one per switch: the target array.
+
+    With bits = mt19937_of(rng), the values, and the state bits is left
+    in, equal those of
+    `[rng.randrange(n_controllers) for _ in range(n_switches)]`.
+    randrange(n) takes the top k = n.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws again while the value is >= n, so one
+    random_raw call draws every word, and each redraw draws only the
+    shortfall. Called with n_switches = B*n_s, it draws B slots of n_s
+    switches at once, slot after slot.
+    """
+    if not 1 <= n_controllers < 2 ** 32:
+        raise ValueError("need between 1 and 2**32 - 1 controllers")
+    shift = 32 - n_controllers.bit_length()
+    parts, need = [], n_switches
+    while need:
+        words = bits.random_raw(need) >> shift
+        parts.append(np.compress(words < n_controllers, words))
+        need -= len(parts[-1])
+    return np.concatenate(parts, dtype=np.intp) if parts \
+        else np.zeros(0, np.intp)
+
 
 #: Integer arrays stay in int64 while every sum is below this bound.
 INT64_BOUND = 2 ** 62
@@ -88,7 +122,7 @@ class RunConfig:
 
 
 def argmin_rule(cfg: RunConfig) -> tuple[Fraction, bool] | None:
-    """The argmin a lane decides by (scheduler.lane_argmin), as its V and
+    """The argmin a lane decides by (LaneGroup.decide), as its V and
     whether it devolves, or None for a Static or Random lane: a greedy
     lane takes its own V and devolution, and JSQ is the devolution-off
     argmin at V = 0."""
@@ -116,7 +150,7 @@ def int64_queue_limit(cfg: RunConfig) -> int:
     limit, apply_slot's sums stay below INT64_BOUND: the prices
     n_s*weight*a_max + backlog, the slot-end backlogs, and their total
     over all queues; so do, for a lane with an argmin_rule V = p/q,
-    lane_argmin's sums max|K| + scale*backlog, where max|K| =
+    LaneGroup.decide's sums max|K| + scale*backlog, where max|K| =
     p*max|gap| and scale = q*d (CostTables.gap and its scale d). Services
     need no term: TrafficConfig caps them at MAX_CAPACITY.
     """
@@ -166,28 +200,49 @@ def apply_slot(q: np.ndarray, target: np.ndarray, arrivals: np.ndarray,
 class LaneGroup:
     """Lanes that advance in lock step on one dtype, one row per lane of
     each slot array: the backlogs q (L x (n_s + n_c)), each lane's switch
-    queues then its controller queues, and their services; the stacked
-    decision tables k and scale (each argmin lane's scale once per
-    queue), and lane_argmin's index tables `controllers` and `offsets`;
-    and apply_slot's tables, built once: each lane's cells (L x n_s),
-    and the joins and prices of every lane's cells, CostTables.joins
-    offset to the lane's row of q and CostTables.price, tiled lane by
-    lane. `acc` keeps each lane's exact running sums, and the rows of
-    the slots the lanes' one stride keeps.
+    queues then its controller queues, and their services; the decision
+    tables below; and apply_slot's tables, built once: each lane's cells
+    (L x n_s), and the joins and prices of every lane's cells,
+    CostTables.joins offset to the lane's row of q and CostTables.price,
+    tiled lane by lane. `acc` keeps each lane's exact running sums, and
+    the rows of the slots the lanes' one stride keeps.
 
     `LaneGroup(cfgs, rows)` puts the configs in `lane_order`, and
-    `order[l]` is the index in `cfgs` of lane l: greedy lanes with
-    devolution on, then the other argmin lanes (greedy with devolution
-    off, and JSQ), which all decide in one lane_argmin call over their
-    stacked tables K = p*gap and scales q*d, for the V = p/q of each
-    lane's argmin_rule (one row per row class of the cost model,
-    CostTables.gap and row_class); then Static lanes, a fixed target row
-    each; then Random lanes, each drawing from
+    `order[l]` is the index in `cfgs` of lane l: the `n_argmin` argmin
+    lanes, first the `n_devolve` greedy lanes with devolution on, then
+    greedy lanes with devolution off and JSQ lanes; then Static lanes;
+    then Random lanes. `rows[i]` is the index of config i's arrival
+    source among the sources `advance` is given (`shared_row` when every
+    lane reads the same one).
+
+    Argmin lane l, with the V = p/q of its argmin_rule in lowest terms,
+    sends switch i to the controller j that minimises the weight
+    v*(W - alpha) + Qc_j - Qs_i. With the cost model's integer gap
+    d*W[i][j] - d*alpha_i (CostTables.gap, d its scale), that weight
+    times q*d is K[i, j] + q*d*(Qc_j - Qs_i), with K = p*gap. K depends
+    on switch i only through its gap row, so `k` (n_argmin x classes x
+    n_c) holds one row per row class, and `row_class` (n_s, intp), a map
+    every lane shares, gives each switch's class. `scale` holds each
+    lane's q*d once per queue, in q's shape, so one product scales every
+    backlog. `controllers` (n_argmin x classes x n_c, intp) holds the
+    flat index in q of lane l's controller j, the same for every class,
+    so one take lays the scaled controller backlogs out as k is: `decide`
+    takes the argmin over j of M = K[c, j] + q*d*Qc_j once per class c and
+    hands it to every switch of the class, numpy's first index on a tie
+    being the lowest-index rule. `offsets` (n_argmin x n_s, intp) holds
+    (l*classes + row_class[i])*n_c, the flat index of row (l,
+    row_class[i]) of M, so one flat take at offsets + target reads each
+    switch's minimum. A devolving lane sends switch i LOCAL where that
+    minimum exceeds q*d*Qs_i, which is reference.greedy_decide; the other
+    argmin lanes never go LOCAL, and since alpha_i is constant along a
+    row their argmin is reference.association_only_decide, and at v = 0
+    (K = 0) reference.jsq_decide.
+
+    Every Static lane's row of `template` is the argmin of the gap alone,
+    ties to the lowest index: with d*alpha_i constant along a row, that
+    is reference.static_decide. Each Random lane draws from
     mt19937_of(random.Random(run_seed)), the words a separate run's
     per-slot randrange loop would take, RANDOM_BLOCK slots per call.
-    `rows[i]` is the index of config i's arrival source among the
-    sources `advance` is given (`shared_row` when every lane reads the
-    same one).
 
     The arrays are int64 while every lane's backlogs are within its int64
     queue limit, and object arrays of Python ints, for every lane and for
@@ -244,7 +299,7 @@ class LaneGroup:
             dtype)
         self.template = np.empty((len(cfgs), n_s), np.intp)
         if any(cfg.scheme is Scheme.STATIC for cfg in cfgs):
-            self.template[:] = static_decide(cost).target
+            self.template[:] = tables.gap.argmin(1).take(tables.row_class)
         self.bits = [mt19937_of(random.Random(cfg.run_seed))
                      for cfg in self.cfgs if cfg.scheme is Scheme.RANDOM]
         self.random_block = np.empty((len(self.bits), RANDOM_BLOCK * n_s),
@@ -265,21 +320,28 @@ class LaneGroup:
     def decide(self, q: np.ndarray) -> np.ndarray:
         """The targets (L x n_s) for the pre-slot backlogs q
         (L x (n_s + n_c)), one row per lane: the group's next slot of
-        decisions.
+        decisions. Lanes never mix, so each row is its own lane's decision.
 
         Random lanes read their slot from `random_block`, which every
         RANDOM_BLOCK calls is refilled with one random_decide call per
         lane; `decided` counts the calls, so the slots follow one another
         whether or not `advance` runs."""
-        n = self.n_argmin
-        # an all-argmin group skips the copy: about 4% of a desk-sweep slot
-        if n == len(self.template):
-            return lane_argmin(self.k, self.scale, q, self.n_devolve,
-                               self.row_class, self.controllers, self.offsets)
+        n, lanes = self.n_argmin, len(self.template)
+        scaled = (q if n == lanes else q[:n]) * self.scale
+        m = self.k + scaled.take(self.controllers)
+        argmin = m.argmin(2).take(self.row_class, 1)
+        # a contiguous copy of the switch backlogs compares faster than
+        # the strided view at desk-sweep's shapes (5 lanes x 20 switches)
+        local = m.take(self.offsets + argmin) > scaled[:, :self.n_s].copy()
+        if self.n_devolve < n:
+            local[self.n_devolve:] = False
+        np.putmask(argmin, local, LOCAL)
+        # an all-argmin group skips the template copy: about 4% of a
+        # desk-sweep slot
+        if n == lanes:
+            return argmin
         target = self.template.copy()
-        target[:n] = lane_argmin(self.k, self.scale, q[:n], self.n_devolve,
-                                 self.row_class, self.controllers,
-                                 self.offsets)
+        target[:n] = argmin
         if self.bits:
             at = self.decided % RANDOM_BLOCK
             if not at:

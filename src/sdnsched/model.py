@@ -2,9 +2,10 @@
 scaling, associations and scheduler parameters.
 
 Request counts are nonnegative integers; costs stay exact (int or
-Fraction) so that scheduler comparisons are equality checks, never
-tolerance checks. The queue updates, slot cost functions and Lyapunov
-function that the engine's pricing is tested against are in reference.
+Fraction) so that the engine's decisions are checked for equality
+against reference, never within a tolerance. The queue updates, slot
+cost functions and Lyapunov function that the engine's pricing is tested
+against are in reference.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 Everything here is a pure per-switch, per-queue function in Python ints
 and Fractions: queue backlogs, the queue updates, slot costs and the
-Lyapunov function; the greedy drift-plus-penalty rule, its baselines,
-the per-slot objective and a brute-force oracle; a kept row's exact
-MetricsRecord; BFS hop counts; and the trace inverse CDF. The engine,
-the decision kernel, the hop matrix, the CSV writer and the trace
-sampler are each tested for equality against them. No command runs this
-code, and no other module imports it.
+Lyapunov function; the greedy drift-plus-penalty rule, its baselines
+(static_decide is the Static scheme's), the per-slot objective and a
+brute-force oracle; a kept row's exact MetricsRecord and the controller
+backlog variance; BFS hop counts; and the trace inverse CDF. The
+engine's decisions and pricing, the hop matrix, the CSV writer and the
+trace sampler are each tested for equality against them, so nothing
+here calls engine or metrics code. No command runs this code, and no
+other module imports it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .metrics import scaled_variance
 from .model import LOCAL, Association, CostModel, Rational, SchedulerParams
 from .traffic import EmpiricalCdf
 
@@ -137,6 +138,13 @@ def association_only_decide(ctx: DecisionContext) -> Association:
     return Association(target=tuple(target))
 
 
+def static_decide(cost: CostModel) -> Association:
+    """The Static baseline: each switch's minimum-communication-cost
+    controller, ties to the lowest index, fixed for all slots."""
+    target = tuple(row.index(min(row)) for row in cost.w)
+    return Association(target=target)
+
+
 def jsq_decide(q: QueueState, n_switches: int) -> Association:
     """Join-the-shortest-queue: every switch picks the controller with
     the smallest backlog in the same pre-slot snapshot."""
@@ -244,7 +252,8 @@ def controller_variance(q_c: Sequence[int]) -> Fraction:
     n = len(q_c)
     if n < 1:
         raise ValueError("need at least one controller")
-    return Fraction(scaled_variance(q_c), n * n)
+    mean = Fraction(sum(q_c), n)
+    return sum((x - mean) ** 2 for x in q_c) / n
 
 
 def bfs_hops(adjacency: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:

@@ -35,22 +35,26 @@ def test_span_resolves_a_callable(span):
 
 def test_slot_spans_are_live(tmp_path):
     # a command prices and accounts once per slot, whatever its lane
-    # count, and writes one CSV row per kept record
+    # count, writes one CSV row per kept record, and draws one block of
+    # targets per RANDOM_BLOCK slots for its one Random lane, if any
     from sdnsched.cli import main
+    from sdnsched.engine import RANDOM_BLOCK
 
     horizon = 5
     common = ["--kind", "fat-tree", "--k", "4", "--horizon", str(horizon),
               "--arrivals", "poisson:2", "--out-dir", str(tmp_path)]
     tracer = layertrace.Tracer(layertrace.TARGETS)
-    for argv, rows in [
-            (["compare", *common, "--v-grid", "0,10", "--seeds", "1"], 0),
+    for argv, rows, draws in [
+            (["compare", *common, "--v-grid", "0,10", "--seeds", "1"], 0,
+             -(-horizon // RANDOM_BLOCK)),
             (["run", *common, "--scheme", "greedy", "--v", "10",
-              "--stride", "1", "--name", "live"], horizon)]:
+              "--stride", "1", "--name", "live"], horizon, 0)]:
         with tracer.installed():
             assert main(argv) == 0
         calls = {name: stats[0] for name, stats in tracer.spans.items()}
         assert calls["model.price_update"] == horizon, argv[0]
         assert calls["metrics.account"] == horizon, argv[0]
         assert calls["metrics.csv"] == rows, argv[0]
+        assert calls["scheduler.decide"] == draws, argv[0]
     csv = (tmp_path / "live.csv").read_text().splitlines()
     assert len(csv) == 1 + horizon

@@ -38,6 +38,7 @@ from sdnsched.reference import (
     row_record,
     slot_comm_cost,
     slot_comp_cost,
+    static_decide,
     step_controller_queue,
     step_switch_queue,
 )
@@ -890,7 +891,6 @@ class TestGreedyVsStatic:
         # with V large and devolution off, greedy follows the static
         # choice while controller queues stay below V * min W gap
         cost = CostModel.uniform_alpha(((1, 3), (4, 2)), 2)
-        from sdnsched.scheduler import static_decide
         group = argmin_lane(cost, Scheme.GREEDY, 1000, Devolution.OFF)
         static = static_decide(cost)
         rng = random.Random(2)

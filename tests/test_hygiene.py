@@ -1,9 +1,10 @@
 """Every name a sdnsched module imports is used in it or exported
 through its `__all__`, so a deletion cannot leave an import behind; no
 module but reference.py itself imports sdnsched.reference, so the
-specification stays off every command's path; and every module has a
-docstring and one row of the README's package-layout table, which names
-no other module."""
+specification stays off every command's path, and reference.py imports
+nothing from the engine or metrics code it specifies; and every module
+has a docstring and one row of the README's package-layout table, which
+names no other module."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,35 @@ def test_reference_import_caught():
         assert imports_reference(text), text
     assert not imports_reference("from .metrics import format_ratio\n"
                                  "from .model import LOCAL")
+
+
+def imports_engine_or_metrics(source: str) -> bool:
+    """Whether the module imports sdnsched.engine or sdnsched.metrics, or
+    a name from either, in any spelling: relative or absolute."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{a.name}" for a in node.names]
+    return any({"engine", "metrics"} & set(name.split("."))
+               for name in names)
+
+
+def test_reference_imports_no_code_it_specifies():
+    # the specification computes from definitions, so a test of the
+    # engine or metrics against it never compares code with itself
+    assert not imports_engine_or_metrics(
+        (PACKAGE / "reference.py").read_text())
+
+
+def test_engine_or_metrics_import_caught():
+    for text in ("from .metrics import scaled_variance",
+                 "from . import engine", "import sdnsched.metrics",
+                 "from sdnsched.engine import LaneGroup"):
+        assert imports_engine_or_metrics(text), text
+    assert not imports_engine_or_metrics("from .model import LOCAL\n"
+                                         "from .traffic import EmpiricalCdf")
 
 
 def readme_layout_modules() -> list[str]:

@@ -10,6 +10,7 @@ from sdnsched.metrics import (
     format_ratio,
     format_rational,
     record_to_csv_row,
+    scaled_variance,
 )
 from sdnsched.reference import QueueState, controller_variance, row_record
 
@@ -86,6 +87,14 @@ class TestControllerVariance:
     def test_requires_controller(self):
         with pytest.raises(ValueError):
             controller_variance(())
+
+    @given(st.lists(st.integers(0, 2 ** 66), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_variance_is_n_squared_variance(self, q_c):
+        # the integer a kept row holds is n^2 times the variance from its
+        # definition, at backlogs up to and past 2^62
+        n = len(q_c)
+        assert n * n * controller_variance(q_c) == scaled_variance(q_c)
 
 
 def reference_format(x, digits=6):

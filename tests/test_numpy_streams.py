@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from sdnsched.scheduler import mt19937_of
+from sdnsched.engine import mt19937_of
 
 RECORDED_WITH = "2.4.6"
 

@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnsched.engine import LaneGroup, RunConfig, Scheme
+from sdnsched.engine import (
+    LaneGroup,
+    RunConfig,
+    Scheme,
+    mt19937_of,
+    random_decide,
+)
 from sdnsched.model import (
     LOCAL,
     Association,
     CostModel,
     Devolution,
     SchedulerParams,
+    TopoKind,
 )
 from sdnsched.reference import (
     DecisionContext,
@@ -22,14 +29,14 @@ from sdnsched.reference import (
     jsq_decide,
     omega,
     slot_objective,
-)
-from sdnsched.scheduler import (
-    lane_argmin,
-    mt19937_of,
-    random_decide,
     static_decide,
 )
-from sdnsched.topology import build_cost_model, gen_fat_tree, place_controllers
+from sdnsched.topology import (
+    build_cost_model,
+    gen_fat_tree,
+    generate,
+    place_controllers,
+)
 from sdnsched.traffic import Poisson, TrafficConfig
 
 from conftest import argmin_lane, lane_target
@@ -349,8 +356,8 @@ def backlogs(draw, n, low, high):
 
 
 class TestKernels:
-    """The argmin lanes of an engine.LaneGroup decide as the rules in
-    reference do."""
+    """The lanes of an engine.LaneGroup decide as the rules in reference
+    do."""
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=200, deadline=None)
@@ -452,11 +459,11 @@ class TestKernels:
     @given(kernel_cases(), rationals(100), st.data())
     @settings(max_examples=200, deadline=None)
     def test_whole_row_argmin_matches_reference_rules(self, case, v2, data):
-        # lane_argmin on the whole queue rows of a group's argmin lanes
-        # (greedy with devolution on at two V, greedy with devolution off,
-        # and JSQ), with the group's tables and offsets, gives each lane
-        # its reference rule's targets: for backlogs within every lane's
-        # int64 limit, then, widened, for backlogs of at least 2^62
+        # decide on the whole queue rows of an all-argmin group (greedy
+        # with devolution on at two V, greedy with devolution off, and
+        # JSQ) gives each lane its reference rule's targets: for backlogs
+        # within every lane's int64 limit, then, widened, for backlogs of
+        # at least 2^62
         cost, v, _ = case
         n_s, n_c = cost.n_switches, cost.n_controllers
         traffic = TrafficConfig(base_process=Poisson(0), n_switches=n_s,
@@ -480,9 +487,7 @@ class TestKernels:
                     assert queues.total() <= group.limit[lane]
             rows = np.array([queues.q_s + queues.q_c for queues in q],
                             group.q.dtype)
-            target = lane_argmin(group.k, group.scale, rows,
-                                 group.n_devolve, group.row_class,
-                                 group.controllers, group.offsets)
+            target = group.decide(rows)
             want = []
             for cfg, queues in zip(group.cfgs, q):
                 ctx = DecisionContext(q=queues, arrivals=(0,) * n_s,
@@ -495,6 +500,44 @@ class TestKernels:
                     want.append(association_only_decide(ctx).target)
             assert [tuple(row) for row in target.tolist()] == want
             group.widen()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_static_lane_is_static_decide(self, data):
+        # hop counts drawn from 1..3 tie often within a row, and each
+        # switch has its own alpha; a Static lane's row is the
+        # specification's alone, beside greedy, JSQ and Random lanes, and
+        # after widen()
+        n_s, n_c = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+        cost = CostModel(
+            w=tuple(tuple(data.draw(st.integers(1, 3)) for _ in range(n_c))
+                    for _ in range(n_s)),
+            alpha=tuple(data.draw(rationals(10)) for _ in range(n_s)))
+        traffic = TrafficConfig(base_process=Poisson(0), n_switches=n_s,
+                                n_controllers=n_c)
+        lanes = [RunConfig(cost=cost, traffic=traffic, scheme=scheme,
+                           params=SchedulerParams(v=data.draw(rationals(100))),
+                           horizon_slots=1)
+                 for scheme in (Scheme.RANDOM, Scheme.STATIC, Scheme.JSQ,
+                                Scheme.GREEDY)]
+        want = static_decide(cost).target
+        for group in (LaneGroup(lanes[1:2], [0]), LaneGroup(lanes, [0] * 4)):
+            lane = [cfg.scheme for cfg in group.cfgs].index(Scheme.STATIC)
+            for _ in range(2):
+                target = group.decide(np.zeros_like(group.q))
+                assert tuple(target[lane].tolist()) == want
+                group.widen()
+
+    @pytest.mark.parametrize("kind, k", [
+        (TopoKind.FAT_TREE, 24), (TopoKind.JELLYFISH, 10),
+        (TopoKind.THREE_TIER, 8), (TopoKind.F10, 8)])
+    def test_static_lane_on_topologies(self, kind, k):
+        topo = generate(kind, k)
+        cost = build_cost_model(topo, place_controllers(topo))
+        group = argmin_lane(cost, Scheme.STATIC)
+        assert lane_target(group, (0,) * cost.n_switches,
+                           (0,) * cost.n_controllers) == \
+            static_decide(cost).target
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
